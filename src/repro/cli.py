@@ -95,7 +95,6 @@ def _make_simulator(args: argparse.Namespace):
             threads=args.threads,
             fusion=args.fusion,
             memory_budget_bytes=getattr(args, "memory_budget", None),
-            plan_cache=not getattr(args, "no_plan_cache", False),
             force_convert_at=getattr(args, "force_convert_at", None),
             identity_skip=not getattr(args, "no_identity_skip", False),
             qubit_order=getattr(args, "qubit_order", "natural"),
@@ -764,10 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(open in Perfetto / chrome://tracing)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-phase timing breakdown")
-    p.add_argument("--no-plan-cache", action="store_true",
-                   help="disable the DMAV plan compiler / buffer arena "
-                        "(flatdd only; bit-identical performance "
-                        "ablation)")
     _add_dd_shrink_args(p)
     p.add_argument("--force-convert-at", type=int, default=None,
                    metavar="GATE",

@@ -88,14 +88,6 @@ class FlatDDConfig:
     #: If False, thread tasks run inline (deterministic, used by tests);
     #: if True they run on a ThreadPoolExecutor.
     use_thread_pool: bool = False
-    #: Compile each gate DD's DMAV work (cost verdict, task partitions,
-    #: buffer/writer layout) once via :class:`repro.core.plan.PlanCache`
-    #: and run the array phase out of a persistent
-    #: :class:`repro.parallel.arena.BufferArena` instead of re-deriving
-    #: and re-allocating per gate.  Bit-identical to the unplanned hot
-    #: loop (execution-only knob); False is the ``--no-plan-cache``
-    #: performance ablation.
-    plan_cache: bool = True
     #: Deterministic conversion override for testing/verification: ``None``
     #: keeps the EWMA trigger; an int forces DD-to-array conversion right
     #: after that gate index (0 = convert after the first gate).  An index
@@ -162,14 +154,12 @@ class FlatDDConfig:
 #: never the final state -- excluded from the cache-key config digest.
 #: ``memory_budget_bytes`` stays *in* the digest: a guardrail-forced early
 #: conversion changes the conversion point, which is bit-level visible.
-#: ``plan_cache`` is execution-only by construction: the compiled plans
-#: replay the unplanned descents' arithmetic bit-for-bit.
-#: ``identity_skip`` is execution-only the same way: windowed gate DDs
+#: ``identity_skip`` is execution-only by construction: windowed gate DDs
 #: share their window subtree with the wrapped full-height DDs and the
 #: skip rules reproduce the pass-through arithmetic exactly (enforced by
 #: the ``identity_skip_equivalence`` fuzz oracle).  ``qubit_order`` stays
 #: in the digest: permuting the DD phase moves the conversion point.
-_EXECUTION_ONLY_FIELDS = ("use_thread_pool", "plan_cache", "identity_skip")
+_EXECUTION_ONLY_FIELDS = ("use_thread_pool", "identity_skip")
 
 
 def config_digest(config: "FlatDDConfig | None") -> str:

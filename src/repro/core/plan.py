@@ -29,8 +29,9 @@ Two properties make the compiler more than a per-root dict:
   build exactly like the legacy descents multiplied them
   (``((1 * w_root) * w_1) * ... * w_border``).  A planned run therefore
   reproduces the unplanned per-gate partitioning bit-for-bit (signed
-  zeros aside), which is what lets ``--no-plan-cache`` be a pure
-  performance ablation.
+  zeros aside), which is why the pipeline has no unplanned mode: the
+  listing-form kernels of :mod:`repro.core.dmav` are the reference it is
+  tested and benchmarked against.
 
 **Invalidation.**  Plans key nodes by ``id()`` and pin them via direct
 references, so a package garbage collection -- which sweeps unique-table

@@ -13,6 +13,15 @@ Phases:
 
 Circuits that stay regular never trigger and finish entirely in the DD
 phase (which is why FlatDD matches DDSIM on Adder/GHZ in Table 1).
+
+Each phase is one plain function that every entry point composes:
+:func:`dd_phase` (from gate 0, or from a snapshot's cursor on resume, and
+once per :func:`repro.core.sweep.run_sweep` group), :func:`release_dd_phase`
+after conversion, and :func:`dmav_phase`, whose per-gate step
+:func:`apply_plan` also serves the sweep's exact per-row fallback.  They
+reach the DD-package and kernel entry points through this module's
+namespace, so patching one name here (as ``perfbench/layers.py`` does for
+per-layer attribution) sees every call.
 """
 
 from __future__ import annotations
@@ -20,17 +29,15 @@ from __future__ import annotations
 import logging
 import time
 
-import numpy as np
-
 from repro.backends.base import GateRecord, SimulationResult, Simulator
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
-from repro.common.config import AMPLITUDE_BYTES, FlatDDConfig, config_digest
+from repro.common.config import FlatDDConfig, config_digest
 from repro.core.conversion import convert_parallel
-from repro.core.cost_model import CostModel, assign_cache_tasks
+from repro.core.cost_model import CostModel
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
-from repro.core.plan import PlanCache
+from repro.core.plan import GatePlan, PlanCache
 from repro.core.fusion import FusionResult, fuse_cost_aware, fuse_k_operations
 from repro.core.reorder import (
     permute_circuit,
@@ -40,7 +47,7 @@ from repro.core.reorder import (
 from repro.dd.io import deserialize_vector_dd
 from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
-from repro.dd.vector import node_count, vector_to_array, zero_state
+from repro.dd.vector import node_count, zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.collect import build_obs
 from repro.obs.metrics import MetricsRegistry
@@ -59,9 +66,362 @@ from repro.resilience.snapshot import (
     write_snapshot,
 )
 
-__all__ = ["FlatDDSimulator"]
+__all__ = [
+    "FlatDDSimulator",
+    "apply_plan",
+    "dd_phase",
+    "dmav_phase",
+    "plan_uses_cache",
+    "release_dd_phase",
+]
 
 _log = logging.getLogger("repro.core.simulator")
+
+
+def dd_phase(
+    cfg: FlatDDConfig,
+    pkg: DDPackage,
+    gates: GateDDCache,
+    monitor: EWMAMonitor,
+    state_dd,
+    dd_gates: list,
+    start: int,
+    guard: MemoryGuard,
+    meter: MemoryMeter,
+    metadata: dict,
+    gc_threshold: int,
+    *,
+    trace: list[GateRecord] | None = None,
+    tracer=NULL_TRACER,
+    checkpoint_every: int | None = None,
+    write_checkpoint=None,
+    deadline: float | None = None,
+):
+    """Apply ``dd_gates[start:]`` to ``state_dd`` until conversion is due.
+
+    Returns ``(state_dd, convert_at, applied, timed_out)``.  ``convert_at``
+    is the gate after which the EWMA trigger, ``cfg.force_convert_at`` or
+    a memory-guard breach (which also sets
+    ``metadata["guard_forced_conversion"]``) asks for conversion; it is
+    None when the gates run out or the ``time.perf_counter()`` value
+    ``deadline`` passes first (``timed_out``).  ``applied`` counts every
+    gate applied since gate 0, a resumed prefix included.
+
+    Every decision -- trigger, guard, the ``gc_threshold`` GC cadence --
+    reads only this package's DD working set, so a single-shot run, a
+    resume entering at its snapshot cursor and each sweep group all
+    convert at the gate the uninterrupted run would.
+
+    ``trace`` receives one :class:`GateRecord` per gate and ``tracer`` the
+    per-gate spans and trigger/guard/GC/checkpoint events.  Every
+    ``checkpoint_every`` gates (never after the last) the package passes a
+    checkpoint barrier and ``write_checkpoint(state_dd, cursor)`` persists
+    it, counted in ``metadata["checkpoints_written"]``.
+    """
+    tracing = tracer.enabled
+    force_at = cfg.force_convert_at
+    windowed = cfg.identity_skip
+    total = len(dd_gates)
+    for i in range(start, total):
+        gate = dd_gates[i]
+        g0 = time.perf_counter()
+        state_dd = mv_multiply(
+            pkg, gates.get(gate, windowed=windowed), state_dd
+        )
+        size = node_count(state_dd)
+        triggered = monitor.update(size)
+        if force_at is not None:
+            triggered = i == force_at
+        g1 = time.perf_counter()
+        if trace is not None:
+            trace.append(
+                GateRecord(
+                    index=i,
+                    name=gate.name,
+                    seconds=g1 - g0,
+                    phase="dd",
+                    dd_size=size,
+                )
+            )
+        if tracing:
+            tracer.record(
+                gate.name, "dd", g0, g1,
+                gate_index=i, dd_size=size, ewma=monitor.value,
+            )
+            tracer.sample("dd_size", size, ts=g1)
+            tracer.sample("ewma", monitor.value, ts=g1)
+        meter.sample(dd_bytes(pkg))
+        if not triggered and guard.check_dd(meter.last_bytes, i):
+            # Budget breach while still in the DD phase: degrade
+            # gracefully by converting to the flat array early.
+            triggered = True
+            metadata["guard_forced_conversion"] = True
+            if tracing:
+                tracer.instant(
+                    "guard_breach", "dd", ts=g1,
+                    gate_index=i, observed_bytes=meter.last_bytes,
+                    budget_bytes=guard.budget_bytes,
+                )
+            _log.warning(
+                "memory budget breached at gate %d (%d > %d bytes); "
+                "forcing DD-to-array conversion",
+                i, meter.last_bytes, guard.budget_bytes,
+            )
+        if triggered:
+            if tracing:
+                tracer.instant(
+                    "ewma_trigger", "dd", ts=g1,
+                    gate_index=i, dd_size=size, ewma=monitor.value,
+                )
+            _log.info(
+                "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
+                i, size, monitor.value,
+            )
+            return state_dd, i, i + 1, False
+        if (
+            checkpoint_every is not None
+            and (i + 1) % checkpoint_every == 0
+            and i + 1 < total
+        ):
+            # Barrier *before* the dump: the snapshot must capture the
+            # exact state (unique tables = live state DD, caches cold)
+            # that both the continuation and any resume evolve from.
+            gates.clear()
+            pkg.checkpoint_barrier([state_dd])
+            write_checkpoint(state_dd, i + 1)
+            metadata["checkpoints_written"] += 1
+            if tracing:
+                tracer.instant("checkpoint", "dd", gate_index=i)
+        if pkg.unique_node_count > gc_threshold:
+            removed = pkg.collect_garbage([state_dd, *gates.roots()])
+            if tracing:
+                tracer.instant("gc", "dd", gate_index=i, reclaimed=removed)
+            _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
+        if deadline is not None and time.perf_counter() > deadline:
+            return state_dd, None, i + 1, True
+    return state_dd, None, total, False
+
+
+def release_dd_phase(
+    pkg: DDPackage, gates: GateDDCache, guard: MemoryGuard, barrier: bool
+) -> None:
+    """Post-conversion cleanup of the DD-phase package.
+
+    Windowed gate DDs are never consulted again, so they stop pinning
+    their pass-through nodes.  ``barrier`` (set by a run that may write,
+    or has read, a snapshot) resets the package to the cold state in
+    which an array-phase resume rebuilds the DMAV gate list, so the
+    fused edges cannot drift by ulps between writer and resume.  Without
+    a barrier, under a memory budget, the dead state DD is reclaimed so a
+    forced conversion actually shrinks the working set (value-neutral:
+    GC only frees dead nodes and clears caches).
+
+    Conversion mutates none of the state gate builds read, so afterwards
+    the package is exactly where the DMAV phase's gate builds start --
+    for ``run()`` and for every row a sweep group builds on its leader
+    package.
+    """
+    gates.drop_windowed()
+    if barrier:
+        gates.clear()
+        pkg.checkpoint_barrier([])
+    elif guard.enabled:
+        pkg.collect_garbage(gates.roots())
+
+
+def plan_uses_cache(policy: str, plan: GatePlan) -> bool:
+    """Whether ``cache_policy`` runs ``plan``'s gate with Algorithm 2.
+
+    "always"/"never" force one DMAV variant (the Figure 14 ablation);
+    "auto" takes the plan's compiled cost-model verdict (Section 3.2.3).
+    """
+    if policy == "auto":
+        return plan.cost.use_cache
+    return policy == "always"
+
+
+def apply_plan(
+    pkg: DDPackage,
+    edge,
+    plan: GatePlan,
+    use_cache: bool,
+    v,
+    out,
+    threads: int,
+    runner: TaskRunner | None,
+    dense_level: int,
+    *,
+    buffers=None,
+    out_dirty: bool = True,
+):
+    """One planned DMAV step: write ``edge`` applied to ``v`` into ``out``.
+
+    ``use_cache`` selects Algorithm 2 (``plan``'s cache assignment, writer
+    lists and direct-write flags, over ``buffers``: at least
+    ``plan.assignment.num_buffers`` partials of any contents) or
+    Algorithm 1 (``plan``'s row-major tasks).  ``out_dirty`` says whether
+    ``out`` may hold stale data.  Returns ``(out, stats)``.
+    """
+    if use_cache:
+        return dmav_cached(
+            pkg, edge, v, threads, runner, dense_level, out=out,
+            assignment=plan.assignment, buffers=buffers,
+            writers=plan.writers, out_dirty=out_dirty,
+            direct=plan.direct, direct_out=plan.direct_out,
+        )
+    return dmav_nocache(
+        pkg, edge, v, threads, runner, dense_level, out=out,
+        tasks=plan.row_tasks, out_dirty=out_dirty,
+    )
+
+
+def dmav_phase(
+    cfg: FlatDDConfig,
+    pkg: DDPackage,
+    gates: GateDDCache,
+    runner: TaskRunner,
+    state,
+    remaining: list,
+    convert_at: int,
+    start: int,
+    guard: MemoryGuard,
+    meter: MemoryMeter,
+    registry: MetricsRegistry,
+    metadata: dict,
+    trace: list[GateRecord],
+    write_checkpoint,
+    *,
+    tracer=NULL_TRACER,
+    checkpoint_every: int | None = None,
+    deadline: float | None = None,
+):
+    """Fuse ``remaining`` (the gates after ``convert_at``), apply to ``state``.
+
+    Returns ``(state, edges, timed_out)``, ``edges`` being the emitted
+    (post-``cfg.fusion``) gate DDs.  Execution enters at emitted gate
+    ``start`` -- an array-phase resume's cursor; the emitted list itself
+    is rebuilt deterministically.  Each gate runs through its compiled
+    :class:`~repro.core.plan.GatePlan` and :func:`apply_plan`, ping-ponging
+    between recycled :class:`~repro.parallel.arena.BufferArena` buffers.
+
+    After every gate the memory guard may raise, checkpointing through
+    ``write_checkpoint(state, cursor)`` first; every ``checkpoint_every``
+    emitted gates (never after the last) a snapshot is written the same
+    way.  Per-gate costs and the plan/arena counters land in ``metadata``
+    and ``registry``; ``trace`` and ``tracer`` get the per-gate records.
+    """
+    tracing = tracer.enabled
+    model = CostModel(cfg.threads, cfg.simd_width)
+    f0 = time.perf_counter()
+    edges = [gates.get(g) for g in remaining]
+    labels = [g.name for g in remaining]
+    if cfg.fusion != "none" and edges:
+        if cfg.fusion == "cost":
+            fused = fuse_cost_aware(pkg, edges, model)
+        else:
+            fused = fuse_k_operations(pkg, edges, cfg.k_operations, model)
+        edges = fused.gates
+        labels = _fused_labels(labels, fused)
+        metadata["fusion_result"] = _fusion_summary(fused)
+    f1 = time.perf_counter()
+    metadata["fusion_seconds"] = f1 - f0
+    if tracing and cfg.fusion != "none" and edges:
+        tracer.record(
+            "fusion", "phase", f0, f1, mode=cfg.fusion, emitted=len(edges),
+        )
+
+    d0 = time.perf_counter()
+    plans = PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
+    arena = BufferArena(state.size)
+    policy = cfg.cache_policy
+    gate_costs: list[tuple[int, float, float, bool]] = []
+    cache_hits = 0
+    timed_out = False
+    for j in range(start, len(edges)):
+        edge = edges[j]
+        g0 = time.perf_counter()
+        plan = plans.get(edge)
+        cost = plan.cost
+        use_cache = plan_uses_cache(policy, plan)
+        w_buf, w_dirty = arena.output()
+        w_buf, stats = apply_plan(
+            pkg, edge, plan, use_cache, state, w_buf, cfg.threads, runner,
+            cfg.dense_block_level, out_dirty=w_dirty,
+            buffers=(
+                arena.partials(plan.assignment.num_buffers)
+                if use_cache else None
+            ),
+        )
+        arena.retire(state)
+        state = w_buf
+        cache_hits += stats.cache_hits
+        gate_costs.append(
+            (cost.macs_total, cost.cost_nocache, cost.cost_cache, use_cache)
+        )
+        g1 = time.perf_counter()
+        index = convert_at + 1 + j
+        trace.append(
+            GateRecord(
+                index=index,
+                name=labels[j],
+                seconds=g1 - g0,
+                phase="dmav",
+                macs=cost.macs_total,
+                cached=use_cache,
+            )
+        )
+        if tracing:
+            tracer.record(
+                labels[j], "dmav", g0, g1,
+                gate_index=index,
+                macs=cost.macs_total, cached=use_cache,
+                cost_cache=cost.cost_cache,
+                cost_nocache=cost.cost_nocache,
+                cache_hits=stats.cache_hits,
+            )
+        meter.sample(dd_bytes(pkg) + 2 * state.nbytes + arena.partial_bytes)
+        guard.check_array(
+            meter.last_bytes,
+            index,
+            checkpoint=lambda s=state, c=j + 1: write_checkpoint(s, c),
+        )
+        if (
+            checkpoint_every is not None
+            and (j + 1) % checkpoint_every == 0
+            and j + 1 < len(edges)
+        ):
+            write_checkpoint(state, j + 1)
+            metadata["checkpoints_written"] += 1
+            if tracing:
+                tracer.instant("checkpoint", "dmav", gate_index=index)
+        if deadline is not None and time.perf_counter() > deadline:
+            timed_out = True
+            break
+    macs = sum(gc[0] for gc in gate_costs)
+    if tracing:
+        tracer.record(
+            "dmav_phase", "phase", d0, time.perf_counter(),
+            gates=len(edges), macs=macs,
+        )
+    n_cached = sum(1 for gc in gate_costs if gc[3])
+    registry.counter("dmav.gates_cached").inc(n_cached)
+    registry.counter("dmav.gates_uncached").inc(len(gate_costs) - n_cached)
+    registry.counter("dmav.gates").inc(len(gate_costs))
+    registry.counter("dmav.macs").inc(macs)
+    registry.counter("dmav.cache_hits").inc(cache_hits)
+    registry.counter("dmav.plan.hits").inc(plans.hits)
+    registry.counter("dmav.plan.misses").inc(plans.misses)
+    registry.counter("dmav.plan.gate_hits").inc(plans.gate_hits)
+    registry.counter("dmav.plan.compiles").inc(plans.compiles)
+    registry.counter("dmav.plan.invalidations").inc(plans.invalidations)
+    registry.counter("dmav.arena.partial_allocs").inc(arena.partial_allocs)
+    registry.counter("dmav.arena.partial_reuses").inc(arena.partial_reuses)
+    registry.counter("dmav.arena.output_allocs").inc(arena.output_allocs)
+    registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
+    registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
+    metadata["dmav_macs_total"] = macs
+    metadata["dmav_gate_costs"] = gate_costs
+    return state, edges, timed_out
 
 
 class FlatDDSimulator(Simulator):
@@ -160,7 +520,6 @@ class FlatDDSimulator(Simulator):
                     path=resume_path,
                 )
         guard = MemoryGuard(cfg.memory_budget_bytes)
-        checkpoints_written = 0
         tr = tracer if tracer is not None else NULL_TRACER
         tracing = tr.enabled
         registry = MetricsRegistry()
@@ -190,130 +549,61 @@ class FlatDDSimulator(Simulator):
                 "cost_selected": reorder.cost_selected,
                 "sift_moves": reorder.sift_moves,
             },
+            "checkpoints_written": 0,
         }
         start = time.perf_counter()
+        deadline = None if max_seconds is None else start + max_seconds
 
-        def write_array_checkpoint(arr, conv_at, cursor):
+        def write_dd_checkpoint(state_dd, cursor):
+            write_snapshot(
+                checkpoint_path,
+                snapshot_dd_phase(
+                    pkg, state_dd, monitor, cursor, circuit, cfg_digest
+                ),
+            )
+
+        def write_array_checkpoint(arr, cursor):
             """Array-phase snapshot writer shared by cadence and guard."""
             if checkpoint_path is None:
                 return None
             write_snapshot(
                 checkpoint_path,
                 snapshot_array_phase(
-                    pkg, arr, conv_at, cursor, circuit, cfg_digest
+                    pkg, arr, convert_at, cursor, circuit, cfg_digest
                 ),
             )
             return checkpoint_path
 
         # ---------------- Phase 1: DD simulation with EWMA monitoring ----
-        convert_at: int | None = None
         timed_out = False
-        dd_start = 0
-        skip_dd = False
+        state_dd = None
         if resume is not None:
             # Canonicalization is history-dependent: restoring the full
             # complex table makes every post-resume weight lookup resolve
             # exactly as it would have in the uninterrupted run.
             pkg.ctable.restore(resume.data["ctable"])
-            if resume.phase == "dd":
+        if resume is not None and resume.phase == "array":
+            convert_at = int(resume.data["convert_at"])
+            dd_gates_applied = convert_at + 1
+        else:
+            dd_start = 0
+            if resume is None:
+                state_dd = zero_state(pkg)
+            else:
                 state_dd = deserialize_vector_dd(pkg, resume.data["dd"])
                 monitor.restore_state(resume.data["monitor"])
                 dd_start = resume.gate_cursor
-            else:
-                skip_dd = True
-                convert_at = int(resume.data["convert_at"])
-                state_dd = None
-        else:
-            state_dd = zero_state(pkg)
-        dd_gates = dd_circuit.gates[dd_start:] if not skip_dd else []
-        for i, gate in enumerate(dd_gates, start=dd_start):
-            g0 = time.perf_counter()
-            state_dd = mv_multiply(
-                pkg, gates.get(gate, windowed=cfg.identity_skip), state_dd
-            )
-            size = node_count(state_dd)
-            triggered = monitor.update(size)
-            if cfg.force_convert_at is not None:
-                triggered = i == cfg.force_convert_at
-            g1 = time.perf_counter()
-            trace.append(
-                GateRecord(
-                    index=i,
-                    name=gate.name,
-                    seconds=g1 - g0,
-                    phase="dd",
-                    dd_size=size,
-                )
+            state_dd, convert_at, dd_gates_applied, timed_out = dd_phase(
+                cfg, pkg, gates, monitor, state_dd, dd_circuit.gates,
+                dd_start, guard, meter, metadata, self.GC_THRESHOLD,
+                trace=trace, tracer=tr, checkpoint_every=checkpoint_every,
+                write_checkpoint=write_dd_checkpoint, deadline=deadline,
             )
             if tracing:
                 tr.record(
-                    gate.name, "dd", g0, g1,
-                    gate_index=i, dd_size=size, ewma=monitor.value,
+                    "dd_phase", "phase", start, time.perf_counter(),
+                    gates=len(trace), converted=convert_at is not None,
                 )
-                tr.sample("dd_size", size, ts=g1)
-                tr.sample("ewma", monitor.value, ts=g1)
-            meter.sample(dd_bytes(pkg))
-            if not triggered and guard.check_dd(meter.last_bytes, i):
-                # Budget breach while still in the DD phase: degrade
-                # gracefully by converting to the flat array early.
-                triggered = True
-                metadata["guard_forced_conversion"] = True
-                if tracing:
-                    tr.instant(
-                        "guard_breach", "dd", ts=g1,
-                        gate_index=i, observed_bytes=meter.last_bytes,
-                        budget_bytes=guard.budget_bytes,
-                    )
-                _log.warning(
-                    "memory budget breached at gate %d (%d > %d bytes); "
-                    "forcing DD-to-array conversion",
-                    i, meter.last_bytes, guard.budget_bytes,
-                )
-            if triggered:
-                convert_at = i
-                if tracing:
-                    tr.instant(
-                        "ewma_trigger", "dd", ts=g1,
-                        gate_index=i, dd_size=size, ewma=monitor.value,
-                    )
-                _log.info(
-                    "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
-                    i, size, monitor.value,
-                )
-                break
-            if (
-                checkpoint_every is not None
-                and (i + 1) % checkpoint_every == 0
-                and i + 1 < len(circuit.gates)
-            ):
-                # Barrier *before* the dump: the snapshot must capture the
-                # exact state (unique tables = live state DD, caches cold)
-                # that both the continuation and any resume evolve from.
-                gates.clear()
-                pkg.checkpoint_barrier([state_dd])
-                write_snapshot(
-                    checkpoint_path,
-                    snapshot_dd_phase(
-                        pkg, state_dd, monitor, i + 1, circuit, cfg_digest
-                    ),
-                )
-                checkpoints_written += 1
-                if tracing:
-                    tr.instant("checkpoint", "dd", gate_index=i)
-            if pkg.unique_node_count > self.GC_THRESHOLD:
-                removed = pkg.collect_garbage([state_dd, *gates.roots()])
-                if tracing:
-                    tr.instant("gc", "dd", gate_index=i, reclaimed=removed)
-                _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
-            if max_seconds is not None and time.perf_counter() - start > max_seconds:
-                timed_out = True
-                break
-        if tracing and not skip_dd:
-            tr.record(
-                "dd_phase", "phase", start, time.perf_counter(),
-                gates=len(trace), converted=convert_at is not None,
-            )
-        if state_dd is not None:
             registry.gauge("dd.size").set(node_count(state_dd))
         registry.gauge("ewma").set(monitor.value)
         registry.counter("dd_phase.gates").inc(len(trace))
@@ -321,270 +611,65 @@ class FlatDDSimulator(Simulator):
         with TaskRunner(
             cfg.threads, cfg.use_thread_pool, tracer=tr if tracing else None
         ) as runner:
+            # ---------------- Phase 2: parallel DD-to-array ---------------
             c0 = time.perf_counter()
-            if convert_at is None:
-                # Entire circuit stayed regular: finish like DDSIM.
-                array, report = convert_parallel(
+            if state_dd is None:
+                # Array-phase resume: the snapshot carries the exact
+                # post-conversion (and post-applied-DMAV-gates) array.
+                state = decode_array_state(resume)
+                metadata["conversion_resumed"] = True
+                meter.sample(dd_bytes(pkg) + state.nbytes)
+            else:
+                # Without a trigger the whole circuit stayed regular and
+                # this finishes the run like DDSIM.
+                state, report = convert_parallel(
                     pkg, state_dd, cfg.threads, runner,
                     dense_level=cfg.dense_block_level, tracer=tr,
                     unpermute=unperm,
                 )
                 metadata["conversion_report"] = report
-                meter.sample(dd_bytes(pkg) + array.nbytes)
-                state = array
+                if convert_at is not None:
+                    release_dd_phase(
+                        pkg, gates, guard,
+                        barrier=(
+                            checkpoint_every is not None or resume is not None
+                        ),
+                    )
+                meter.sample(dd_bytes(pkg) + state.nbytes)
                 if tracing:
                     tr.record(
                         "conversion", "phase", c0, time.perf_counter(),
-                        triggered=False, tasks=report.num_tasks,
+                        triggered=convert_at is not None,
+                        gate_index=convert_at, tasks=report.num_tasks,
+                        scalar_fills=report.num_scalar_fills,
                     )
                 registry.gauge("conversion.seconds").set(report.seconds)
-            else:
-                # ---------------- Phase 2: parallel DD-to-array ----------
-                if skip_dd:
-                    # Array-phase resume: the snapshot carries the exact
-                    # post-conversion (and post-applied-DMAV-gates) array.
-                    state = decode_array_state(resume)
-                    metadata["converted"] = True
-                    metadata["conversion_gate_index"] = convert_at
-                    metadata["conversion_resumed"] = True
-                    meter.sample(dd_bytes(pkg) + state.nbytes)
-                else:
-                    state, report = convert_parallel(
-                        pkg, state_dd, cfg.threads, runner,
-                        dense_level=cfg.dense_block_level, tracer=tr,
-                        unpermute=unperm,
-                    )
-                    metadata["converted"] = True
-                    metadata["conversion_gate_index"] = convert_at
-                    metadata["conversion_report"] = report
-                    gates.drop_windowed()
-                    if checkpoint_every is not None or resume is not None:
-                        # Conversion barrier: an array-phase resume rebuilds
-                        # the DMAV gate list in a fresh package, so a run
-                        # that may write (or already read) a snapshot must
-                        # build it from the same cold-cache state or the
-                        # fused edges drift by ulps.  Applied symmetrically
-                        # on the resume side by the fresh package itself.
-                        gates.clear()
-                        pkg.checkpoint_barrier([])
-                    elif guard.enabled:
-                        # Post-conversion the state DD is dead weight; under
-                        # a memory budget, reclaim it so the degradation
-                        # actually shrinks the working set (value-neutral:
-                        # GC only frees dead nodes and clears caches).
-                        pkg.collect_garbage(gates.roots())
-                    meter.sample(dd_bytes(pkg) + state.nbytes)
-                    if tracing:
-                        tr.record(
-                            "conversion", "phase", c0, time.perf_counter(),
-                            triggered=True, gate_index=convert_at,
-                            tasks=report.num_tasks,
-                            scalar_fills=report.num_scalar_fills,
-                        )
-                    registry.gauge("conversion.seconds").set(report.seconds)
+            if convert_at is not None:
+                metadata["converted"] = True
+                metadata["conversion_gate_index"] = convert_at
+                dmav_start = 0 if state_dd is not None else resume.gate_cursor
                 guard.check_array(
                     meter.last_bytes,
                     convert_at,
                     checkpoint=lambda: write_array_checkpoint(
-                        state, convert_at, 0 if not skip_dd else resume.gate_cursor
+                        state, dmav_start
                     ),
                 )
-
                 # ---------------- Phase 3: (fusion +) DMAV ---------------
-                remaining = circuit.gates[convert_at + 1:]
-                model = CostModel(cfg.threads, cfg.simd_width)
-                f0 = time.perf_counter()
-                edges = [gates.get(g) for g in remaining]
-                labels = [g.name for g in remaining]
-                if cfg.fusion == "cost" and edges:
-                    fused = fuse_cost_aware(pkg, edges, model)
-                    edges = fused.gates
-                    labels = _fused_labels(labels, fused)
-                    metadata["fusion_result"] = _fusion_summary(fused)
-                elif cfg.fusion == "koperations" and edges:
-                    fused = fuse_k_operations(pkg, edges, cfg.k_operations, model)
-                    edges = fused.gates
-                    labels = _fused_labels(labels, fused)
-                    metadata["fusion_result"] = _fusion_summary(fused)
-                f1 = time.perf_counter()
-                metadata["fusion_seconds"] = f1 - f0
-                if tracing and cfg.fusion != "none" and edges:
-                    tr.record(
-                        "fusion", "phase", f0, f1,
-                        mode=cfg.fusion, emitted=len(edges),
-                    )
-
-                d0 = time.perf_counter()
-                use_plans = cfg.plan_cache
-                plans = (
-                    PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
-                    if use_plans
-                    else None
+                state, edges, timed_out = dmav_phase(
+                    cfg, pkg, gates, runner, state,
+                    circuit.gates[convert_at + 1:], convert_at, dmav_start,
+                    guard, meter, registry, metadata, trace,
+                    write_array_checkpoint, tracer=tr,
+                    checkpoint_every=checkpoint_every, deadline=deadline,
                 )
-                arena = BufferArena(state.size) if use_plans else None
-                out = None if use_plans else np.zeros_like(state)
-                dmav_macs = 0
-                dmav_cache_hits = 0
-                gate_costs: list[tuple[int, float, float, bool]] = []
-                # Array-phase resume: the emitted gate list is rebuilt
-                # deterministically above; skip the already-applied prefix.
-                edge_start = resume.gate_cursor if skip_dd else 0
-                for j, edge in enumerate(edges[edge_start:], start=edge_start):
-                    g0 = time.perf_counter()
-                    if use_plans:
-                        plan = plans.get(edge)
-                        cost = plan.cost
-                    else:
-                        plan = None
-                        cost = model.evaluate(pkg, edge)
-                    if cfg.cache_policy == "always":
-                        use_cache = True
-                    elif cfg.cache_policy == "never":
-                        use_cache = False
-                    else:
-                        use_cache = cost.use_cache
-                    if use_plans:
-                        w_buf, w_dirty = arena.output()
-                        if use_cache:
-                            bufs = arena.partials(plan.assignment.num_buffers)
-                            w_buf, stats = dmav_cached(
-                                pkg, edge, state, cfg.threads, runner,
-                                cfg.dense_block_level, out=w_buf,
-                                assignment=plan.assignment, buffers=bufs,
-                                writers=plan.writers, out_dirty=w_dirty,
-                                direct=plan.direct,
-                                direct_out=plan.direct_out,
-                            )
-                        else:
-                            w_buf, stats = dmav_nocache(
-                                pkg, edge, state, cfg.threads, runner,
-                                cfg.dense_block_level, out=w_buf,
-                                tasks=plan.row_tasks, out_dirty=w_dirty,
-                            )
-                        arena.retire(state)
-                        state = w_buf
-                        buffer_bytes = arena.partial_bytes
-                    elif use_cache:
-                        assignment = assign_cache_tasks(pkg, edge, cfg.threads)
-                        out, stats = dmav_cached(
-                            pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=out,
-                            assignment=assignment,
-                        )
-                        buffer_bytes = (
-                            stats.buffers * state.size * AMPLITUDE_BYTES
-                        )
-                        state, out = out, state
-                    else:
-                        out, stats = dmav_nocache(
-                            pkg, edge, state, cfg.threads, runner,
-                            cfg.dense_block_level, out=out,
-                        )
-                        buffer_bytes = 0
-                        state, out = out, state
-                    dmav_macs += cost.macs_total
-                    dmav_cache_hits += stats.cache_hits
-                    gate_costs.append(
-                        (cost.macs_total, cost.cost_nocache, cost.cost_cache,
-                         use_cache)
-                    )
-                    g1 = time.perf_counter()
-                    trace.append(
-                        GateRecord(
-                            index=convert_at + 1 + j,
-                            name=labels[j],
-                            seconds=g1 - g0,
-                            phase="dmav",
-                            macs=cost.macs_total,
-                            cached=use_cache,
-                        )
-                    )
-                    if tracing:
-                        tr.record(
-                            labels[j], "dmav", g0, g1,
-                            gate_index=convert_at + 1 + j,
-                            macs=cost.macs_total, cached=use_cache,
-                            cost_cache=cost.cost_cache,
-                            cost_nocache=cost.cost_nocache,
-                            cache_hits=stats.cache_hits,
-                        )
-                    meter.sample(
-                        dd_bytes(pkg)
-                        + 2 * state.nbytes
-                        + buffer_bytes
-                    )
-                    guard.check_array(
-                        meter.last_bytes,
-                        convert_at + 1 + j,
-                        checkpoint=lambda s=state, c=j + 1: (
-                            write_array_checkpoint(s, convert_at, c)
-                        ),
-                    )
-                    if (
-                        checkpoint_every is not None
-                        and (j + 1) % checkpoint_every == 0
-                        and j + 1 < len(edges)
-                    ):
-                        write_array_checkpoint(state, convert_at, j + 1)
-                        checkpoints_written += 1
-                        if tracing:
-                            tr.instant(
-                                "checkpoint", "dmav",
-                                gate_index=convert_at + 1 + j,
-                            )
-                    if (
-                        max_seconds is not None
-                        and time.perf_counter() - start > max_seconds
-                    ):
-                        timed_out = True
-                        break
-                if tracing:
-                    tr.record(
-                        "dmav_phase", "phase", d0, time.perf_counter(),
-                        gates=len(edges), macs=dmav_macs,
-                    )
-                n_cached = sum(1 for gc in gate_costs if gc[3])
-                registry.counter("dmav.gates_cached").inc(n_cached)
-                registry.counter("dmav.gates_uncached").inc(
-                    len(gate_costs) - n_cached
-                )
-                registry.counter("dmav.gates").inc(len(gate_costs))
-                registry.counter("dmav.macs").inc(dmav_macs)
-                registry.counter("dmav.cache_hits").inc(dmav_cache_hits)
-                metadata["plan_cache"] = use_plans
-                if use_plans:
-                    registry.counter("dmav.plan.hits").inc(plans.hits)
-                    registry.counter("dmav.plan.misses").inc(plans.misses)
-                    registry.counter("dmav.plan.gate_hits").inc(
-                        plans.gate_hits
-                    )
-                    registry.counter("dmav.plan.compiles").inc(plans.compiles)
-                    registry.counter("dmav.plan.invalidations").inc(
-                        plans.invalidations
-                    )
-                    registry.counter("dmav.arena.partial_allocs").inc(
-                        arena.partial_allocs
-                    )
-                    registry.counter("dmav.arena.partial_reuses").inc(
-                        arena.partial_reuses
-                    )
-                    registry.counter("dmav.arena.output_allocs").inc(
-                        arena.output_allocs
-                    )
-                    registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
-                    registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
-                metadata["dmav_macs_total"] = dmav_macs
-                metadata["dmav_gate_costs"] = gate_costs
                 if keep_internals:
                     metadata["dmav_edges"] = edges
-                    metadata["package"] = pkg
 
         runtime = time.perf_counter() - start
         metadata["timed_out"] = timed_out
         metadata["ewma_samples"] = monitor.samples
-        metadata["dd_phase_gates"] = (
-            convert_at + 1 if convert_at is not None else len(trace)
-        )
+        metadata["dd_phase_gates"] = dd_gates_applied
         metadata["gate_dd_cache_hits"] = gates.hits
         metadata["gate_dd_cache_misses"] = gates.misses
         metadata["dd_stats"] = pkg.stats.as_dict()
@@ -606,7 +691,6 @@ class FlatDDSimulator(Simulator):
         registry.gauge("dd.reorder.cost_natural").set(reorder.cost_natural)
         registry.gauge("dd.reorder.cost_selected").set(reorder.cost_selected)
         registry.counter("dd.reorder.sift_moves").inc(reorder.sift_moves)
-        metadata["checkpoints_written"] = checkpoints_written
         if guard.enabled:
             metadata["guard"] = guard.report.to_dict()
         registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
@@ -618,7 +702,7 @@ class FlatDDSimulator(Simulator):
             runner=runner,
             wall_seconds=runtime,
         )
-        if keep_internals and "package" not in metadata:
+        if keep_internals:
             metadata["package"] = pkg
         return SimulationResult(
             backend=self.name,

@@ -13,8 +13,9 @@ it three ways:
    gates ``[0 .. convert_at]`` equal the group leader's *exactly*
    (``float.hex`` parameters).  The EWMA trigger, GC cadence, and memory
    guard only see that prefix, so an identical prefix provably reaches the
-   identical conversion point -- the group shares ONE DD phase, ONE
-   conversion, and ONE :class:`~repro.dd.package.DDPackage`.
+   identical conversion point -- the group shares ONE DD phase (the same
+   :func:`~repro.core.simulator.dd_phase` ``run()`` calls), ONE
+   conversion, and ONE leader :class:`~repro.dd.package.DDPackage`.
 2. **Plan compile-once.**  One :class:`~repro.core.plan.PlanCache` per
    group compiles each gate root once; rows of a sweep share whole plans
    for parameterless gates and share the structural border-path memo for
@@ -32,12 +33,16 @@ it three ways:
 the repo-wide replay standard: signed zeros aside) the state of
 ``FlatDDSimulator.run`` on the equivalently bound circuit with the same
 config -- enforced by the ``sweep_consistency`` fuzz oracle and
-``tests/test_sweep.py``.  Per-row gate DDs are built in one package
-that replays the group's shared DD prefix once and rewinds to a
-:meth:`~repro.dd.package.DDPackage.build_mark` between rows, so each
-row's builds see exactly the canonicalization history its own run would
-have constructed; any structural incongruence between per-row plans
-drops that gate (or recursion level) to an exact per-row replay.
+``tests/test_sweep.py``.  Gate-DD weight arithmetic is history-dependent
+(add-memo hits and creation-index tie-breaks), so each row's tail gate
+DDs are built where its own run builds them: on the group leader's
+package right after conversion and
+:func:`~repro.core.simulator.release_dd_phase`, rewound to a
+:meth:`~repro.dd.package.DDPackage.build_mark` between rows so no row
+sees another's entries or creation indices.  Any structural incongruence
+between per-row plans drops that gate (or recursion level) to an exact
+per-row replay through :func:`~repro.core.simulator.apply_plan`, the
+per-gate dispatch ``run()`` uses.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata).
@@ -53,11 +58,11 @@ import numpy as np
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
-from repro.common.config import FlatDDConfig, config_digest
+from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
-from repro.core.dmav import dmav_cached, dmav_nocache, run_border_task_batch
+from repro.core.dmav import run_border_task_batch
 from repro.core.ewma import EWMAMonitor
 from repro.core.plan import GatePlan, PlanCache
 from repro.core.reorder import (
@@ -65,10 +70,15 @@ from repro.core.reorder import (
     plan_qubit_order,
     unpermute_axes,
 )
+from repro.core.simulator import (
+    apply_plan,
+    dd_phase,
+    plan_uses_cache,
+    release_dd_phase,
+)
 from repro.dd.node import TERMINAL
-from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
-from repro.dd.vector import node_count, zero_state
+from repro.dd.vector import zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
@@ -76,6 +86,13 @@ from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.parallel.simd import simd_add, simd_mul_into
 from repro.resilience.guard import MemoryGuard
 from repro.resilience.snapshot import snapshot_sweep_phase, write_snapshot
+
+# Not called here -- the DD phase and the per-row fallback reach them
+# through repro.core.simulator -- but bound because perfbench/layers.py
+# names them as this module's per-layer attribution points.
+from repro.core.dmav import dmav_cached, dmav_nocache  # noqa: F401
+from repro.dd.operations import mv_multiply  # noqa: F401
+from repro.dd.vector import node_count  # noqa: F401
 
 __all__ = ["SweepResult", "run_sweep"]
 
@@ -105,14 +122,6 @@ def _gate_key(g: Gate) -> tuple:
         g.controls,
         tuple(float(p).hex() for p in g.params),
     )
-
-
-def _resolve_use_cache(cfg: FlatDDConfig, plan: GatePlan) -> bool:
-    if cfg.cache_policy == "always":
-        return True
-    if cfg.cache_policy == "never":
-        return False
-    return plan.cost.use_cache
 
 
 def _hit_pattern(tasks) -> tuple:
@@ -332,98 +341,6 @@ def _batched_cached(pkg, plans, v3, w3, threads, dense_level, bufs, out_dirty):
             simd_add(w3[u], bufs[b][u])
 
 
-def _replay_prefix(sim, cfg, bound_circuit, convert_at, guard_enabled,
-                   dd_order):
-    """Replay one group's shared DD prefix in a fresh package.
-
-    Gate-DD weight arithmetic is history-dependent: the commutative add
-    memo orders its operands by node *creation index* (``_add`` in
-    :mod:`repro.dd.operations`), and a package that already holds one
-    row's gate builds hands the next row different creation orders (and
-    memo hits) than its own run would have seen.  The only bit-exact
-    environment for a row's edge builds is the one ``run()`` itself
-    constructs: the package state at the conversion point.  Rows of a
-    group share that prefix *exactly* (grouping compares bound gates
-    ``[0 .. convert_at]`` by ``float.hex``), so the replay runs once per
-    group and each row's builds start from a
-    :meth:`~repro.dd.package.DDPackage.build_mark` taken here, rewinding
-    after each row instead of replaying the prefix per row.
-
-    Conversion mutates none of the state gate builds read (tables,
-    memos), so stopping at the conversion point reproduces ``run()``'s
-    edge-build state exactly; the guard-enabled GC that ``run()``
-    performs post-conversion is replicated because it prunes the unique
-    tables gate builds share against.
-
-    The replayed prefix applies the same DD-phase transforms ``run()``
-    uses -- the ``dd_order`` permutation and identity-skipped (windowed)
-    gate builds -- while the per-row tail builds done by the caller stay
-    canonical and full-height, exactly as ``run()``'s DMAV phase builds
-    them.
-    """
-    pkg = DDPackage(bound_circuit.num_qubits)
-    gates = GateDDCache(pkg)
-    state_dd = zero_state(pkg)
-    dd_circ = (
-        permute_circuit(bound_circuit, dd_order)
-        if dd_order is not None
-        else bound_circuit
-    )
-    for i in range(convert_at + 1):
-        state_dd = mv_multiply(
-            pkg,
-            gates.get(dd_circ.gates[i], windowed=cfg.identity_skip),
-            state_dd,
-        )
-        if i < convert_at and pkg.unique_node_count > sim.GC_THRESHOLD:
-            pkg.collect_garbage([state_dd, *gates.roots()])
-    gates.drop_windowed()
-    if guard_enabled:
-        pkg.collect_garbage(gates.roots())
-    return pkg, gates
-
-
-def _dd_phase(sim, cfg, circuit, guard, meter, dd_order):
-    """Replicate ``FlatDDSimulator.run``'s DD phase on a fresh package.
-
-    Trigger decisions (EWMA, ``force_convert_at``, guard breach, GC
-    cadence) see exactly what a single-shot run sees -- the per-package
-    DD working set, never the batch -- so the conversion point matches
-    every member row's own run bit-for-bit.  ``dd_order`` and
-    ``cfg.identity_skip`` replicate the run's DD-phase qubit permutation
-    and windowed gate builds.
-    """
-    pkg = DDPackage(circuit.num_qubits)
-    gates = GateDDCache(pkg)
-    monitor = EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon)
-    state_dd = zero_state(pkg)
-    convert_at = None
-    guard_forced = False
-    dd_circ = (
-        permute_circuit(circuit, dd_order)
-        if dd_order is not None
-        else circuit
-    )
-    for i, gate in enumerate(dd_circ.gates):
-        state_dd = mv_multiply(
-            pkg, gates.get(gate, windowed=cfg.identity_skip), state_dd
-        )
-        size = node_count(state_dd)
-        triggered = monitor.update(size)
-        if cfg.force_convert_at is not None:
-            triggered = i == cfg.force_convert_at
-        meter.sample(dd_bytes(pkg))
-        if not triggered and guard.check_dd(meter.last_bytes, i):
-            triggered = True
-            guard_forced = True
-        if triggered:
-            convert_at = i
-            break
-        if pkg.unique_node_count > sim.GC_THRESHOLD:
-            pkg.collect_garbage([state_dd, *gates.roots()])
-    return pkg, gates, state_dd, convert_at, guard_forced
-
-
 def run_sweep(
     sim,
     circuit: Circuit,
@@ -530,11 +447,17 @@ def run_sweep(
                 placed = True
                 break
         if not placed:
-            pkg, gates, state_dd, convert_at, guard_forced = _dd_phase(
-                sim, cfg, bc, guard, meter, dd_order
+            pkg = DDPackage(n)
+            gates = GateDDCache(pkg)
+            dd_circ = (
+                bc if dd_order is None else permute_circuit(bc, dd_order)
             )
-            if guard_forced:
-                metadata["guard_forced_conversion"] = True
+            state_dd, convert_at, _, _ = dd_phase(
+                cfg, pkg, gates,
+                EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon),
+                zero_state(pkg), dd_circ.gates, 0, guard, meter, metadata,
+                sim.GC_THRESHOLD,
+            )
             groups.append({
                 "pkg": pkg,
                 "gates": gates,
@@ -581,33 +504,22 @@ def run_sweep(
                 meter.sample(dd_bytes(pkg) + conv.nbytes)
                 ustates[members[0]] = conv
                 continue
-            gates.drop_windowed()
-            if guard.enabled:
-                pkg.collect_garbage(gates.roots())
-            # Per-row gate DDs, built in ONE package that replays the
-            # group's shared DD prefix once (see _replay_prefix) and
-            # rewinds to a build mark between rows: each row's builds
-            # start from exactly the state its own run would have
-            # constructed, at O(row's own nodes) cost instead of a full
-            # per-row prefix replay.  Evicted nodes stay alive (and
-            # structurally valid) through the kept edges, so the
-            # columnar batch below still sees every row's DD at once;
-            # the leader package hosts the per-node DMAV caches (ids
-            # never collide while the edges pin the nodes).
-            rpkg, rgates = _replay_prefix(
-                sim, cfg, uniq[members[0]], convert_at, guard.enabled,
-                dd_order,
-            )
-            build_mark = rpkg.build_mark()
-            gate_mark = rgates.mark()
+            release_dd_phase(pkg, gates, guard, barrier=False)
+            # Per-row tail gate DDs on the leader package, rewound after
+            # each row (O(row's own nodes)).  Evicted nodes stay alive,
+            # and structurally valid, through the kept edges, so the
+            # batch below sees every row's DD at once and the per-node
+            # DMAV caches never see colliding ids.
+            build_mark = pkg.build_mark()
+            gate_mark = gates.mark()
             edges_rows = []
             for ui in members:
                 edges_rows.append([
-                    rgates.get(gt)
+                    gates.get(gt)
                     for gt in uniq[ui].gates[convert_at + 1:]
                 ])
-                rpkg.rewind_to_mark(build_mark)
-                rgates.rewind(gate_mark)
+                pkg.rewind_to_mark(build_mark)
+                gates.rewind(gate_mark)
                 row_rewinds += 1
             h = conv.size // cfg.threads
             v3 = np.repeat(
@@ -630,7 +542,9 @@ def run_sweep(
             n_remaining = len(uniq[members[0]].gates) - convert_at - 1
             for j in range(n_remaining):
                 plans = [plan_cache.get(er[j]) for er in edges_rows]
-                verdicts = [_resolve_use_cache(cfg, p) for p in plans]
+                verdicts = [
+                    plan_uses_cache(cfg.cache_policy, p) for p in plans
+                ]
                 uc = verdicts[0]
                 congruent = (
                     all(v == uc for v in verdicts)
@@ -666,25 +580,14 @@ def run_sweep(
                     v2 = _untile(v3)
                     w2 = np.empty_like(v2)
                     for r, (plan, v) in enumerate(zip(plans, verdicts)):
-                        if v:
-                            row_bufs = [
+                        apply_plan(
+                            pkg, edges_rows[r][j], plan, v, v2[r], w2[r],
+                            cfg.threads, None, cfg.dense_block_level,
+                            buffers=[
                                 np.empty(conv.size, dtype=np.complex128)
                                 for _ in range(plan.assignment.num_buffers)
-                            ]
-                            dmav_cached(
-                                pkg, edges_rows[r][j], v2[r], cfg.threads,
-                                None, cfg.dense_block_level, out=w2[r],
-                                assignment=plan.assignment,
-                                buffers=row_bufs, writers=plan.writers,
-                                out_dirty=True, direct=plan.direct,
-                                direct_out=plan.direct_out,
-                            )
-                        else:
-                            dmav_nocache(
-                                pkg, edges_rows[r][j], v2[r], cfg.threads,
-                                None, cfg.dense_block_level, out=w2[r],
-                                tasks=plan.row_tasks, out_dirty=True,
-                            )
+                            ] if v else None,
+                        )
                     _retile(w_buf, w2)
                     gates_rowloop += 1
                 arena.retire(v3)

@@ -1,12 +1,10 @@
-"""Measurement utilities: analytic memory model, timers, statistics."""
+"""Measurement utilities: analytic memory model and statistics."""
 
 from repro.metrics.memory import MemoryMeter, array_bytes, dd_bytes, state_array_bytes
 from repro.metrics.stats import geometric_mean, normalize, ratio_string, speedups
-from repro.metrics.timing import Timer, timed
 
 __all__ = [
     "MemoryMeter",
-    "Timer",
     "array_bytes",
     "dd_bytes",
     "geometric_mean",
@@ -14,5 +12,4 @@ __all__ = [
     "ratio_string",
     "speedups",
     "state_array_bytes",
-    "timed",
 ]

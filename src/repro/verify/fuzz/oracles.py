@@ -165,20 +165,18 @@ class OracleContext:
         threads: int | None = None,
         fusion: str = "none",
         force_convert_at: int | None = None,
-        plan_cache: bool = True,
         identity_skip: bool = True,
         qubit_order: str = "natural",
     ) -> np.ndarray:
         t = self._effective_threads(threads)
         key = (
-            "flatdd", t, fusion, force_convert_at, plan_cache,
-            identity_skip, qubit_order,
+            "flatdd", t, fusion, force_convert_at, identity_skip,
+            qubit_order,
         )
         if key not in self._states:
             cfg = FlatDDConfig(
                 threads=t, fusion=fusion, force_convert_at=force_convert_at,
-                plan_cache=plan_cache, identity_skip=identity_skip,
-                qubit_order=qubit_order,
+                identity_skip=identity_skip, qubit_order=qubit_order,
             )
             self._states[key] = FlatDDSimulator(cfg).run(self.circuit).state
         return self._states[key]
@@ -345,44 +343,6 @@ def oracle_thread_invariance(
     return _ladder_outcome(
         "thread_invariance", "metamorphic", max(errs),
         f"flatdd at threads={counts} (conversion forced at gate 0)", t0,
-    )
-
-
-def oracle_plan_cache_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """The DMAV plan compiler must be a pure performance optimization.
-
-    Runs the pipeline with ``plan_cache`` on and off, forcing conversion
-    at gate 0 so every gate goes through the DMAV hot loop the plans
-    govern.  Equality is ``np.array_equal``, not a tolerance: compiled
-    plans replay the per-gate descents' weight arithmetic bit-for-bit
-    (:mod:`repro.core.plan`), so any drift is a real compiler bug, not
-    float noise.
-    """
-    t0 = time.perf_counter()
-    if len(circuit.gates) < 2:
-        return _skip(
-            "plan_cache", "metamorphic", "needs >= 2 gates", t0
-        )
-    planned = ctx.flatdd(force_convert_at=0, plan_cache=True)
-    legacy = ctx.flatdd(force_convert_at=0, plan_cache=False)
-    identical = bool(np.array_equal(planned, legacy))
-    err = (
-        0.0 if identical
-        else float(np.max(np.abs(planned - legacy)))
-    )
-    return OracleOutcome(
-        oracle="plan_cache",
-        family="metamorphic",
-        passed=identical,
-        max_error=err,
-        tier="tight" if identical else "violation",
-        detail=(
-            "plan_cache on vs off (force_convert_at=0, full DMAV phase), "
-            "bit-exact comparison"
-        ),
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -574,7 +534,6 @@ ORACLES: dict[str, tuple[str, callable]] = {
     "thread_invariance": ("metamorphic", oracle_thread_invariance),
     "fusion_equivalence": ("metamorphic", oracle_fusion_equivalence),
     "inverse_roundtrip": ("metamorphic", oracle_inverse_roundtrip),
-    "plan_cache": ("metamorphic", oracle_plan_cache_equivalence),
     "identity_skip": ("metamorphic", oracle_identity_skip_equivalence),
     "reorder_equivalence": ("metamorphic", oracle_reorder_equivalence),
     "checkpoint_resume": ("metamorphic", oracle_checkpoint_resume),

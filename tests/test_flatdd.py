@@ -1,12 +1,17 @@
 """Integration tests for the FlatDD simulator (Figure 3 pipeline)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro import FlatDDConfig, FlatDDSimulator
 from repro.backends import DDSimulator, StatevectorSimulator
 from repro.circuits import get_circuit
+from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import ParallelError
+from repro.core.cost_model import CostModel, assign_cache_tasks
+from repro.core.dmav import dmav_cached, dmav_nocache
 
 from tests.conftest import reference_state
 
@@ -117,6 +122,20 @@ class TestInstrumentation:
         )
         assert r.metadata["timed_out"]
 
+    def test_dd_phase_timeout_reports_applied_gates(self):
+        # A deadline already passed stops the DD phase after its first
+        # gate; the partial DD state is converted and returned unfinished.
+        r = FlatDDSimulator(threads=2).run(
+            get_circuit("ghz", 8), max_seconds=0.0
+        )
+        assert r.metadata["timed_out"]
+        assert not r.metadata["converted"]
+        assert r.metadata["dd_phase_gates"] == len(r.gate_trace) == 1
+        # H on qubit 0 only: |0...0> + |0...01> (qubit 0 is the LSB).
+        expected = np.zeros(1 << 8, dtype=complex)
+        expected[[0, 1]] = 2 ** -0.5
+        assert np.allclose(r.state, expected)
+
     def test_memory_peak_includes_arrays_after_conversion(self):
         n = 10
         r = FlatDDSimulator(threads=2).run(get_circuit("supremacy", n))
@@ -162,18 +181,50 @@ class TestPlanCachePipeline:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_plan_on_off_bit_identical(self, threads):
+        """Plans on (the pipeline) vs off (the paper's per-gate listing:
+        cost model, Assign descent and unplanned kernel run afresh for
+        every gate of ``metadata["dmav_edges"]``) land on the same bits
+        under every cache policy.  Cost-aware fusion makes "auto" mix
+        both kernels at threads >= 2."""
         c = get_circuit("supremacy", 9)
-        on = FlatDDSimulator(threads=threads, plan_cache=True).run(c)
-        off = FlatDDSimulator(threads=threads, plan_cache=False).run(c)
-        assert on.metadata["plan_cache"] is True
-        assert off.metadata["plan_cache"] is False
-        assert np.array_equal(on.state, off.state)
+        for policy, fusion in itertools.product(
+            ("auto", "always", "never"), ("none", "cost")
+        ):
+            cfg = FlatDDConfig(
+                threads=threads, cache_policy=policy, fusion=fusion,
+                force_convert_at=2,
+            )
+            r = FlatDDSimulator(cfg).run(c, keep_internals=True)
+            # The same DD phase, stopped at the conversion point, yields
+            # the array the DMAV phase started from.
+            state = FlatDDSimulator(cfg).run(c[:3]).state
+            pkg = r.metadata["package"]
+            model = CostModel(threads)
+            verdicts = []
+            for edge in r.metadata["dmav_edges"]:
+                cost = model.evaluate(pkg, edge)
+                cached = (
+                    cost.use_cache if policy == "auto"
+                    else policy == "always"
+                )
+                if cached:
+                    state, _ = dmav_cached(
+                        pkg, edge, state, threads, None, DENSE_BLOCK_LEVEL,
+                        assignment=assign_cache_tasks(pkg, edge, threads),
+                    )
+                else:
+                    state, _ = dmav_nocache(
+                        pkg, edge, state, threads, None, DENSE_BLOCK_LEVEL
+                    )
+                verdicts.append(cached)
+            assert verdicts == [
+                gc[3] for gc in r.metadata["dmav_gate_costs"]
+            ], cfg
+            assert np.array_equal(r.state, state), cfg
 
     def test_plan_counters_and_hit_rate(self):
         c = get_circuit("qft", 10)
-        r = FlatDDSimulator(
-            threads=4, force_convert_at=0, plan_cache=True
-        ).run(c)
+        r = FlatDDSimulator(threads=4, force_convert_at=0).run(c)
         counters = r.metadata["obs"]["counters"]
         hits = counters["dmav.plan.hits"]
         misses = counters["dmav.plan.misses"]
@@ -191,25 +242,10 @@ class TestPlanCachePipeline:
         # every per-gate buffer request is a reuse.
         c = get_circuit("supremacy", 10)
         r = FlatDDSimulator(
-            threads=4, cache_policy="always", force_convert_at=0,
-            plan_cache=True,
+            threads=4, cache_policy="always", force_convert_at=0
         ).run(c)
         counters = r.metadata["obs"]["counters"]
         dmav_gates = counters["dmav.gates"]
         assert counters["dmav.arena.partial_allocs"] <= 4
         assert counters["dmav.arena.partial_reuses"] >= dmav_gates - 4
         assert counters["dmav.arena.output_allocs"] == 1
-
-    def test_plan_off_emits_no_plan_counters(self):
-        c = get_circuit("qft", 8)
-        r = FlatDDSimulator(
-            threads=2, force_convert_at=0, plan_cache=False
-        ).run(c)
-        assert "dmav.plan.hits" not in r.metadata["obs"]["counters"]
-
-    def test_plan_cache_is_execution_only_in_digest(self):
-        from repro.common.config import config_digest
-
-        on = FlatDDConfig(threads=2, plan_cache=True)
-        off = FlatDDConfig(threads=2, plan_cache=False)
-        assert config_digest(on) == config_digest(off)

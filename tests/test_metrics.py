@@ -1,7 +1,6 @@
-"""Unit tests for metrics: memory model, timers, statistics."""
+"""Unit tests for metrics: memory model and statistics."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.common.config import (
 from repro.dd import DDPackage, single_qubit_gate, vector_from_array
 from repro.metrics import (
     MemoryMeter,
-    Timer,
     array_bytes,
     dd_bytes,
     geometric_mean,
@@ -23,7 +21,6 @@ from repro.metrics import (
     ratio_string,
     speedups,
     state_array_bytes,
-    timed,
 )
 
 from tests.conftest import random_state
@@ -65,34 +62,6 @@ class TestMemoryModel:
         assert meter.peak_bytes == 500
         assert meter.last_bytes == 110
         assert meter.peak_mb == pytest.approx(500 / 2**20)
-
-
-class TestTimer:
-    def test_splits_accumulate(self):
-        t = Timer()
-        with t.split("a"):
-            time.sleep(0.002)
-        with t.split("a"):
-            time.sleep(0.002)
-        with t.split("b"):
-            pass
-        assert t.get("a") >= 0.004
-        assert t.total >= t.get("a")
-
-    def test_add_manual_split(self):
-        t = Timer()
-        t.add("x", 1.5)
-        t.add("x", 0.5)
-        assert t.get("x") == pytest.approx(2.0)
-
-    def test_timed_contextmanager(self):
-        with timed() as elapsed:
-            time.sleep(0.002)
-        final = elapsed()
-        assert final >= 0.002
-        # Frozen after exit.
-        time.sleep(0.002)
-        assert elapsed() == final
 
 
 class TestStats:

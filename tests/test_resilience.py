@@ -35,6 +35,10 @@ class TestBitIdenticalResume:
         assert resumed.metadata["resumed"] is True
         assert resumed.metadata["resume_phase"] == "dd"
         assert np.array_equal(full.state, resumed.state)
+        # GHZ never converts: both runs report the whole circuit as DD
+        # phase, not just the gates applied after the resume cursor.
+        assert full.metadata["dd_phase_gates"] == len(circuit.gates)
+        assert resumed.metadata["dd_phase_gates"] == len(circuit.gates)
 
     def test_array_phase_resume(self, tmp_path):
         # Forcing an early conversion guarantees the final snapshot lands
@@ -63,6 +67,10 @@ class TestBitIdenticalResume:
         assert (
             full.metadata.get("conversion_gate_index")
             == resumed.metadata.get("conversion_gate_index")
+        )
+        assert (
+            full.metadata["dd_phase_gates"]
+            == resumed.metadata["dd_phase_gates"]
         )
 
     def test_resume_with_fusion(self, tmp_path):

@@ -204,21 +204,41 @@ def test_fusion_falls_back_to_per_row_runs():
 # ---------------------------------------------------------------------------
 
 
+def _guarded(convert_at):
+    """A never-breached memory budget plus a forced conversion point.
+
+    The guard-enabled post-conversion GC then runs on the group leader's
+    package before the rows' tail gate DDs are built on it, as it runs
+    before each row's own run() builds them.  Points <= 3 lie in the
+    template's parameter-free H column (one multi-row group); 5 puts
+    every row in its own group.
+    """
+    return {"memory_budget_bytes": 1 << 40, "force_convert_at": convert_at}
+
+
 @pytest.mark.parametrize(
-    "identity_skip,qubit_order",
+    "identity_skip,qubit_order,extra",
     [
-        (True, "natural"),
-        (False, "natural"),
-        (True, "interaction"),
-        (False, "sift"),
-        (True, "sift"),
+        pytest.param(True, "natural", {}, id="True-natural"),
+        pytest.param(False, "natural", {}, id="False-natural"),
+        pytest.param(True, "interaction", {}, id="True-interaction"),
+        pytest.param(False, "sift", {}, id="False-sift"),
+        pytest.param(True, "sift", {}, id="True-sift"),
+        pytest.param(True, "natural", _guarded(0), id="True-natural-guard0"),
+        pytest.param(False, "natural", _guarded(3), id="False-natural-guard3"),
+        pytest.param(
+            True, "interaction", _guarded(2), id="True-interaction-guard2"
+        ),
+        pytest.param(False, "sift", _guarded(5), id="False-sift-guard5"),
+        pytest.param(True, "sift", _guarded(1), id="True-sift-guard1"),
     ],
 )
-def test_dd_shrink_rows_bit_identical(identity_skip, qubit_order):
+def test_dd_shrink_rows_bit_identical(identity_skip, qubit_order, extra):
     """Identity-skipped, reordered sweeps keep the bit-identity contract."""
     c = _template(n=4, layers=2)
     sim = FlatDDSimulator(
-        threads=2, identity_skip=identity_skip, qubit_order=qubit_order
+        threads=2, identity_skip=identity_skip, qubit_order=qubit_order,
+        **extra,
     )
     rows = _rows(c, 4, seed=13)
     result = sim.simulate_sweep(c, rows)
