@@ -36,26 +36,59 @@ def setup():
     arr = rng.normal(size=1 << N) + 1j * rng.normal(size=1 << N)
     arr /= np.linalg.norm(arr)
     state_dd = vector_from_array(pkg, arr)
-    gates = {
-        "h_low": build_gate_dd(pkg, Gate("h", (0,))),
-        "h_high": build_gate_dd(pkg, Gate("h", (N - 1,))),
-        "cx": build_gate_dd(pkg, Gate("cx", (0,), (N - 1,))),
-        "rz": build_gate_dd(pkg, Gate("rz", (N // 2,), params=(0.4,))),
-    }
+    gates = {"h_high": build_gate_dd(pkg, Gate("h", (N - 1,)))}
     return pkg, arr, state_dd, gates
 
 
+def _dmav_gates(n: int) -> dict[str, Gate]:
+    """One gate per DMAV bottom-out path (``dense_block_level`` 5, 4 threads).
+
+    ``rz`` (qubit n/2) is a Kronecker collapse over an identity base,
+    ``rz_low`` and ``cz_low`` collapse over a diagonal base, ``h_low`` and
+    ``ry_q0`` over a dense base with an all-ones scale, ``ry_high`` is a
+    dense level above the block level over one identity subtree (2x2
+    matmul), ``cx`` and ``h_high`` act above the border level (task
+    splitting), and ``cx_border`` (target n/2, control above the border)
+    leaves an X level on the generic branch.
+    """
+    return {
+        "h_low": Gate("h", (0,)),
+        "h_high": Gate("h", (n - 1,)),
+        "cx": Gate("cx", (0,), (n - 1,)),
+        "rz": Gate("rz", (n // 2,), params=(0.4,)),
+        "rz_low": Gate("rz", (2,), params=(0.4,)),
+        "cz_low": Gate("cz", (3,), (1,)),
+        "ry_q0": Gate("ry", (0,), params=(0.4,)),
+        "ry_high": Gate("ry", (n // 2,), params=(0.4,)),
+        "cx_border": Gate("cx", (n // 2,), (n - 1,)),
+    }
+
+
+@pytest.fixture(scope="module", params=[12, 16], ids=lambda n: f"n{n}")
+def dmav_setup(request):
+    n = request.param
+    pkg = DDPackage(n)
+    rng = np.random.default_rng(7)
+    arr = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    arr /= np.linalg.norm(arr)
+    gates = {
+        name: build_gate_dd(pkg, gate)
+        for name, gate in _dmav_gates(n).items()
+    }
+    return pkg, arr, gates
+
+
 @pytest.mark.benchmark(group="kernel-dmav")
-@pytest.mark.parametrize("gate", ["h_low", "h_high", "cx", "rz"])
-def test_dmav_nocache_kernel(benchmark, setup, gate):
-    pkg, arr, _, gates = setup
+@pytest.mark.parametrize("gate", list(_dmav_gates(N)))
+def test_dmav_nocache_kernel(benchmark, dmav_setup, gate):
+    pkg, arr, gates = dmav_setup
     benchmark(dmav_nocache, pkg, gates[gate], arr, 4)
 
 
 @pytest.mark.benchmark(group="kernel-dmav")
 @pytest.mark.parametrize("gate", ["h_high", "cx"])
-def test_dmav_cached_kernel(benchmark, setup, gate):
-    pkg, arr, _, gates = setup
+def test_dmav_cached_kernel(benchmark, dmav_setup, gate):
+    pkg, arr, gates = dmav_setup
     benchmark(dmav_cached, pkg, gates[gate], arr, 4)
 
 

@@ -14,9 +14,16 @@ flat array (no irregularity blow-up).
   collapse to one SIMD scalar multiplication (Figure 6).  Buffers are
   summed into W at the end.
 
-The ``Run`` recursion bottoms out on vectorized kernels (identity subtrees
-and cached dense blocks) instead of scalar MACs -- see DESIGN.md
-substitution 2; MAC counts for the cost model are unaffected.
+The ``Run`` recursion bottoms out on vectorized kernels instead of scalar
+MACs, chosen per node by its cached shape
+(:func:`~repro.dd.analysis.bottom_out`): identity subtrees pass through,
+Kronecker collapses over an identity or diagonal base are elementwise
+scales, a dense base is one block matmul, and a dense level over one
+identity subtree is one 2x2 matmul -- see DESIGN.md substitution 2; MAC
+counts for the cost model are unaffected.  The single-shot kernel
+(:func:`run_border_task`) and its batched lockstep mirror
+(:func:`run_border_task_batch`, used by sweeps) take the same operations
+per row, so sweep rows stay bit-identical to ``run()``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.config import DENSE_BLOCK_LEVEL
-from repro.dd.analysis import dense_matrix_block, is_identity, kron_collapse
+from repro.dd.analysis import BottomOut, bottom_out, is_identity
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.core.cost_model import CacheAssignment, assign_cache_tasks
@@ -113,48 +120,58 @@ def _apply_batched(
     others -- notably identity subtrees, which return ``vmat`` itself --
     ignore it.  Callers must therefore always use the *returned* array.
     The values written are the same bits either way.
+
+    The branch taken is the node's cached :func:`bottom_out` shape, so a
+    subtree costs what its structure needs (Fig. 8): an identity base is
+    one ``d`` scale, a diagonal base one elementwise scale (plus ``d``
+    unless it is all ones), only a genuinely dense base runs a block
+    matmul, and a dense level over one identity subtree runs as one 2x2
+    matmul.  :func:`_apply_lockstep` mirrors every branch operation for
+    operation.
     """
-    if node is TERMINAL or is_identity(pkg, node):
+    shape = bottom_out(pkg, node, dense_level)
+    kind = shape.kind
+    if kind == "identity":
         return vmat
-    size = vmat.shape[1]
-    if node.level <= dense_level:
-        block = dense_matrix_block(pkg, node)
+    m, size = vmat.shape
+    if kind == "dense" and node.level <= dense_level:
+        block = shape.data
         if out is None:
             return vmat @ block.T
         np.matmul(vmat, block.T, out=out)
         return out
-    collapsed = kron_collapse(pkg, node, dense_level)
-    if collapsed is not None:
-        # Subtree acts as diag(d) (x) M_base: one reshape + matmul.
-        d, base = collapsed
-        if base is TERMINAL:
-            if out is None:
-                return vmat * d
-            np.multiply(vmat, d, out=out)
-            return out
-        block = dense_matrix_block(pkg, base)
-        bs = block.shape[0]
-        shape3 = (vmat.shape[0], d.size, bs)
-        if out is None:
-            folded = vmat.reshape(shape3) @ block.T
+    if kind == "scale":
+        # diag(d) (x) I: the d scale alone, broadcast over the identity base.
+        d = shape.d
+        shape3 = (m, d.size, size // d.size)
+        dst = None if out is None else out.reshape(shape3)
+        return np.multiply(vmat.reshape(shape3), d[:, None], out=dst).reshape(
+            m, size
+        )
+    if kind == "diagonal" or kind == "dense":
+        # diag(d) (x) M_base over (m, len(d), bs) blocks; d is None when
+        # it is all ones.
+        bs = shape.data.shape[0]
+        shape3 = (m, size // bs, bs)
+        dst = None if out is None else out.reshape(shape3)
+        if kind == "diagonal":
+            folded = np.multiply(vmat.reshape(shape3), shape.data, out=dst)
         else:
-            folded = out.reshape(shape3)
-            np.matmul(vmat.reshape(shape3), block.T, out=folded)
-        folded *= d[None, :, None]
-        return folded.reshape(vmat.shape)
+            folded = np.matmul(vmat.reshape(shape3), shape.data.T, out=dst)
+        if shape.d is not None:
+            folded *= shape.d[:, None]
+        return folded.reshape(m, size)
     half = size // 2
-    e00, e01, e10, e11 = node.edges
-    if (
-        e01.is_zero
-        and e10.is_zero
-        and not e00.is_zero
-        and not e11.is_zero
-        and e00.n is e11.n
-    ):
+    if kind == "pair":
+        dst = None if out is None else out.reshape(m, 2, half)
+        return np.matmul(
+            shape.data, vmat.reshape(m, 2, half), out=dst
+        ).reshape(m, size)
+    if kind == "passthrough":
         # Pass-through level (diag block, shared child): fold the halves
         # into the batch axis as a *view* and recurse once -- zero copies
         # until a non-trivial level is reached.
-        m = vmat.shape[0]
+        e00, e11 = node.edges[0], node.edges[3]
         if e00.w == 1 and e11.w == 1:
             folded = _apply_batched(
                 pkg,
@@ -198,7 +215,6 @@ def _apply_batched(
     if out is None:
         out = np.empty_like(vmat)
     written = [False, False]
-    m = vmat.shape[0]
     for child_node, uses in groups.values():
         if child_node is TERMINAL or is_identity(pkg, child_node):
             # The child applies as the identity: read the input halves
@@ -263,6 +279,13 @@ def _partition_sig(node: DDNode) -> tuple[int, ...]:
     return tuple(sig)
 
 
+def _row_scales(shapes: list[BottomOut], shared: bool) -> np.ndarray:
+    """The rows' ``d`` scales, broadcastable over ``(rows, m, len(d), bs)``."""
+    if shared:
+        return shapes[0].d[:, None]
+    return np.stack([s.d for s in shapes])[:, None, :, None]
+
+
 def _apply_lockstep(
     pkg: DDPackage,
     nodes: list[DDNode],
@@ -278,90 +301,82 @@ def _apply_lockstep(
     and ``nodes[b]`` is that row's sub-DD (rows of a parameter sweep share
     structure but differ in edge weights, so the node *objects* usually
     differ).  Every branch mirrors ``_apply_batched`` with the batch as a
-    leading broadcast axis: each gemm becomes a broadcast matmul whose
-    trailing two dimensions equal the single-shot gemm shape (numpy
-    evaluates broadcast matmuls slice-by-slice with the same kernel, so
-    each row's result is bit-identical to its single-shot run), and every
-    scale/accumulate stays elementwise.  Whenever the rows' DDs disagree
-    structurally -- different branch taken, different child partition --
-    the whole level drops to :func:`_lockstep_rowwise`, which is exact by
-    construction, just not batched.  ``out`` follows ``_apply_batched``'s
-    best-effort contract (must be C-contiguous here; callers pass None or
-    a buffer this module allocated).
+    leading broadcast axis: each gemm (block or 2x2) becomes a broadcast
+    matmul whose trailing two dimensions equal the single-shot gemm shape
+    (numpy evaluates broadcast matmuls slice-by-slice with the same
+    kernel, so each row's result is bit-identical to its single-shot run),
+    and every scale/accumulate stays elementwise with the same operand
+    order.  Whenever the rows' DDs disagree structurally -- different
+    bottom-out shape, block size or unit-ness of ``d``, different child
+    partition -- the whole level drops to :func:`_lockstep_rowwise`, which
+    is exact by construction, just not batched.  ``out`` follows
+    ``_apply_batched``'s best-effort contract (must be C-contiguous here;
+    callers pass None or a buffer this module allocated).
     """
-    n0 = nodes[0]
-    flags = [nd is TERMINAL or is_identity(pkg, nd) for nd in nodes]
-    if all(flags):
-        return vten
-    if any(flags):
+    shapes = [bottom_out(pkg, nd, dense_level) for nd in nodes]
+    s0 = shapes[0]
+    kind = s0.kind
+    if any(s.kind != kind for s in shapes[1:]):
         return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
+    if kind == "identity":
+        return vten
+    n0 = nodes[0]
     level = n0.level
     if any(nd.level != level for nd in nodes):
         return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
     rows, m, size = vten.shape
     shared = all(nd is n0 for nd in nodes)
-    if level <= dense_level:
+    if kind == "dense" and level <= dense_level:
         if shared:
-            block_t = dense_matrix_block(pkg, n0).T
+            block_t = s0.data.T
         else:
-            block_t = np.stack(
-                [dense_matrix_block(pkg, nd) for nd in nodes]
-            ).transpose(0, 2, 1)
+            block_t = np.stack([s.data for s in shapes]).transpose(0, 2, 1)
         if out is None:
             return vten @ block_t
         np.matmul(vten, block_t, out=out)
         return out
-    collapsed = [kron_collapse(pkg, nd, dense_level) for nd in nodes]
-    if collapsed[0] is not None:
-        if any(c is None for c in collapsed):
+    if kind == "scale":
+        dsize = s0.d.size
+        if any(s.d.size != dsize for s in shapes):
             return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        bases = [c[1] for c in collapsed]
-        term = [base is TERMINAL for base in bases]
-        if all(term):
-            d = (
-                collapsed[0][0]
-                if shared
-                else np.stack([c[0] for c in collapsed])[:, None, :]
-            )
-            if out is None:
-                return vten * d
-            np.multiply(vten, d, out=out)
-            return out
-        if any(term) or any(b.level != bases[0].level for b in bases):
+        shape4 = (rows, m, dsize, size // dsize)
+        dst = None if out is None else out.reshape(shape4)
+        return np.multiply(
+            vten.reshape(shape4), _row_scales(shapes, shared), out=dst
+        ).reshape(rows, m, size)
+    if kind == "diagonal" or kind == "dense":
+        bs = s0.data.shape[0]
+        unit = s0.d is None
+        if any(s.data.shape[0] != bs or (s.d is None) != unit for s in shapes):
             return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        if shared:
-            block_t = dense_matrix_block(pkg, bases[0]).T
-            d = collapsed[0][0][None, None, :, None]
-        else:
-            block_t = np.stack(
-                [dense_matrix_block(pkg, b) for b in bases]
-            ).transpose(0, 2, 1)[:, None]
-            d = np.stack([c[0] for c in collapsed])[:, None, :, None]
-        bs = 2 << bases[0].level
         shape4 = (rows, m, size // bs, bs)
-        if out is None:
-            folded = vten.reshape(shape4) @ block_t
+        dst = None if out is None else out.reshape(shape4)
+        if kind == "diagonal":
+            diag = (
+                s0.data
+                if shared
+                else np.stack([s.data for s in shapes])[:, None, None, :]
+            )
+            folded = np.multiply(vten.reshape(shape4), diag, out=dst)
         else:
-            folded = out.reshape(shape4)
-            np.matmul(vten.reshape(shape4), block_t, out=folded)
-        folded *= d
+            if shared:
+                block_t = s0.data.T
+            else:
+                block_t = np.stack(
+                    [s.data for s in shapes]
+                ).transpose(0, 2, 1)[:, None]
+            folded = np.matmul(vten.reshape(shape4), block_t, out=dst)
+        if not unit:
+            folded *= _row_scales(shapes, shared)
         return folded.reshape(rows, m, size)
     half = size // 2
-
-    def passthrough(nd: DDNode) -> bool:
-        e00, e01, e10, e11 = nd.edges
-        return (
-            e01.is_zero
-            and e10.is_zero
-            and not e00.is_zero
-            and not e11.is_zero
-            and e00.n is e11.n
-        )
-
-    pts = [passthrough(nd) for nd in nodes]
-    if pts[0] or any(pts):
-        if not all(pts):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
+    if kind == "pair":
+        u = s0.data if shared else np.stack([s.data for s in shapes])[:, None]
+        dst = None if out is None else out.reshape(rows, m, 2, half)
+        return np.matmul(
+            u, vten.reshape(rows, m, 2, half), out=dst
+        ).reshape(rows, m, size)
+    if kind == "passthrough":
         children = [nd.edges[0].n for nd in nodes]
         units = [nd.edges[0].w == 1 and nd.edges[3].w == 1 for nd in nodes]
         if all(units):

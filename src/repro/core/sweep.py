@@ -24,10 +24,11 @@ it three ways:
    ``(threads, rows, 2**n / threads)`` batch -- DMAV task slices are
    chunk-aligned, so each becomes one C-contiguous ``(rows, chunk)``
    block -- through the lockstep kernels of :mod:`repro.core.dmav`
-   (broadcast matmuls whose per-row slices are bit-identical to the
-   single-shot gemms), row-blocked (``ROW_BLOCK_BYTES``) so task slices
-   stay cache-resident.  The array phase becomes batched matrix x
-   matrix work.
+   (every bottom-out shape of the single-shot kernel -- scale, diagonal,
+   block and 2x2 matmuls -- as a broadcast op whose per-row slices are
+   bit-identical to the single-shot one), row-blocked
+   (``ROW_BLOCK_BYTES``) so task slices stay cache-resident.  The array
+   phase becomes batched matrix x matrix work.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of

@@ -4,14 +4,20 @@ These power the vectorized bottom-out of the Python DMAV/conversion kernels
 (DESIGN.md substitution 2): instead of recursing to scalar MACs like the
 paper's C++ does, recursion stops at
 
-* *identity subtrees*, applied as one vectorized axpy, and
-* *small dense blocks* (level <= ``dense_block_level``), materialized once
-  per unique node and applied with a numpy matmul.
+* *identity subtrees*, applied as one vectorized axpy,
+* *Kronecker collapses* ``diag(d) (x) M_base``, whose base is applied by
+  shape (:func:`bottom_out`): an identity base as the ``d`` scale alone, a
+  diagonal base as an elementwise scale, a dense base (level <=
+  ``dense_block_level``, materialized once per unique node) with a numpy
+  matmul, and
+* *2x2 levels* over one identity subtree, applied as one 2x2 matmul.
 
-Both caches live on the package and are invalidated by its GC.
+All caches live on the package and are invalidated by its GC.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 
 __all__ = [
+    "BottomOut",
+    "bottom_out",
     "is_identity",
     "dense_matrix_block",
     "dense_vector_block",
@@ -89,10 +97,11 @@ def kron_collapse(
     diagonal children reaching the same node -- contributes only a diagonal
     scaling per index bit.  When such a chain reaches a node at or below
     ``dense_level`` (or the terminal), the whole subtree's action collapses
-    to one reshape + matmul: this is the paper's scalar-multiple sharing
-    (Figure 4b / Figure 6) applied at kernel granularity, and it is what
-    lets single-qubit gates on low qubits and diagonal gates (rz, cz, cp)
-    run in O(1) numpy calls instead of O(2**n) recursion steps.
+    to ``O(1)`` numpy calls chosen by the base's shape (:func:`bottom_out`):
+    this is the paper's scalar-multiple sharing (Figure 4b / Figure 6)
+    applied at kernel granularity, and it is what lets single-qubit gates
+    on low qubits and diagonal gates (rz, cz, cp) skip ``O(2**n)``
+    recursion steps.
 
     Returns ``(d, base_node)`` with ``len(d) = 2**(level - base_level)``,
     or None if the chain breaks above ``dense_level``.  Cached per node.
@@ -118,6 +127,94 @@ def kron_collapse(
             result = (d, base)
     pkg.kron_cache[key] = result
     return result
+
+
+class BottomOut(NamedTuple):
+    """How the DMAV kernels apply one normalized matrix subtree.
+
+    ``kind`` is one of
+
+    * ``"identity"`` -- the terminal or an identity subtree: return the
+      input.
+    * ``"scale"`` -- ``diag(d) (x) I``: one elementwise scale by ``d``
+      broadcast over the identity base.
+    * ``"diagonal"`` -- ``diag(d) (x) diag(data)``: scale every base block
+      by the base diagonal ``data``, then by ``d``.
+    * ``"dense"`` -- ``diag(d) (x) data``: one matmul by the dense base
+      block ``data``, then the ``d`` scale.  A node at or below the dense
+      level is its own base.
+    * ``"pair"`` -- a level above the dense level whose four non-zero
+      children reach one identity subtree: ``data`` is its 2x2 weight
+      matrix, applied as one matmul over the ``(m, 2, half)`` view.
+    * ``"passthrough"`` -- a pass-through level whose chain breaks above
+      the dense level: fold the halves into the batch axis and recurse.
+    * ``"descend"`` -- anything else: recurse per distinct child.
+
+    ``d`` is the Kronecker-collapse diagonal (:func:`kron_collapse`), or
+    None when it is all ones and its scale is skipped.
+    """
+
+    kind: str
+    d: np.ndarray | None = None
+    data: np.ndarray | None = None
+
+
+_IDENTITY = BottomOut("identity")
+_PASSTHROUGH = BottomOut("passthrough")
+_DESCEND = BottomOut("descend")
+
+
+def bottom_out(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
+    """Classify the subtree under ``node`` for the DMAV kernels.
+
+    Cached per ``(node, dense_level)`` in ``pkg.kron_cache``, so garbage
+    collection, build-mark rewinds and the sweep's per-column cache
+    clears drop it together with the Kronecker collapses it is built on.
+    """
+    if node is TERMINAL:
+        return _IDENTITY
+    key = (id(node), dense_level)
+    cached = pkg.kron_cache.get(key)
+    if cached is not None:
+        return cached  # type: ignore[return-value]
+    result = _classify(pkg, node, dense_level)
+    pkg.kron_cache[key] = result
+    return result
+
+
+def _classify(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
+    if is_identity(pkg, node):
+        return _IDENTITY
+    collapsed = kron_collapse(pkg, node, dense_level)
+    if collapsed is not None:
+        d, base = collapsed
+        unit = None if np.all(d == 1) else d
+        if base is TERMINAL or is_identity(pkg, base):
+            # A unit d over an identity base is the identity, caught above.
+            return BottomOut("scale", d)
+        block = dense_matrix_block(pkg, base)
+        diag = np.diagonal(block)
+        if np.count_nonzero(block) == np.count_nonzero(diag):
+            return BottomOut("diagonal", unit, diag.copy())
+        return BottomOut("dense", unit, block)
+    e00, e01, e10, e11 = node.edges
+    if e00.is_zero or e11.is_zero:
+        return _DESCEND
+    if e01.is_zero and e10.is_zero:
+        return _PASSTHROUGH if e00.n is e11.n else _DESCEND
+    if (
+        not e01.is_zero
+        and not e10.is_zero
+        and e00.n is e01.n is e10.n is e11.n
+        and is_identity(pkg, e00.n)
+    ):
+        return BottomOut(
+            "pair",
+            data=np.array(
+                [[e00.w, e01.w], [e10.w, e11.w]], dtype=np.complex128
+            ),
+        )
+    return _DESCEND
 
 
 def vector_kron_collapse(

@@ -9,9 +9,17 @@ from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Gate
 from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.core.cost_model import CostModel, assign_cache_tasks
-from repro.core.dmav import assign_tasks, dmav_cached, dmav_nocache
+from repro.core import dmav as dmav_module
+from repro.core.dmav import (
+    assign_tasks,
+    dmav_cached,
+    dmav_nocache,
+    run_border_task,
+    run_border_task_batch,
+)
 from repro.core.plan import PlanCache
-from repro.dd import DDPackage, matrix_to_dense, single_qubit_gate
+from repro.dd import DDPackage, matrix_to_dense, mm_multiply, single_qubit_gate
+from repro.dd.analysis import bottom_out, dense_matrix_block, kron_collapse
 from repro.dd.matrix import controlled_gate
 from repro.parallel.arena import BufferArena
 from repro.parallel.partition import border_level
@@ -36,8 +44,30 @@ def _random_gates(pkg, seed=0):
         Gate("swap", (0, n - 1)),
         Gate("ccx", (1,), (0, n - 1)) if n >= 3 else Gate("x", (0,)),
         Gate("cp", (n - 2,), (1,), params=(0.3,)) if n >= 3 else Gate("z", (0,)),
+        Gate("rz", (0,), params=(0.5,)),
+        Gate("cz", (1,), (0,)),
+        Gate("u3", (n - 1,), params=(0.3, 0.7, 1.1)),
     ]
     return [build_gate_dd(pkg, g) for g in gates]
+
+
+#: Dense bottom-out levels the gate-suite tests sweep: -1 (no dense blocks
+#: at all), 0 and 1 (Kronecker collapses, pass-through, 2x2 and generic
+#: levels above small blocks) and the default, where every node of a
+#: 5-qubit gate is one dense block.
+DENSE_LEVELS = [-1, 0, 1, DENSE_BLOCK_LEVEL]
+
+
+def _threads_by_level(thread_counts):
+    """``(threads, dense_level)`` cases; default-level ids stay ``[t]``."""
+    return [
+        pytest.param(
+            t, level,
+            id=str(t) if level == DENSE_BLOCK_LEVEL else f"{t}-dense{level}",
+        )
+        for level in DENSE_LEVELS
+        for t in thread_counts
+    ]
 
 
 class TestAssign:
@@ -82,13 +112,17 @@ class TestAssign:
 
 
 class TestDMAVNoCache:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_matches_dense_for_gate_suite(self, threads):
+    @pytest.mark.parametrize(
+        "threads, dense_level", _threads_by_level([1, 2, 4])
+    )
+    def test_matches_dense_for_gate_suite(self, threads, dense_level):
         n = 5
         pkg = DDPackage(n)
         v = random_state(n, seed=threads)
         for m in _random_gates(pkg):
-            w, stats = dmav_nocache(pkg, m, v, threads)
+            w, stats = dmav_nocache(
+                pkg, m, v, threads, dense_level=dense_level
+            )
             ref = matrix_to_dense(pkg, m) @ v
             np.testing.assert_allclose(w, ref, atol=1e-10)
             assert stats.threads == threads
@@ -135,13 +169,17 @@ class TestDMAVNoCache:
 
 
 class TestDMAVCached:
-    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
-    def test_matches_dense_for_gate_suite(self, threads):
+    @pytest.mark.parametrize(
+        "threads, dense_level", _threads_by_level([1, 2, 4, 8])
+    )
+    def test_matches_dense_for_gate_suite(self, threads, dense_level):
         n = 5
         pkg = DDPackage(n)
         v = random_state(n, seed=threads + 10)
         for m in _random_gates(pkg):
-            w, stats = dmav_cached(pkg, m, v, threads)
+            w, stats = dmav_cached(
+                pkg, m, v, threads, dense_level=dense_level
+            )
             ref = matrix_to_dense(pkg, m) @ v
             np.testing.assert_allclose(w, ref, atol=1e-10)
             assert stats.used_cache
@@ -475,3 +513,229 @@ class TestGateSequences:
             m = build_gate_dd(pkg, gate)
             v, _ = dmav_cached(pkg, m, v, 2)
         np.testing.assert_allclose(v, ref, atol=1e-9)
+
+
+def _kernel(pkg, node, v, dense_level):
+    """The single-shot kernel on one node, through the public task API."""
+    w = np.empty(v.size, dtype=np.complex128)
+    run_border_task(pkg, node, 1.0, v, w, 0, 0, dense_level, accumulate=False)
+    return w
+
+
+def _block_gemm_reference(pkg, node, v, dense_level):
+    """The pre-classification Kronecker path: block GEMM, then ``*= d``."""
+    d, base = kron_collapse(pkg, node, dense_level)
+    block = dense_matrix_block(pkg, base)
+    bs = block.shape[0]
+    folded = v.reshape(1, d.size, bs) @ block.T
+    folded *= d[None, :, None]
+    return folded.reshape(v.size)
+
+
+class TestBottomOutPaths:
+    """Each bottom-out shape against its reference arithmetic."""
+
+    N = 6
+    DENSE = 2
+
+    def test_identity_base_equals_block_gemm_exactly(self):
+        # rz above the dense level collapses onto an identity base: the
+        # kernel applies the d scale alone, which must reproduce the
+        # identity-block GEMM followed by the scale bit for bit.
+        pkg = DDPackage(self.N)
+        node = build_gate_dd(pkg, Gate("rz", (4,), params=(0.7,))).n
+        shape = bottom_out(pkg, node, self.DENSE)
+        assert shape.kind == "scale"
+        v = random_state(self.N, seed=1)
+        assert np.array_equal(
+            _kernel(pkg, node, v, self.DENSE),
+            _block_gemm_reference(pkg, node, v, self.DENSE),
+        )
+
+    def test_terminal_base_equals_old_scale_exactly(self):
+        pkg = DDPackage(self.N)
+        node = build_gate_dd(pkg, Gate("rz", (2,), params=(0.4,))).n
+        shape = bottom_out(pkg, node, -1)
+        assert shape.kind == "scale"
+        v = random_state(self.N, seed=2)
+        d = kron_collapse(pkg, node, -1)[0]
+        assert np.array_equal(_kernel(pkg, node, v, -1), v * d)
+
+    def test_unit_scale_skipped_exactly(self):
+        # ry on qubit 0 under pass-through levels of weight 1: dense base,
+        # all-ones d, whose ``*= d`` pass the kernel skips.
+        pkg = DDPackage(self.N)
+        node = build_gate_dd(pkg, Gate("ry", (0,), params=(0.9,))).n
+        shape = bottom_out(pkg, node, self.DENSE)
+        assert shape.kind == "dense" and shape.d is None
+        v = random_state(self.N, seed=3)
+        assert np.array_equal(
+            _kernel(pkg, node, v, self.DENSE),
+            _block_gemm_reference(pkg, node, v, self.DENSE),
+        )
+
+    @pytest.mark.parametrize(
+        "gates, unit",
+        [
+            ([Gate("rz", (0,), params=(0.5,))], True),
+            ([Gate("cz", (1,), (0,))], True),
+            (
+                [
+                    Gate("rz", (4,), params=(0.3,)),
+                    Gate("rz", (0,), params=(1.2,)),
+                ],
+                False,
+            ),
+        ],
+        ids=["rz0", "cz01", "rz4-rz0"],
+    )
+    def test_diagonal_base_matches_dense(self, gates, unit):
+        pkg = DDPackage(self.N)
+        m = build_gate_dd(pkg, gates[0])
+        for gate in gates[1:]:
+            m = mm_multiply(pkg, build_gate_dd(pkg, gate), m)
+        shape = bottom_out(pkg, m.n, self.DENSE)
+        assert shape.kind == "diagonal"
+        assert (shape.d is None) == unit
+        v = random_state(self.N, seed=4)
+        ref = matrix_to_dense(pkg, m) @ v
+        for threads in (1, 2, 4):
+            w, _ = dmav_nocache(pkg, m, v, threads, dense_level=self.DENSE)
+            np.testing.assert_allclose(w, ref, atol=1e-12)
+            w, _ = dmav_cached(pkg, m, v, threads, dense_level=self.DENSE)
+            np.testing.assert_allclose(w, ref, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate("ry", (4,), params=(0.9,)),
+            Gate("u3", (3,), params=(0.3, 0.7, 1.1)),
+        ],
+        ids=["ry4", "u3_3"],
+    )
+    def test_pair_level_matches_dense(self, gate):
+        pkg = DDPackage(self.N)
+        m = build_gate_dd(pkg, gate)
+        node = m.n
+        while bottom_out(pkg, node, self.DENSE).kind == "passthrough":
+            node = node.edges[0].n
+        shape = bottom_out(pkg, node, self.DENSE)
+        assert shape.kind == "pair" and shape.data.shape == (2, 2)
+        v = random_state(self.N, seed=5)
+        ref = matrix_to_dense(pkg, m) @ v
+        for threads in (1, 2, 4):
+            w, _ = dmav_nocache(pkg, m, v, threads, dense_level=self.DENSE)
+            np.testing.assert_allclose(w, ref, atol=1e-12)
+            w, _ = dmav_cached(pkg, m, v, threads, dense_level=self.DENSE)
+            np.testing.assert_allclose(w, ref, atol=1e-12)
+
+    def test_permutation_level_stays_generic(self):
+        pkg = DDPackage(self.N)
+        m = build_gate_dd(pkg, Gate("cx", (3,), (5,)))
+        node = m.n.edges[3].n
+        while bottom_out(pkg, node, self.DENSE).kind == "passthrough":
+            node = node.edges[0].n
+        assert node.level == 3
+        assert bottom_out(pkg, node, self.DENSE).kind == "descend"
+
+    def test_classification_cached_and_dropped_by_gc(self):
+        pkg = DDPackage(self.N)
+        node = build_gate_dd(pkg, Gate("rz", (4,), params=(0.7,))).n
+        first = bottom_out(pkg, node, self.DENSE)
+        assert bottom_out(pkg, node, self.DENSE) is first
+        key = (id(node), self.DENSE)
+        assert pkg.kron_cache[key] is first
+        pkg.collect_garbage([])
+        assert key not in pkg.kron_cache
+
+
+#: ((gate name, targets, controls), dense level, bottom-out shape of the
+#: root); every batch row binds its own angle.  ``pair`` reaches its 2x2
+#: level under pass-through levels, ``descend`` reaches one under a
+#: controlled level.
+BATCH_CASES = [
+    pytest.param(("rz", (4,), ()), 2, "scale", id="scale"),
+    pytest.param(("rz", (4,), ()), -1, "scale", id="scale-terminal"),
+    pytest.param(("rz", (0,), ()), 2, "diagonal", id="diagonal"),
+    pytest.param(("cp", (1,), (0,)), 2, "diagonal", id="diagonal-cp"),
+    pytest.param(("ry", (0,), ()), 2, "dense", id="dense-unit-d"),
+    pytest.param(("ry", (1,), ()), 5, "dense", id="dense-block"),
+    pytest.param(("ry", (4,), ()), 2, "passthrough", id="pair"),
+    pytest.param(("cry", (3,), (5,)), 2, "descend", id="descend"),
+]
+
+
+class TestBorderTaskBatch:
+    """The lockstep kernel against per-row single-shot runs, bit for bit."""
+
+    N = 6
+
+    def _batch(self, spec, angles, dense_level, accumulate):
+        name, targets, controls = spec
+        pkg = DDPackage(self.N)
+        edges = [
+            build_gate_dd(pkg, Gate(name, targets, controls, params=(t,)))
+            for t in angles
+        ]
+        nodes = [e.n for e in edges]
+        coeffs = [e.w for e in edges]
+        shape = (len(angles), 1 << self.N)
+        rng = np.random.default_rng(0)
+        vin = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        wout = start.copy()
+        run_border_task_batch(
+            pkg, nodes, coeffs, vin, wout, dense_level, accumulate=accumulate
+        )
+        for b in range(len(angles)):
+            w = start[b].copy()
+            run_border_task(
+                pkg, nodes[b], coeffs[b], vin[b], w, 0, 0, dense_level,
+                accumulate=accumulate,
+            )
+            assert np.array_equal(wout[b], w), b
+        return pkg, nodes
+
+    @pytest.fixture
+    def rowwise_calls(self, monkeypatch):
+        calls = []
+        original = dmav_module._lockstep_rowwise
+
+        def spy(pkg, nodes, *args, **kwargs):
+            calls.append(len(nodes))
+            return original(pkg, nodes, *args, **kwargs)
+
+        monkeypatch.setattr(dmav_module, "_lockstep_rowwise", spy)
+        return calls
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
+    def test_distinct_angles_batched_bit_identical(
+        self, spec, dense_level, kind, accumulate, rowwise_calls
+    ):
+        pkg, nodes = self._batch(
+            spec, [0.3, 1.1, 2.0], dense_level, accumulate
+        )
+        assert len({id(nd) for nd in nodes}) == 3
+        assert bottom_out(pkg, nodes[0], dense_level).kind == kind
+        # Congruent rows never leave the batched branches.
+        assert rowwise_calls == []
+
+    @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
+    def test_shared_node_bit_identical(
+        self, spec, dense_level, kind, rowwise_calls
+    ):
+        _pkg, nodes = self._batch(spec, [0.7] * 3, dense_level, False)
+        assert all(nd is nodes[0] for nd in nodes)
+        assert rowwise_calls == []
+
+    def test_identity_row_falls_back_rowwise(self, rowwise_calls):
+        # rz(0) is the identity: that row's node disagrees with the
+        # others' scale shape, so the level must replay per row.
+        pkg, nodes = self._batch(
+            ("rz", (4,), ()), [0.4, 0.0, 1.3], 2, False
+        )
+        assert [bottom_out(pkg, nd, 2).kind for nd in nodes] == [
+            "scale", "identity", "scale",
+        ]
+        assert rowwise_calls == [3]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.backends import StatevectorSimulator
 from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Circuit, Gate
+from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel, mac_count
 from repro.core.dmav import dmav_cached, dmav_nocache
@@ -172,14 +173,21 @@ class TestDDAlgebra:
 
 
 class TestKernelEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(gates(), states(), st.sampled_from([1, 2, 4]))
-    def test_dmav_variants_match_dense(self, gate, arr, threads):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gates(),
+        states(),
+        st.sampled_from([1, 2, 4]),
+        # -1..1 reach every DMAV bottom-out shape on 4 qubits; the default
+        # level makes each gate one dense block.
+        st.sampled_from([-1, 0, 1, DENSE_BLOCK_LEVEL]),
+    )
+    def test_dmav_variants_match_dense(self, gate, arr, threads, dense_level):
         pkg = DDPackage(N_QUBITS)
         m = build_gate_dd(pkg, gate)
         ref = matrix_to_dense(pkg, m) @ arr
-        w1, _ = dmav_nocache(pkg, m, arr, threads)
-        w2, _ = dmav_cached(pkg, m, arr, threads)
+        w1, _ = dmav_nocache(pkg, m, arr, threads, dense_level=dense_level)
+        w2, _ = dmav_cached(pkg, m, arr, threads, dense_level=dense_level)
         np.testing.assert_allclose(w1, ref, atol=1e-6)
         np.testing.assert_allclose(w2, ref, atol=1e-6)
 

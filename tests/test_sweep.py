@@ -16,6 +16,7 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.generators.regular import qft
+from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import (
     CheckpointError,
     CircuitError,
@@ -169,6 +170,26 @@ def test_thread_count_invariance():
         for i in range(len(rows)):
             err = phase_aligned_error(per_thread[1][i], per_thread[t][i])
             assert err <= 1e-9
+
+
+@pytest.mark.parametrize("dense_level", [-1, 2, DENSE_BLOCK_LEVEL])
+def test_rows_bit_identical_across_bottom_out_shapes(dense_level):
+    """Every DMAV bottom-out shape runs batched and stays exact.
+
+    Eight qubits put levels above the dense block level, so the lockstep
+    kernel meets scale, diagonal, dense, 2x2, pass-through and generic
+    levels; the half-zeroed last row turns some of its rotations into
+    identities, so those levels disagree across rows and replay per row.
+    """
+    c = _template(n=8, layers=2)
+    rows = _rows(c, 4, seed=5)
+    rows.append(tuple(0.0 if k % 2 else v for k, v in enumerate(rows[0])))
+    sim = FlatDDSimulator(
+        threads=4, force_convert_at=0, dense_block_level=dense_level
+    )
+    result = sim.simulate_sweep(c, rows)
+    assert result.metadata["obs"]["counters"]["dmav.sweep.gates_batched"] > 0
+    _assert_rows_identical(sim, c, rows, result)
 
 
 @pytest.mark.parametrize("policy", ["auto", "always", "never"])
