@@ -16,7 +16,10 @@ from repro.backends import apply_gate_array
 from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Gate
 from repro.core.conversion import convert_parallel
+from repro.core.cost_model import CostModel
 from repro.core.dmav import dmav_cached, dmav_nocache
+from repro.core.plan import PlanCache
+from repro.core.simulator import apply_plan, plan_uses_cache
 from repro.dd import (
     DDPackage,
     mv_multiply,
@@ -24,6 +27,7 @@ from repro.dd import (
     vector_to_array,
     zero_state,
 )
+from repro.parallel.arena import BufferArena
 
 N = 12
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -90,6 +94,36 @@ def test_dmav_nocache_kernel(benchmark, dmav_setup, gate):
 def test_dmav_cached_kernel(benchmark, dmav_setup, gate):
     pkg, arr, gates = dmav_setup
     benchmark(dmav_cached, pkg, gates[gate], arr, 4)
+
+
+@pytest.mark.benchmark(group="kernel-dmav-planned")
+@pytest.mark.parametrize("rows", [1, 8], ids=lambda r: f"rows{r}")
+@pytest.mark.parametrize("gate", list(_dmav_gates(N)))
+def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
+    """One ``apply_plan`` step, as ``run()`` (one row) and a sweep row
+    block (eight rows, a distinct angle per row for the rotations) take
+    it: compiled plans, the cost model's cache verdict, arena buffers."""
+    pkg, arr, _ = dmav_setup
+    n = pkg.num_qubits
+    threads = 4
+    proto = _dmav_gates(n)[gate]
+    plans = PlanCache(pkg, threads, CostModel(threads), 5)
+    row_plans = [
+        plans.get(build_gate_dd(pkg, Gate(
+            proto.name, proto.targets, proto.controls,
+            params=tuple(p + 0.1 * r for p in proto.params),
+        )))
+        for r in range(rows)
+    ]
+    use_cache = plan_uses_cache("auto", row_plans[0])
+    arena = BufferArena(1 << n, rows=rows, tiles=threads)
+    v = np.repeat(arr.reshape(threads, 1, -1), rows, axis=1)
+    out, _ = arena.output()
+    buffers = arena.partials(row_plans[0].assignment.num_buffers)
+    benchmark(
+        apply_plan, pkg, row_plans, use_cache, v, out, threads, None, 5,
+        buffers=buffers,
+    )
 
 
 @pytest.mark.benchmark(group="kernel-array")

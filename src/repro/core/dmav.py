@@ -20,23 +20,31 @@ MACs, chosen per node by its cached shape
 Kronecker collapses over an identity or diagonal base are elementwise
 scales, a dense base is one block matmul, and a dense level over one
 identity subtree is one 2x2 matmul -- see DESIGN.md substitution 2; MAC
-counts for the cost model are unaffected.  The single-shot kernel
-(:func:`run_border_task`) and its batched lockstep mirror
-(:func:`run_border_task_batch`, used by sweeps) take the same operations
-per row, so sweep rows stay bit-identical to ``run()``.
+counts for the cost model are unaffected.
+
+One kernel and one border-task runner (:func:`run_border_task_batch`)
+serve every caller.  They work on ``rows`` state vectors at once, each
+row with its own gate DD, and ``run()`` is the one-row case.  The planned
+forms of both algorithms take one compiled plan per row over tile-major
+``(threads, rows, 2**n // threads)`` buffers: ``run()`` passes its flat
+state as a ``(threads, 1, h)`` view, a parameter sweep
+(:mod:`repro.core.sweep`) a block of rows.  A row's result never depends
+on the other rows, so sweep rows stay bit-identical to ``run()``.  The
+listing forms (no plans, a flat state) are the per-gate reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.config import DENSE_BLOCK_LEVEL
-from repro.dd.analysis import BottomOut, bottom_out, is_identity
+from repro.dd.analysis import BottomOut, bottom_out
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.core.cost_model import CacheAssignment, assign_cache_tasks
+from repro.core.plan import GatePlan
 from repro.parallel.partition import border_level
 from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.parallel.simd import simd_add, simd_mul_into
@@ -46,7 +54,6 @@ __all__ = [
     "assign_tasks",
     "dmav_nocache",
     "dmav_cached",
-    "run_border_task",
     "run_border_task_batch",
 ]
 
@@ -98,191 +105,62 @@ def assign_tasks(
     return tasks
 
 
-def _apply_batched(
-    pkg: DDPackage,
-    node: DDNode,
-    vmat: np.ndarray,
-    dense_level: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply the normalized subtree under ``node`` to a batch of vectors.
+def _tile(t3: np.ndarray, off: int, h: int, node: DDNode) -> np.ndarray:
+    """The ``(rows, size)`` columns a border task under ``node`` touches.
 
-    ``vmat`` has shape ``(batch, 2**(level+1))`` (C-contiguous); the result
-    has the same shape.  Recursion groups the four 2x2-block children by
-    child *node*, stacking their input halves into one call -- so the call
-    count is proportional to the gate DD's edge count, not to the number of
-    root-to-terminal paths (the pure-Python analogue of the paper's
-    constant-average-indexing claim for DMAV, Section 3.2.1).
-
-    ``out`` is a best-effort, contiguous result destination of ``vmat``'s
-    shape that must not overlap ``vmat``.  Branches whose final operation
-    can target it directly do so (skipping one result-sized allocation);
-    others -- notably identity subtrees, which return ``vmat`` itself --
-    ignore it.  Callers must therefore always use the *returned* array.
-    The values written are the same bits either way.
-
-    The branch taken is the node's cached :func:`bottom_out` shape, so a
-    subtree costs what its structure needs (Fig. 8): an identity base is
-    one ``d`` scale, a diagonal base one elementwise scale (plus ``d``
-    unless it is all ones), only a genuinely dense base runs a block
-    matmul, and a dense level over one identity subtree runs as one 2x2
-    matmul.  :func:`_apply_lockstep` mirrors every branch operation for
-    operation.
+    ``t3`` is a tile-major ``(threads, rows, h)`` batch and ``off`` the
+    task's column offset.  A non-terminal border node sits at the border
+    level, so its task spans exactly one tile -- C-contiguous whenever
+    ``t3``'s rows are, as in every arena buffer, row block and one-row
+    view; a terminal task touches one column.
     """
-    shape = bottom_out(pkg, node, dense_level)
-    kind = shape.kind
-    if kind == "identity":
-        return vmat
-    m, size = vmat.shape
-    if kind == "dense" and node.level <= dense_level:
-        block = shape.data
-        if out is None:
-            return vmat @ block.T
-        np.matmul(vmat, block.T, out=out)
-        return out
-    if kind == "scale":
-        # diag(d) (x) I: the d scale alone, broadcast over the identity base.
-        d = shape.d
-        shape3 = (m, d.size, size // d.size)
-        dst = None if out is None else out.reshape(shape3)
-        return np.multiply(vmat.reshape(shape3), d[:, None], out=dst).reshape(
-            m, size
-        )
-    if kind == "diagonal" or kind == "dense":
-        # diag(d) (x) M_base over (m, len(d), bs) blocks; d is None when
-        # it is all ones.
-        bs = shape.data.shape[0]
-        shape3 = (m, size // bs, bs)
-        dst = None if out is None else out.reshape(shape3)
-        if kind == "diagonal":
-            folded = np.multiply(vmat.reshape(shape3), shape.data, out=dst)
-        else:
-            folded = np.matmul(vmat.reshape(shape3), shape.data.T, out=dst)
-        if shape.d is not None:
-            folded *= shape.d[:, None]
-        return folded.reshape(m, size)
-    half = size // 2
-    if kind == "pair":
-        dst = None if out is None else out.reshape(m, 2, half)
-        return np.matmul(
-            shape.data, vmat.reshape(m, 2, half), out=dst
-        ).reshape(m, size)
-    if kind == "passthrough":
-        # Pass-through level (diag block, shared child): fold the halves
-        # into the batch axis as a *view* and recurse once -- zero copies
-        # until a non-trivial level is reached.
-        e00, e11 = node.edges[0], node.edges[3]
-        if e00.w == 1 and e11.w == 1:
-            folded = _apply_batched(
-                pkg,
-                e00.n,
-                vmat.reshape(2 * m, half),
-                dense_level,
-                None if out is None else out.reshape(2 * m, half),
-            )
-            return folded.reshape(m, size)
-        folded = _apply_batched(
-            pkg, e00.n, vmat.reshape(2 * m, half), dense_level
-        )
-        scale = np.array([e00.w, e11.w], dtype=np.complex128)
-        if out is None:
-            return (
-                folded.reshape(m, 2, half) * scale[None, :, None]
-            ).reshape(m, size)
-        np.multiply(
-            folded.reshape(m, 2, half),
-            scale[None, :, None],
-            out=out.reshape(m, 2, half),
-        )
-        return out
-    halves = (vmat[:, :half], vmat[:, half:])
-    # Group the (up to four) child applications by child node: a child that
-    # appears under several (i, j) positions runs once on a stacked batch.
-    groups: dict[int, tuple[DDNode, list[tuple[int, int, complex]]]] = {}
-    for k, child in enumerate(node.edges):
-        if child.is_zero:
-            continue
-        i, j = divmod(k, 2)
-        entry = groups.get(id(child.n))
-        if entry is None:
-            groups[id(child.n)] = (child.n, [(i, j, child.w)])
-        else:
-            entry[1].append((i, j, child.w))
-    # Assign on first write per output half instead of accumulating onto a
-    # zero-filled buffer: ``w * b`` and ``0 + w * b`` only differ in signed
-    # zeros, and skipping the O(size) fill plus one temporary per first use
-    # is most of this level's overhead.
-    if out is None:
-        out = np.empty_like(vmat)
-    written = [False, False]
-    for child_node, uses in groups.values():
-        if child_node is TERMINAL or is_identity(pkg, child_node):
-            # The child applies as the identity: read the input halves
-            # directly instead of stacking a copy just to get it back.
-            result = halves
-            slot = {0: 0, 1: 1}
-        else:
-            js = sorted({j for _, j, _ in uses})
-            if len(js) == 1:
-                stacked = halves[js[0]]
-            else:
-                stacked = np.concatenate([halves[j] for j in js], axis=0)
-            res = _apply_batched(pkg, child_node, stacked, dense_level)
-            slot = {j: pos for pos, j in enumerate(js)}
-            result = [
-                res[pos * m:(pos + 1) * m] for pos in range(len(js))
-            ]
-        for i, j, weight in uses:
-            block = result[slot[j]]
-            dst = out[:, i * half:(i + 1) * half]
-            if written[i]:
-                dst += weight * block
-            else:
-                np.multiply(weight, block, out=dst)
-                written[i] = True
-    for i in (0, 1):
-        if not written[i]:
-            out[:, i * half:(i + 1) * half] = 0.0
-    return out
+    if node is not TERMINAL:
+        return t3[off // h]
+    return t3[off // h][:, off % h:off % h + 1]
 
 
-def _lockstep_rowwise(
-    pkg: DDPackage,
-    nodes: list[DDNode],
-    vten: np.ndarray,
-    dense_level: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact per-row fallback: the single-shot kernel on each batch row."""
-    if out is None:
-        out = np.empty(vten.shape, dtype=np.complex128)
-    for b, node in enumerate(nodes):
-        out[b] = _apply_batched(pkg, node, vten[b], dense_level)
-    return out
+def _column(row_tasks: list, u: int, k: int) -> tuple[list, list]:
+    """Every row's node and coefficient of thread ``u``'s ``k``-th task."""
+    return (
+        [tasks[u][k][0] for tasks in row_tasks],
+        [tasks[u][k][2] for tasks in row_tasks],
+    )
 
 
-def _partition_sig(node: DDNode) -> tuple[int, ...]:
-    """Child-grouping signature of one node's four 2x2-block edges.
+def _for_each_thread(runner: TaskRunner | None, threads: int, work) -> None:
+    """``work(u)`` for every thread ``u``, on the pool when it has one."""
+    if runner is not None and runner.use_pool:
+        runner.run([lambda u=u: work(u) for u in range(threads)])
+    else:
+        for u in range(threads):
+            work(u)
 
-    Position ``k`` maps to ``-1`` (zero edge) or the first-occurrence
-    index of its child node within this node's edges.  Two nodes with
-    equal signatures group their children identically, which is what the
-    lockstep generic branch needs to run one stacked recursion per group.
+
+def _rows_agree(shapes: list[BottomOut]) -> bool:
+    """Whether one batched branch serves every row's bottom-out shape.
+
+    Rows at one recursion point share their level by construction; they
+    must also share the kind, whether ``d`` is skipped, and the kind's
+    operand sizes: the ``d`` length of a scale, the base block size of a
+    diagonal or dense base, the child grouping of a descend.
     """
-    seen: dict[int, int] = {}
-    sig = []
-    for child in node.edges:
-        if child.is_zero:
-            sig.append(-1)
-        else:
-            sig.append(seen.setdefault(id(child.n), len(seen)))
-    return tuple(sig)
+    s0 = shapes[0]
+    kind = s0.kind
+    unit = s0.d is None
+    for s in shapes[1:]:
+        if s.kind != kind or (s.d is None) != unit:
+            return False
+        if kind == "scale" and s.d.size != s0.d.size:
+            return False
+        if kind in ("diagonal", "dense") and s.data.shape != s0.data.shape:
+            return False
+        if kind == "descend" and s.data != s0.data:
+            return False
+    return True
 
 
-def _row_scales(shapes: list[BottomOut], shared: bool) -> np.ndarray:
-    """The rows' ``d`` scales, broadcastable over ``(rows, m, len(d), bs)``."""
-    if shared:
-        return shapes[0].d[:, None]
+def _row_scales(shapes: list[BottomOut]) -> np.ndarray:
+    """Per-row ``d`` scales, broadcastable over ``(rows, m, len(d), bs)``."""
     return np.stack([s.d for s in shapes])[:, None, :, None]
 
 
@@ -293,41 +171,63 @@ def _apply_lockstep(
     dense_level: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply per-row gate sub-DDs to a batch of vector blocks in lockstep.
+    """Apply gate sub-DDs to a batch of vector blocks, all rows in lockstep.
 
-    ``vten`` has shape ``(rows, m, 2**(level+1))``: row ``b``'s
-    ``(m, size)`` slice is exactly the ``vmat`` the single-shot kernel
-    (:func:`_apply_batched`) sees for that row at this recursion point,
-    and ``nodes[b]`` is that row's sub-DD (rows of a parameter sweep share
-    structure but differ in edge weights, so the node *objects* usually
-    differ).  Every branch mirrors ``_apply_batched`` with the batch as a
-    leading broadcast axis: each gemm (block or 2x2) becomes a broadcast
-    matmul whose trailing two dimensions equal the single-shot gemm shape
-    (numpy evaluates broadcast matmuls slice-by-slice with the same
-    kernel, so each row's result is bit-identical to its single-shot run),
-    and every scale/accumulate stays elementwise with the same operand
-    order.  Whenever the rows' DDs disagree structurally -- different
-    bottom-out shape, block size or unit-ness of ``d``, different child
-    partition -- the whole level drops to :func:`_lockstep_rowwise`, which
-    is exact by construction, just not batched.  ``out`` follows
-    ``_apply_batched``'s best-effort contract (must be C-contiguous here;
-    callers pass None or a buffer this module allocated).
+    ``vten`` has shape ``(rows, m, 2**(level+1))``: row ``b`` stacks the
+    ``m`` vector blocks its sub-DD applies to.  ``nodes`` holds either one
+    node shared by every row (``run()``'s one-row case, or rows whose
+    sub-DDs are the same object) or one node per row (rows of a parameter
+    sweep share structure but differ in edge weights, so the node
+    *objects* usually differ).  Recursion groups the four 2x2-block
+    children by child node, stacking their input halves into one call, so
+    the call count is proportional to the gate DD's edge count, not to
+    its root-to-terminal paths (the pure-Python analogue of the paper's
+    constant-average-indexing claim for DMAV, Section 3.2.1).
+
+    The branch taken is the node's cached :func:`bottom_out` shape, so a
+    subtree costs what its structure needs (Fig. 8): an identity base is
+    one ``d`` scale, a diagonal base one elementwise scale (plus ``d``
+    unless it is all ones), only a genuinely dense base runs a block
+    matmul, and a dense level over one identity subtree runs as one 2x2
+    matmul.  A shared node applies with scalar weights and its own
+    operands; per-row nodes stack theirs along a leading batch axis, so
+    each gemm becomes a broadcast matmul whose trailing two dimensions
+    equal the one-row gemm (numpy evaluates broadcast matmuls
+    slice-by-slice with the same kernel) and every scale or accumulate
+    stays elementwise with the same operand order: each row's result is
+    bit-identical to its one-row run.  Whenever per-row nodes disagree
+    structurally (:func:`_rows_agree`) the level replays one row at a
+    time, exact by construction, just not batched.
+
+    ``out`` is a best-effort, C-contiguous result destination of
+    ``vten``'s shape that must not overlap it.  Branches whose final
+    operation can target it directly do so (skipping one result-sized
+    allocation); others -- notably identity subtrees, which return
+    ``vten`` itself -- ignore it.  Callers must therefore always use the
+    *returned* array; the values written are the same bits either way.
     """
-    shapes = [bottom_out(pkg, nd, dense_level) for nd in nodes]
-    s0 = shapes[0]
+    n0 = nodes[0]
+    s0 = bottom_out(pkg, n0, dense_level)
+    shapes = None
+    if len(nodes) > 1:
+        if all(nd is n0 for nd in nodes):
+            nodes = [n0]
+        else:
+            shapes = [bottom_out(pkg, nd, dense_level) for nd in nodes]
+            if not _rows_agree(shapes):
+                if out is None:
+                    out = np.empty(vten.shape, dtype=np.complex128)
+                for b, node in enumerate(nodes):
+                    out[b:b + 1] = _apply_lockstep(
+                        pkg, [node], vten[b:b + 1], dense_level
+                    )
+                return out
     kind = s0.kind
-    if any(s.kind != kind for s in shapes[1:]):
-        return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
     if kind == "identity":
         return vten
-    n0 = nodes[0]
-    level = n0.level
-    if any(nd.level != level for nd in nodes):
-        return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
     rows, m, size = vten.shape
-    shared = all(nd is n0 for nd in nodes)
-    if kind == "dense" and level <= dense_level:
-        if shared:
+    if kind == "dense" and n0.level <= dense_level:
+        if shapes is None:
             block_t = s0.data.T
         else:
             block_t = np.stack([s.data for s in shapes]).transpose(0, 2, 1)
@@ -336,128 +236,109 @@ def _apply_lockstep(
         np.matmul(vten, block_t, out=out)
         return out
     if kind == "scale":
+        # diag(d) (x) I: the d scale alone, broadcast over the identity base.
         dsize = s0.d.size
-        if any(s.d.size != dsize for s in shapes):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
         shape4 = (rows, m, dsize, size // dsize)
         dst = None if out is None else out.reshape(shape4)
-        return np.multiply(
-            vten.reshape(shape4), _row_scales(shapes, shared), out=dst
-        ).reshape(rows, m, size)
+        d = s0.d[:, None] if shapes is None else _row_scales(shapes)
+        return np.multiply(vten.reshape(shape4), d, out=dst).reshape(
+            rows, m, size
+        )
     if kind == "diagonal" or kind == "dense":
+        # diag(d) (x) M_base over (m, len(d), bs) blocks; d is None when
+        # it is all ones.
         bs = s0.data.shape[0]
-        unit = s0.d is None
-        if any(s.data.shape[0] != bs or (s.d is None) != unit for s in shapes):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
         shape4 = (rows, m, size // bs, bs)
         dst = None if out is None else out.reshape(shape4)
         if kind == "diagonal":
             diag = (
                 s0.data
-                if shared
+                if shapes is None
                 else np.stack([s.data for s in shapes])[:, None, None, :]
             )
             folded = np.multiply(vten.reshape(shape4), diag, out=dst)
         else:
-            if shared:
+            if shapes is None:
                 block_t = s0.data.T
             else:
                 block_t = np.stack(
                     [s.data for s in shapes]
                 ).transpose(0, 2, 1)[:, None]
             folded = np.matmul(vten.reshape(shape4), block_t, out=dst)
-        if not unit:
-            folded *= _row_scales(shapes, shared)
+        if s0.d is not None:
+            folded *= s0.d[:, None] if shapes is None else _row_scales(shapes)
         return folded.reshape(rows, m, size)
     half = size // 2
     if kind == "pair":
-        u = s0.data if shared else np.stack([s.data for s in shapes])[:, None]
+        u = (
+            s0.data
+            if shapes is None
+            else np.stack([s.data for s in shapes])[:, None]
+        )
         dst = None if out is None else out.reshape(rows, m, 2, half)
         return np.matmul(
             u, vten.reshape(rows, m, 2, half), out=dst
         ).reshape(rows, m, size)
     if kind == "passthrough":
-        children = [nd.edges[0].n for nd in nodes]
-        units = [nd.edges[0].w == 1 and nd.edges[3].w == 1 for nd in nodes]
-        if all(units):
-            folded = _apply_lockstep(
-                pkg,
-                children,
-                vten.reshape(rows, 2 * m, half),
-                dense_level,
-                None if out is None else out.reshape(rows, 2 * m, half),
-            )
-            return folded.reshape(rows, m, size)
-        if any(units):
-            # Single-shot takes the scaled branch only for non-unit
-            # weights; mixed rows would diverge in signed zeros -- stay
-            # strict and replay per row.
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        folded = _apply_lockstep(
-            pkg, children, vten.reshape(rows, 2 * m, half), dense_level
+        # Pass-through level (diag block, shared child): fold the halves
+        # into the batch axis as a *view* and recurse once -- zero copies
+        # until a non-trivial level is reached.
+        children = (
+            [n0.edges[0].n] if shapes is None
+            else [nd.edges[0].n for nd in nodes]
         )
-        scale = np.array(
-            [[nd.edges[0].w, nd.edges[3].w] for nd in nodes],
-            dtype=np.complex128,
-        )[:, None, :, None]
+        folded = _apply_lockstep(
+            pkg,
+            children,
+            vten.reshape(rows, 2 * m, half),
+            dense_level,
+            None if out is None or s0.d is not None
+            else out.reshape(rows, 2 * m, half),
+        )
+        if s0.d is None:
+            return folded.reshape(rows, m, size)
         f4 = folded.reshape(rows, m, 2, half)
+        d = s0.d[:, None] if shapes is None else _row_scales(shapes)
         if out is None:
-            return (f4 * scale).reshape(rows, m, size)
-        np.multiply(f4, scale, out=out.reshape(rows, m, 2, half))
+            return (f4 * d).reshape(rows, m, size)
+        np.multiply(f4, d, out=out.reshape(rows, m, 2, half))
         return out
-    sig = _partition_sig(n0)
-    if any(_partition_sig(nd) != sig for nd in nodes[1:]):
-        return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-    # Group positions exactly like the single-shot kernel: by child node,
-    # insertion order.  Equal signatures make the grouping identical for
-    # every row, so one stacked lockstep recursion serves each group.
-    positions: list[list[int]] = []
-    for k, gid in enumerate(sig):
-        if gid < 0:
-            continue
-        if gid == len(positions):
-            positions.append([k])
-        else:
-            positions[gid].append(k)
-    group_nodes = [
-        [nd.edges[ks[0]].n for nd in nodes] for ks in positions
-    ]
-    group_idn = []
-    for gnodes in group_nodes:
-        gf = [gn is TERMINAL or is_identity(pkg, gn) for gn in gnodes]
-        if any(gf) and not all(gf):
-            return _lockstep_rowwise(pkg, nodes, vten, dense_level, out)
-        group_idn.append(all(gf))
     halves = (vten[:, :, :half], vten[:, :, half:])
+    # Assign on first write per output half instead of accumulating onto a
+    # zero-filled buffer: ``w * b`` and ``0 + w * b`` only differ in signed
+    # zeros, and skipping the O(size) fill plus one temporary per first use
+    # is most of this level's overhead.
     if out is None:
         out = np.empty((rows, m, size), dtype=np.complex128)
     written = [False, False]
-    for ks, gnodes, idn in zip(positions, group_nodes, group_idn):
-        uses = [divmod(k, 2) for k in ks]
-        if idn:
-            result = halves
-            slot = {0: 0, 1: 1}
+    for first, columns, uses, identity in s0.data:
+        if identity:
+            # The child applies as the identity: read the input halves
+            # directly instead of stacking a copy just to get it back.
+            parts = halves
         else:
-            js = sorted({j for _i, j in uses})
-            if len(js) == 1:
-                stacked = halves[js[0]]
+            if len(columns) == 1:
+                stacked = halves[columns[0]]
             else:
-                stacked = np.concatenate([halves[j] for j in js], axis=1)
-            res = _apply_lockstep(pkg, gnodes, stacked, dense_level)
-            slot = {j: pos for pos, j in enumerate(js)}
-            result = [
-                res[:, pos * m:(pos + 1) * m, :] for pos in range(len(js))
-            ]
-        for i, j in uses:
-            wts = np.array(
-                [nd.edges[2 * i + j].w for nd in nodes], dtype=np.complex128
-            )[:, None, None]
-            block = result[slot[j]]
+                stacked = np.concatenate(halves, axis=1)
+            children = (
+                [n0.edges[first].n] if shapes is None
+                else [nd.edges[first].n for nd in nodes]
+            )
+            res = _apply_lockstep(pkg, children, stacked, dense_level)
+            parts = (res,) if len(columns) == 1 else (res[:, :m], res[:, m:])
+        for k, i, part in uses:
+            if shapes is None:
+                weight = n0.edges[k].w
+            else:
+                weight = np.array(
+                    [nd.edges[k].w for nd in nodes], dtype=np.complex128
+                )[:, None, None]
             dst = out[:, :, i * half:(i + 1) * half]
             if written[i]:
-                dst += wts * block
+                dst += weight * parts[part]
             else:
-                np.multiply(wts, block, out=dst)
+                np.multiply(weight, parts[part], out=dst)
                 written[i] = True
     for i in (0, 1):
         if not written[i]:
@@ -474,20 +355,25 @@ def run_border_task_batch(
     dense_level: int = DENSE_BLOCK_LEVEL,
     accumulate: bool = True,
 ) -> None:
-    """Batched Run: per-row border sub-matrices over pre-sliced batch views.
+    """Algorithm 1's Run on one border task of every batch row.
 
-    ``vin``/``wout`` are the task's input and output column ranges as
-    ``(rows, size)`` views (``(rows, 1)`` for terminal tasks); the caller
-    (:mod:`repro.core.sweep`) slices them out of tile-major batch buffers
-    so that chunk-aligned tasks arrive C-contiguous and need no gather
-    copy.  Row ``b`` reproduces ``run_border_task(pkg, nodes[b],
-    coeffs[b], ...)`` on its own state -- bit-identical up to signed
-    zeros (``np.array_equal``), the repo-wide replay guarantee.  The
-    caller guarantees structural congruence of the per-row plans: all
-    rows' nodes at one task index are terminal together or not, and
-    offsets match.  Terminal tasks touch single elements and must stay
-    scalar Python complex arithmetic (vectorized complex ops round
-    differently); everything else goes through the lockstep kernel.
+    Row ``b`` computes ``wout[b] += coeffs[b] * M_b vin[b]``, ``M_b``
+    being the border sub-matrix under ``nodes[b]``; the scalar-MAC
+    recursion of the paper's C++ is replaced by the vectorized kernel
+    (DESIGN.md substitution 2).  ``vin``/``wout`` are the task's input and
+    output column ranges as ``(rows, size)`` views (``(rows, 1)`` for
+    terminal tasks), sliced out of tile-major batch buffers so that they
+    arrive C-contiguous and need no gather copy; ``run()`` is the
+    one-row case.  Each row's result is bit-identical (``np.array_equal``,
+    the repo-wide replay guarantee) to a one-row call on that row alone.
+
+    With ``accumulate=False`` the block is *assigned* instead of
+    accumulated, which lets planned runs write into recycled (dirty,
+    never-zeroed) buffers; the values only differ from ``0 + x`` in
+    signed zeros.  The caller guarantees structural congruence of the
+    rows' tasks: all rows' nodes are terminal together or not.  Terminal
+    tasks touch single elements and stay scalar Python complex arithmetic
+    (vectorized complex ops round differently).
     """
     if nodes[0] is TERMINAL:
         if accumulate:
@@ -501,146 +387,138 @@ def run_border_task_batch(
     if not vin.flags.c_contiguous:
         vin = np.ascontiguousarray(vin)
     v3 = vin.reshape(rows, 1, size)
-    carr = np.asarray(coeffs, dtype=np.complex128)[:, None]
+    # Operand order matters bit-for-bit: numpy's FMA-based complex
+    # multiply rounds differently per order, so every path computes
+    # ``coeff * res``.
+    if rows == 1:
+        coeff = coeffs[0]
+        unit = coeff == 1.0 + 0j
+    else:
+        coeff = np.asarray(coeffs, dtype=np.complex128)[:, None]
+        unit = all(c == 1.0 + 0j for c in coeffs)
     if accumulate:
-        res = _apply_lockstep(pkg, nodes, v3, dense_level)[:, 0, :]
-        wout += carr * res
+        res = _apply_lockstep(pkg, nodes, v3, dense_level)
+        wout += coeff * res.reshape(rows, size)
         return
-    # Assigning tasks forward their output slice as the kernel's result
-    # destination exactly like the single-shot path: the kernel either
-    # writes it in place (same bits as returning a fresh array, per its
-    # contract) or ignores it, in which case the scale/copy below lands
-    # the values.  Aliased multiplies are element-aligned, hence defined.
+    # Assigning tasks hand the kernel their output slice as the result
+    # destination, then scale in place -- no intermediate buffer at all.
+    # ``res`` either IS that slice's memory (same positions, so the
+    # aliased multiply is well-defined) or an input view the kernel
+    # passed through untouched.
     fwd = wout.reshape(rows, 1, size) if wout.flags.c_contiguous else None
-    res = _apply_lockstep(pkg, nodes, v3, dense_level, fwd)[:, 0, :]
-    if all(c == 1.0 + 0j for c in coeffs):
+    res = _apply_lockstep(pkg, nodes, v3, dense_level, fwd).reshape(rows, size)
+    if unit:
+        # Unit coefficients: ``1 * res`` differs from ``res`` only in
+        # signed zeros, and assignment (unlike accumulation, which still
+        # owes an add) needs no pass at all when the kernel already
+        # wrote the slice.
         if not np.may_share_memory(res, wout):
             np.copyto(wout, res)
         return
-    np.multiply(carr, res, out=wout)
+    np.multiply(coeff, res, out=wout)
 
 
-def run_border_task(
-    pkg: DDPackage,
-    node: DDNode,
-    coeff: complex,
-    v: np.ndarray,
-    w: np.ndarray,
-    i_v: int,
-    i_w: int,
-    dense_level: int = DENSE_BLOCK_LEVEL,
-    accumulate: bool = True,
-) -> None:
-    """Algorithm 1's Run on one border sub-matrix: w-block += coeff * M v.
-
-    The scalar-MAC recursion of the paper's C++ is replaced by the batched
-    vectorized kernel (DESIGN.md substitution 2).  With
-    ``accumulate=False`` the block is *assigned* instead of accumulated,
-    which lets planned runs write into recycled (dirty, never-zeroed)
-    buffers; the values only differ from ``0 + x`` in signed zeros.
-    """
-    if node is TERMINAL:
-        if accumulate:
-            w[i_w] += coeff * v[i_v]
-        else:
-            w[i_w] = coeff * v[i_v]
-        return
-    size = 2 << node.level
-    vin = np.ascontiguousarray(v[i_v:i_v + size]).reshape(1, size)
-    if accumulate:
-        res = _apply_batched(pkg, node, vin, dense_level)[0]
-        w[i_w:i_w + size] += coeff * res
+def _flat_tiles(
+    v: np.ndarray, out: np.ndarray | None, n: int, threads: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Listing-form operands: flat ``v``, a zeroed flat ``w`` (``out`` or
+    new) and both as zero-copy ``(threads, 1, h)`` tile views."""
+    if v.shape != (1 << n,):
+        raise ValueError(f"state length {v.shape} != 2**{n}")
+    if out is v:
+        raise ValueError("DMAV cannot write its output over the input state")
+    if out is None:
+        w = np.zeros_like(v)
     else:
-        # Assigning tasks hand the kernel their output slice as the result
-        # destination, then scale in place -- no intermediate buffer at
-        # all.  ``res`` either IS that slice's memory (same positions, so
-        # the aliased multiply is well-defined) or an input view the
-        # kernel passed through untouched.  Operand order matters
-        # bit-for-bit: numpy's FMA-based complex multiply rounds
-        # differently per order, and the accumulate path computes
-        # ``coeff * res``.
-        wslice = w[i_w:i_w + size]
-        res = _apply_batched(
-            pkg, node, vin, dense_level, wslice.reshape(1, size)
-        )[0]
-        if coeff == 1.0 + 0j:
-            # Unit coefficient: ``1 * res`` differs from ``res`` only in
-            # signed zeros, and assignment (unlike accumulation, which
-            # still owes an add) needs no pass at all when the kernel
-            # already wrote the slice.
-            if not np.may_share_memory(res, wslice):
-                np.copyto(wslice, res)
-            return
-        np.multiply(coeff, res, out=wslice)
+        w = out
+        w.fill(0)
+    return w, v.reshape(threads, 1, -1), w.reshape(threads, 1, -1)
+
+
+def _check_batch(v: np.ndarray, out, n: int, threads: int) -> None:
+    """Planned-form operands: distinct tile-major ``(threads, rows, h)``."""
+    if out is v:
+        raise ValueError("DMAV cannot write its output over the input state")
+    if out is None or out.shape != v.shape or v.shape[::2] != (
+        threads, (1 << n) // threads
+    ):
+        raise ValueError(
+            f"batch shape {v.shape} is not (threads={threads}, rows, "
+            f"2**{n} // threads) or differs from the output's"
+        )
 
 
 def dmav_nocache(
     pkg: DDPackage,
-    m: Edge,
+    m: Edge | None,
     v: np.ndarray,
     threads: int = 1,
     runner: TaskRunner | None = None,
     dense_level: int = DENSE_BLOCK_LEVEL,
     out: np.ndarray | None = None,
     *,
-    tasks: list[list[tuple[DDNode, int, complex]]] | None = None,
+    plans: list[GatePlan] | None = None,
     out_dirty: bool = True,
 ) -> tuple[np.ndarray, DMAVStats]:
     """DMAV without caching (Algorithm 1): returns (w, stats).
 
-    ``tasks`` may be passed from a compiled :class:`~repro.core.plan.GatePlan`
-    (``row_tasks``) to skip the per-call Assign descent.  In that *planned*
-    mode ``out`` is not pre-zeroed: each thread's first task assigns its
-    output slice and the rest accumulate, so a dirty recycled buffer only
-    needs filling (governed by ``out_dirty``) for threads with no tasks.
+    The *listing* form applies ``m`` to the flat state ``v``, running the
+    Assign descent afresh and accumulating every task onto a zeroed
+    ``out`` -- the paper's per-gate procedure, kept as the reference the
+    pipeline is tested and benchmarked against.
+
+    The *planned* form takes one compiled :class:`~repro.core.plan.GatePlan`
+    per batch row in ``plans`` (``m`` is unused): the rows' ``row_tasks``,
+    congruent in task counts, offsets and terminal classes, over
+    tile-major ``(threads, rows, 2**n // threads)`` batches ``v`` and
+    ``out``.  ``out`` is not pre-zeroed: each thread's first task assigns
+    its output tile and the rest accumulate, so a dirty recycled buffer
+    only needs filling (governed by ``out_dirty``) for threads with no
+    tasks.
     """
     n = pkg.num_qubits
-    if v.shape != (1 << n,):
-        raise ValueError(f"state length {v.shape} != 2**{n}")
-    if out is v:
-        raise ValueError("DMAV cannot write its output over the input state")
-    planned = tasks is not None
-    w = out if out is not None else np.zeros_like(v)
-    if out is not None and not planned:
-        w.fill(0)
-    if tasks is None:
-        tasks = assign_tasks(pkg, m, threads)
+    planned = plans is not None
+    if planned:
+        _check_batch(v, out, n, threads)
+        row_tasks = [p.row_tasks for p in plans]
+        w, v3, w3 = None, v, out
+    else:
+        row_tasks = [assign_tasks(pkg, m, threads)]
+        w, v3, w3 = _flat_tiles(v, out, n, threads)
     h = (1 << n) // threads
+    one_row = len(row_tasks) == 1
 
     def work(u: int) -> None:
-        if planned:
-            if not tasks[u]:
-                if out_dirty:
-                    w[u * h:(u + 1) * h].fill(0)
-                return
-            first = True
-            for node, i_v, coeff in tasks[u]:
-                if first and node is TERMINAL:
-                    # A terminal border task writes a single element, not
-                    # the whole slice -- fall back to zero-fill + add.
-                    w[u * h:(u + 1) * h].fill(0)
-                    first = False
-                run_border_task(
-                    pkg, node, coeff, v, w, i_v, u * h, dense_level,
-                    accumulate=not first,
-                )
-                first = False
+        tasks = row_tasks[0][u]
+        if not tasks:
+            if planned and out_dirty:
+                w3[u].fill(0)
             return
-        for node, i_v, coeff in tasks[u]:
-            run_border_task(pkg, node, coeff, v, w, i_v, u * h, dense_level)
+        first = planned
+        for k, (node, i_v, coeff) in enumerate(tasks):
+            if first and node is TERMINAL:
+                # A terminal border task writes a single element, not the
+                # whole tile -- fall back to zero-fill + add.
+                w3[u].fill(0)
+                first = False
+            nodes, coeffs = (
+                ((node,), (coeff,)) if one_row else _column(row_tasks, u, k)
+            )
+            run_border_task_batch(
+                pkg, nodes, coeffs, _tile(v3, i_v, h, node),
+                _tile(w3, u * h, h, node), dense_level,
+                accumulate=not first,
+            )
+            first = False
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: work(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            work(u)
-    stats = DMAVStats(threads=threads, tasks=sum(map(len, tasks)))
-    return w, stats
+    _for_each_thread(runner, threads, work)
+    stats = DMAVStats(threads=threads, tasks=sum(map(len, row_tasks[0])))
+    return (w3 if planned else w), stats
 
 
 def dmav_cached(
     pkg: DDPackage,
-    m: Edge,
+    m: Edge | None,
     v: np.ndarray,
     threads: int = 1,
     runner: TaskRunner | None = None,
@@ -648,118 +526,129 @@ def dmav_cached(
     out: np.ndarray | None = None,
     assignment: CacheAssignment | None = None,
     *,
+    plans: list[GatePlan] | None = None,
     buffers: list[np.ndarray] | None = None,
-    writers: list[list[int]] | None = None,
     out_dirty: bool = True,
-    direct: list[list[bool]] | None = None,
-    direct_out: list[bool] | None = None,
 ) -> tuple[np.ndarray, DMAVStats]:
     """DMAV with caching (Algorithm 2): returns (w, stats).
 
-    ``assignment`` may be passed in when the caller already ran the cost
-    model for this gate (it computes the same partition).
+    The *listing* form applies ``m`` to the flat state ``v`` with freshly
+    zeroed partial buffers; ``assignment`` may be passed in when the
+    caller already ran the cost model for this gate (it computes the same
+    partition).
 
-    ``buffers``/``writers`` (from a :class:`~repro.parallel.arena.BufferArena`
-    and a compiled :class:`~repro.core.plan.GatePlan`) switch on *planned*
-    mode: partial buffers arrive dirty and are never pre-zeroed -- each
-    buffer slice is written (assigned) by exactly one task, and the
-    summation reads only each output slice's writer list instead of
+    The *planned* form takes one compiled :class:`~repro.core.plan.GatePlan`
+    per batch row in ``plans`` (``m`` and ``assignment`` are unused) over
+    tile-major ``(threads, rows, 2**n // threads)`` batches ``v`` and
+    ``out`` and at least ``plans[0].assignment.num_buffers`` partial
+    ``buffers`` of that shape (from a
+    :class:`~repro.parallel.arena.BufferArena`).  The rows' plans are
+    congruent: their column tasks differ only in nodes and coefficients,
+    and row 0's buffer sharing, writer lists and direct-write flags serve
+    every row.  Partial buffers arrive dirty and are never pre-zeroed --
+    each buffer tile is written (assigned) by exactly one task, and the
+    summation reads only each output tile's writer list instead of
     scanning every buffer.  ``out`` is likewise not pre-zeroed; writerless
-    slices are filled only when ``out_dirty``.
-
-    ``direct``/``direct_out`` (also plan-compiled) flag tasks that are the
-    sole producer of their output slice and never feed a later cache hit:
-    they write W in place and the summation skips their slice.
+    tiles are filled only when ``out_dirty``.  Direct tasks (the sole
+    producer of their output tile, never a later cache hit) write W in
+    place and the summation skips their tile.
     """
     n = pkg.num_qubits
-    if v.shape != (1 << n,):
-        raise ValueError(f"state length {v.shape} != 2**{n}")
-    if out is v:
-        raise ValueError("DMAV cannot write its output over the input state")
-    if assignment is None:
-        assignment = assign_cache_tasks(pkg, m, threads)
-    planned = buffers is not None
-    if planned and writers is None:
-        raise ValueError("planned dmav_cached requires writer lists")
-    if planned and len(buffers) < assignment.num_buffers:
-        raise ValueError(
-            f"{len(buffers)} buffers passed, assignment needs "
-            f"{assignment.num_buffers}"
-        )
+    planned = plans is not None
+    if planned != (buffers is not None):
+        raise ValueError("planned dmav_cached needs both plans and buffers")
     h = (1 << n) // threads
-    if buffers is None:
+    if planned:
+        _check_batch(v, out, n, threads)
+        p0 = plans[0]
+        assignment = p0.assignment
+        if len(buffers) < assignment.num_buffers:
+            raise ValueError(
+                f"{len(buffers)} buffers passed, assignment needs "
+                f"{assignment.num_buffers}"
+            )
+        row_tasks = [p.assignment.tasks for p in plans]
+        w, v3, w3 = None, v, out
+    else:
+        if assignment is None:
+            assignment = assign_cache_tasks(pkg, m, threads)
+        row_tasks = [assignment.tasks]
+        w, v3, w3 = _flat_tiles(v, out, n, threads)
         buffers = [
-            np.zeros(1 << n, dtype=np.complex128)
+            np.zeros((threads, 1, h), dtype=np.complex128)
             for _ in range(assignment.num_buffers)
         ]
     hits = [0] * threads
-    w = out if out is not None else np.zeros_like(v)
-    if out is not None and not planned:
-        w.fill(0)
+    one_row = len(row_tasks) == 1
 
     def work(u: int) -> None:
-        # Per-thread result cache: border node -> (coefficient, offset).
-        cache: dict[int, tuple[complex, int]] = {}
-        buf = buffers[assignment.buffer_of[u]] if assignment.tasks[u] else None
-        flags = direct[u] if direct is not None else None
-        for i, (node, i_p, coeff) in enumerate(assignment.tasks[u]):
-            to_w = flags is not None and flags[i]
-            hit = cache.get(id(node))
-            if hit is not None:
-                prev_coeff, prev_off = hit
-                dst = w if to_w else buf
+        tasks = row_tasks[0][u]
+        buf = buffers[assignment.buffer_of[u]] if tasks else None
+        direct = p0.direct[u] if planned else None
+        # Per-thread result cache: border node -> task index.
+        cache: dict[int, int] = {}
+        for k, (node, i_p, coeff) in enumerate(tasks):
+            to_w = planned and direct[k]
+            src = cache.get(id(node))
+            if src is not None:
+                # Scale the earlier result.  Ratios divide per row in
+                # scalar arithmetic: scalar and vectorized complex
+                # division round differently.
+                if one_row:
+                    ratio = coeff / tasks[src][2]
+                else:
+                    ratio = np.array(
+                        [t[u][k][2] / t[u][src][2] for t in row_tasks],
+                        dtype=np.complex128,
+                    )[:, None]
                 simd_mul_into(
-                    dst[i_p:i_p + h],
-                    buf[prev_off:prev_off + h],
-                    coeff / prev_coeff,
+                    (w3 if to_w else buf)[i_p // h],
+                    buf[tasks[src][1] // h],
+                    ratio,
                 )
                 hits[u] += 1
-            elif to_w:
-                # Sole producer of output slice i_p // h, never a hit
-                # source: write W in place; sum_block skips this slice.
-                run_border_task(
-                    pkg, node, coeff, v, w, u * h, i_p, dense_level,
-                    accumulate=False,
+                continue
+            nodes, coeffs = (
+                ((node,), (coeff,)) if one_row else _column(row_tasks, u, k)
+            )
+            vin = _tile(v3, u * h, h, node)
+            if to_w:
+                # Sole producer of output tile i_p // h, never a hit
+                # source: write W in place; sum_block skips this tile.
+                run_border_task_batch(
+                    pkg, nodes, coeffs, vin, _tile(w3, i_p, h, node),
+                    dense_level, accumulate=False,
                 )
-            else:
-                if planned and node is TERMINAL:
-                    # Terminal border tasks write one element, not the
-                    # whole slice -- zero it so stale data can't leak.
-                    buf[i_p:i_p + h].fill(0)
-                run_border_task(
-                    pkg, node, coeff, v, buf, u * h, i_p, dense_level,
-                    accumulate=not planned or node is TERMINAL,
-                )
-                cache[id(node)] = (coeff, i_p)
+                continue
+            if planned and node is TERMINAL:
+                # Terminal border tasks write one element, not the whole
+                # tile -- zero it so stale data can't leak.
+                buf[i_p // h].fill(0)
+            run_border_task_batch(
+                pkg, nodes, coeffs, vin, _tile(buf, i_p, h, node),
+                dense_level, accumulate=not planned or node is TERMINAL,
+            )
+            cache[id(node)] = k
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: work(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            work(u)
+    _for_each_thread(runner, threads, work)
 
     def sum_block(u: int) -> None:
-        lo, hi = u * h, (u + 1) * h
         if not planned:
             for buf in buffers:
-                simd_add(w[lo:hi], buf[lo:hi])
+                simd_add(w3[u], buf[u])
             return
-        ws = writers[u]
+        ws = p0.writers[u]
         if not ws:
-            if direct_out is not None and direct_out[u]:
-                return  # a direct task already wrote this slice in full
+            if p0.direct_out[u]:
+                return  # a direct task already wrote this tile in full
             if out_dirty:
-                w[lo:hi].fill(0)
+                w3[u].fill(0)
             return
-        np.copyto(w[lo:hi], buffers[ws[0]][lo:hi])
+        np.copyto(w3[u], buffers[ws[0]][u])
         for b in ws[1:]:
-            simd_add(w[lo:hi], buffers[b][lo:hi])
+            simd_add(w3[u], buffers[b][u])
 
-    if runner is not None and runner.use_pool:
-        runner.run([lambda u=u: sum_block(u) for u in range(threads)])
-    else:
-        for u in range(threads):
-            sum_block(u)
+    _for_each_thread(runner, threads, sum_block)
     stats = DMAVStats(
         threads=threads,
         tasks=sum(map(len, assignment.tasks)),
@@ -767,4 +656,4 @@ def dmav_cached(
         buffers=assignment.num_buffers,
         used_cache=True,
     )
-    return w, stats
+    return (w3 if planned else w), stats

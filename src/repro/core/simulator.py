@@ -18,10 +18,10 @@ Each phase is one plain function that every entry point composes:
 :func:`dd_phase` (from gate 0, or from a snapshot's cursor on resume, and
 once per :func:`repro.core.sweep.run_sweep` group), :func:`release_dd_phase`
 after conversion, and :func:`dmav_phase`, whose per-gate step
-:func:`apply_plan` also serves the sweep's exact per-row fallback.  They
-reach the DD-package and kernel entry points through this module's
-namespace, so patching one name here (as ``perfbench/layers.py`` does for
-per-layer attribution) sees every call.
+:func:`apply_plan` also runs every sweep row block and the sweep's
+per-row fallback.  They reach the DD-package and kernel entry points
+through this module's namespace, so patching one name here (as
+``perfbench/layers.py`` does for per-layer attribution) sees every call.
 """
 
 from __future__ import annotations
@@ -242,8 +242,7 @@ def plan_uses_cache(policy: str, plan: GatePlan) -> bool:
 
 def apply_plan(
     pkg: DDPackage,
-    edge,
-    plan: GatePlan,
+    plans: list[GatePlan],
     use_cache: bool,
     v,
     out,
@@ -254,24 +253,27 @@ def apply_plan(
     buffers=None,
     out_dirty: bool = True,
 ):
-    """One planned DMAV step: write ``edge`` applied to ``v`` into ``out``.
+    """One planned DMAV step: write row ``b`` of ``v`` times ``plans[b]``'s
+    gate into row ``b`` of ``out``.
 
-    ``use_cache`` selects Algorithm 2 (``plan``'s cache assignment, writer
-    lists and direct-write flags, over ``buffers``: at least
-    ``plan.assignment.num_buffers`` partials of any contents) or
-    Algorithm 1 (``plan``'s row-major tasks).  ``out_dirty`` says whether
-    ``out`` may hold stale data.  Returns ``(out, stats)``.
+    ``v`` and ``out`` are tile-major ``(threads, rows, 2**n // threads)``
+    batches: ``run()`` passes its flat state as a zero-copy ``(threads,
+    1, h)`` view with its one plan, a sweep a block of rows with their
+    congruent per-row plans.  ``use_cache`` selects Algorithm 2 (the
+    plans' cache assignment, writer lists and direct-write flags, over
+    ``buffers``: at least ``plans[0].assignment.num_buffers`` partials of
+    ``v``'s shape and any contents) or Algorithm 1 (the plans' row-major
+    tasks).  ``out_dirty`` says whether ``out`` may hold stale data.
+    Returns ``(out, stats)``.
     """
     if use_cache:
         return dmav_cached(
-            pkg, edge, v, threads, runner, dense_level, out=out,
-            assignment=plan.assignment, buffers=buffers,
-            writers=plan.writers, out_dirty=out_dirty,
-            direct=plan.direct, direct_out=plan.direct_out,
+            pkg, None, v, threads, runner, dense_level, out=out,
+            plans=plans, buffers=buffers, out_dirty=out_dirty,
         )
     return dmav_nocache(
-        pkg, edge, v, threads, runner, dense_level, out=out,
-        tasks=plan.row_tasks, out_dirty=out_dirty,
+        pkg, None, v, threads, runner, dense_level, out=out,
+        plans=plans, out_dirty=out_dirty,
     )
 
 
@@ -332,7 +334,9 @@ def dmav_phase(
 
     d0 = time.perf_counter()
     plans = PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
-    arena = BufferArena(state.size)
+    arena = BufferArena(state.size, tiles=cfg.threads)
+    # The one-row tile-major view apply_plan takes; no copy.
+    state = state.reshape(cfg.threads, 1, -1)
     policy = cfg.cache_policy
     gate_costs: list[tuple[int, float, float, bool]] = []
     cache_hits = 0
@@ -345,7 +349,7 @@ def dmav_phase(
         use_cache = plan_uses_cache(policy, plan)
         w_buf, w_dirty = arena.output()
         w_buf, stats = apply_plan(
-            pkg, edge, plan, use_cache, state, w_buf, cfg.threads, runner,
+            pkg, [plan], use_cache, state, w_buf, cfg.threads, runner,
             cfg.dense_block_level, out_dirty=w_dirty,
             buffers=(
                 arena.partials(plan.assignment.num_buffers)
@@ -383,14 +387,16 @@ def dmav_phase(
         guard.check_array(
             meter.last_bytes,
             index,
-            checkpoint=lambda s=state, c=j + 1: write_checkpoint(s, c),
+            checkpoint=lambda s=state, c=j + 1: write_checkpoint(
+                s.reshape(-1), c
+            ),
         )
         if (
             checkpoint_every is not None
             and (j + 1) % checkpoint_every == 0
             and j + 1 < len(edges)
         ):
-            write_checkpoint(state, j + 1)
+            write_checkpoint(state.reshape(-1), j + 1)
             metadata["checkpoints_written"] += 1
             if tracing:
                 tracer.instant("checkpoint", "dmav", gate_index=index)
@@ -421,7 +427,7 @@ def dmav_phase(
     registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
     metadata["dmav_macs_total"] = macs
     metadata["dmav_gate_costs"] = gate_costs
-    return state, edges, timed_out
+    return state.reshape(-1), edges, timed_out
 
 
 class FlatDDSimulator(Simulator):

@@ -23,10 +23,11 @@ it three ways:
 3. **Batched replay.**  The remaining gates replay over a *tile-major*
    ``(threads, rows, 2**n / threads)`` batch -- DMAV task slices are
    chunk-aligned, so each becomes one C-contiguous ``(rows, chunk)``
-   block -- through the lockstep kernels of :mod:`repro.core.dmav`
-   (every bottom-out shape of the single-shot kernel -- scale, diagonal,
-   block and 2x2 matmuls -- as a broadcast op whose per-row slices are
-   bit-identical to the single-shot one), row-blocked
+   block -- through :func:`~repro.core.simulator.apply_plan`, the same
+   per-gate step ``run()`` takes with one row: every bottom-out shape of
+   the :mod:`repro.core.dmav` kernel -- scale, diagonal, block and 2x2
+   matmuls -- runs as a broadcast op whose per-row slices are
+   bit-identical to the one-row op.  Rows are blocked
    (``ROW_BLOCK_BYTES``) so task slices stay cache-resident.  The array
    phase becomes batched matrix x matrix work.
 
@@ -41,9 +42,9 @@ package right after conversion and
 :func:`~repro.core.simulator.release_dd_phase`, rewound to a
 :meth:`~repro.dd.package.DDPackage.build_mark` between rows so no row
 sees another's entries or creation indices.  Any structural incongruence
-between per-row plans drops that gate (or recursion level) to an exact
-per-row replay through :func:`~repro.core.simulator.apply_plan`, the
-per-gate dispatch ``run()`` uses.
+between per-row plans drops that gate to an exact per-row replay (each
+row's own plan through ``apply_plan`` on its one-row view of the batch),
+and between per-row sub-DDs drops that kernel recursion level to one.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata).
@@ -63,7 +64,6 @@ from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
-from repro.core.dmav import run_border_task_batch
 from repro.core.ewma import EWMAMonitor
 from repro.core.plan import GatePlan, PlanCache
 from repro.core.reorder import (
@@ -81,17 +81,21 @@ from repro.dd.node import TERMINAL
 from repro.dd.package import DDPackage
 from repro.dd.vector import zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
+from repro.obs.collect import package_counters
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
 from repro.parallel.pool import TaskRunner, validate_thread_count
-from repro.parallel.simd import simd_add, simd_mul_into
 from repro.resilience.guard import MemoryGuard
 from repro.resilience.snapshot import snapshot_sweep_phase, write_snapshot
 
-# Not called here -- the DD phase and the per-row fallback reach them
-# through repro.core.simulator -- but bound because perfbench/layers.py
-# names them as this module's per-layer attribution points.
-from repro.core.dmav import dmav_cached, dmav_nocache  # noqa: F401
+# Not called here -- the DD phase and every DMAV step reach them through
+# repro.core.simulator -- but bound because perfbench/layers.py names them
+# as this module's per-layer attribution points.
+from repro.core.dmav import (  # noqa: F401
+    dmav_cached,
+    dmav_nocache,
+    run_border_task_batch,
+)
 from repro.dd.operations import mv_multiply  # noqa: F401
 from repro.dd.vector import node_count  # noqa: F401
 
@@ -205,141 +209,10 @@ def _block_step(h: int, rows: int) -> int:
     return max(1, min(rows, ROW_BLOCK_BYTES // (h * 16)))
 
 
-def _tile_cols(t3, off, size):
-    """View of logical columns ``[off, off+size)`` of a tile-major batch.
-
-    ``t3`` has shape ``(tiles, rows, h)``; the caller guarantees the
-    range lies within one tile (`_plan_tileable`), so chunk-sized ranges
-    come back as the C-contiguous ``(rows, h)`` tile itself.
-    """
-    h = t3.shape[2]
-    t, lo = divmod(off, h)
-    if lo == 0 and size == h:
-        return t3[t]
-    return t3[t][:, lo:lo + size]
-
-
 def _untile(t3):
     """Copy a ``(tiles, rows, h)`` batch back to logical ``(rows, 2**n)``."""
     rows = t3.shape[1]
     return np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(rows, -1)
-
-
-def _retile(t3, flat2):
-    """Scatter logical ``(rows, 2**n)`` states into a tile-major batch."""
-    tiles, rows, h = t3.shape
-    t3[:] = flat2.reshape(rows, tiles, h).transpose(1, 0, 2)
-
-
-def _plan_tileable(plan: GatePlan, use_cache: bool, h: int) -> bool:
-    """Whether every task slice of ``plan`` stays within one ``h`` tile.
-
-    Row-major task reads are size-aligned power-of-two blocks and cached
-    column offsets are chunk multiples, so real plans always pass; the
-    check guards the tile-view executors against any exotic plan shape by
-    dropping the gate to the exact per-row path instead.
-    """
-    if use_cache:
-        for tlist in plan.assignment.tasks:
-            for node, i_p, _c in tlist:
-                if i_p % h:
-                    return False
-                if node is not TERMINAL and 2 << node.level > h:
-                    return False
-        return True
-    for tlist in plan.row_tasks:
-        for node, i_v, _c in tlist:
-            if node is TERMINAL:
-                continue
-            size = 2 << node.level
-            if size > h or (i_v % h) + size > h:
-                return False
-    return True
-
-
-def _batched_nocache(pkg, plans, v3, w3, threads, dense_level, out_dirty):
-    """Planned ``dmav_nocache`` replayed over a tile-major batch."""
-    h = v3.shape[2]
-    for u in range(threads):
-        tasks0 = plans[0].row_tasks[u]
-        if not tasks0:
-            if out_dirty:
-                w3[u].fill(0)
-            continue
-        first = True
-        for k, (node0, i_v, _c) in enumerate(tasks0):
-            if first and node0 is TERMINAL:
-                w3[u].fill(0)
-                first = False
-            nodes = [p.row_tasks[u][k][0] for p in plans]
-            coeffs = [p.row_tasks[u][k][2] for p in plans]
-            size = 1 if node0 is TERMINAL else 2 << node0.level
-            run_border_task_batch(
-                pkg, nodes, coeffs,
-                _tile_cols(v3, i_v, size), _tile_cols(w3, u * h, size),
-                dense_level, accumulate=not first,
-            )
-            first = False
-
-
-def _batched_cached(pkg, plans, v3, w3, threads, dense_level, bufs, out_dirty):
-    """Planned ``dmav_cached`` replayed over a tile-major batch.
-
-    Cache-hit ratios are divided per row in scalar arithmetic before
-    being assembled into a column vector: scalar and vectorized complex
-    division round differently, and the single-shot path divides scalars.
-    """
-    h = v3.shape[2]
-    a0 = plans[0].assignment
-    for u in range(threads):
-        tasks0 = a0.tasks[u]
-        buf = bufs[a0.buffer_of[u]] if tasks0 else None
-        flags = plans[0].direct[u]
-        seen: dict[int, int] = {}
-        for k, (node0, i_p, _c) in enumerate(tasks0):
-            to_w = flags[k]
-            src = seen.get(id(node0))
-            if src is not None:
-                prev_off = tasks0[src][1]
-                ratios = np.array(
-                    [
-                        p.assignment.tasks[u][k][2]
-                        / p.assignment.tasks[u][src][2]
-                        for p in plans
-                    ],
-                    dtype=np.complex128,
-                )[:, None]
-                dst = w3 if to_w else buf
-                simd_mul_into(dst[i_p // h], buf[prev_off // h], ratios)
-                continue
-            nodes = [p.assignment.tasks[u][k][0] for p in plans]
-            coeffs = [p.assignment.tasks[u][k][2] for p in plans]
-            size = 1 if node0 is TERMINAL else 2 << node0.level
-            vin = _tile_cols(v3, u * h, size)
-            if to_w:
-                run_border_task_batch(
-                    pkg, nodes, coeffs, vin, _tile_cols(w3, i_p, size),
-                    dense_level, accumulate=False,
-                )
-            else:
-                if node0 is TERMINAL:
-                    buf[i_p // h].fill(0)
-                run_border_task_batch(
-                    pkg, nodes, coeffs, vin, _tile_cols(buf, i_p, size),
-                    dense_level, accumulate=node0 is TERMINAL,
-                )
-                seen[id(node0)] = k
-    for u in range(threads):
-        ws = plans[0].writers[u]
-        if not ws:
-            if plans[0].direct_out[u]:
-                continue
-            if out_dirty:
-                w3[u].fill(0)
-            continue
-        np.copyto(w3[u], bufs[ws[0]][u])
-        for b in ws[1:]:
-            simd_add(w3[u], bufs[b][u])
 
 
 def run_sweep(
@@ -546,51 +419,30 @@ def run_sweep(
                 verdicts = [
                     plan_uses_cache(cfg.cache_policy, p) for p in plans
                 ]
-                uc = verdicts[0]
-                congruent = (
-                    all(v == uc for v in verdicts)
-                    and _plan_tileable(plans[0], uc, h)
-                    and _plans_congruent(plans, uc)
-                )
-                w_buf, w_dirty = arena.output()
-                step = _block_step(h, rows)
-                if congruent and uc:
-                    bufs = arena.partials(plans[0].assignment.num_buffers)
-                    for b0 in range(0, rows, step):
-                        b1 = min(b0 + step, rows)
-                        _batched_cached(
-                            pkg, plans[b0:b1], v3[:, b0:b1],
-                            w_buf[:, b0:b1], cfg.threads,
-                            cfg.dense_block_level,
-                            [bf[:, b0:b1] for bf in bufs], w_dirty,
-                        )
-                    gates_batched += 1
-                elif congruent:
-                    for b0 in range(0, rows, step):
-                        b1 = min(b0 + step, rows)
-                        _batched_nocache(
-                            pkg, plans[b0:b1], v3[:, b0:b1],
-                            w_buf[:, b0:b1], cfg.threads,
-                            cfg.dense_block_level, w_dirty,
-                        )
+                if all(
+                    v == verdicts[0] for v in verdicts
+                ) and _plans_congruent(plans, verdicts[0]):
+                    step = _block_step(h, rows)
                     gates_batched += 1
                 else:
-                    # Exact per-row replay on logical (rows, 2**n) views;
-                    # the tile-major invariant is restored by scattering
-                    # the produced states back into the arena buffer.
-                    v2 = _untile(v3)
-                    w2 = np.empty_like(v2)
-                    for r, (plan, v) in enumerate(zip(plans, verdicts)):
-                        apply_plan(
-                            pkg, edges_rows[r][j], plan, v, v2[r], w2[r],
-                            cfg.threads, None, cfg.dense_block_level,
-                            buffers=[
-                                np.empty(conv.size, dtype=np.complex128)
-                                for _ in range(plan.assignment.num_buffers)
-                            ] if v else None,
-                        )
-                    _retile(w_buf, w2)
+                    # Exact per-row replay: each row with its own plan.
+                    step = 1
                     gates_rowloop += 1
+                w_buf, w_dirty = arena.output()
+                bufs = arena.partials(max(
+                    (p.assignment.num_buffers
+                     for p, v in zip(plans, verdicts) if v),
+                    default=0,
+                ))
+                for b0 in range(0, rows, step):
+                    b1 = min(b0 + step, rows)
+                    apply_plan(
+                        pkg, plans[b0:b1], verdicts[b0], v3[:, b0:b1],
+                        w_buf[:, b0:b1], cfg.threads, runner,
+                        cfg.dense_block_level,
+                        buffers=[bf[:, b0:b1] for bf in bufs],
+                        out_dirty=w_dirty,
+                    )
                 arena.retire(v3)
                 v3 = w_buf
                 # Per-row rotation roots each cache full diagonals/dense
@@ -645,9 +497,16 @@ def run_sweep(
     metadata["gates_rowloop"] = gates_rowloop
     metadata["conversion_seconds"] = sum(conversions)
     snap = registry.snapshot()
-    metadata["obs"] = {
-        "counters": snap["counters"], "gauges": snap["gauges"],
-    }
+    counters = snap["counters"]
+    # Every group's leader package: work counts add up, node populations
+    # are the largest group's.
+    for g in groups:
+        for key, val in package_counters(g["pkg"]).items():
+            if key in ("dd.unique_nodes", "dd.peak_nodes"):
+                counters[key] = max(counters.get(key, 0), val)
+            else:
+                counters[key] = counters.get(key, 0) + val
+    metadata["obs"] = {"counters": counters, "gauges": snap["gauges"]}
     return SweepResult(
         backend=sim.name,
         circuit_name=circuit.name,

@@ -130,7 +130,7 @@ def kron_collapse(
 
 
 class BottomOut(NamedTuple):
-    """How the DMAV kernels apply one normalized matrix subtree.
+    """How the DMAV kernel applies one normalized matrix subtree.
 
     ``kind`` is one of
 
@@ -147,25 +147,35 @@ class BottomOut(NamedTuple):
       children reach one identity subtree: ``data`` is its 2x2 weight
       matrix, applied as one matmul over the ``(m, 2, half)`` view.
     * ``"passthrough"`` -- a pass-through level whose chain breaks above
-      the dense level: fold the halves into the batch axis and recurse.
+      the dense level: fold the halves into the batch axis, recurse, then
+      scale the halves by ``d``, the two diagonal weights.
     * ``"descend"`` -- anything else: recurse per distinct child.
+      ``data`` is the node's child grouping, one ``(edge, columns, uses,
+      identity)`` tuple per distinct child node in first-edge order:
+      ``edge`` is its first edge position ``k = 2 * i + j``, ``columns``
+      the ascending input halves ``j`` it reads (stacked into one
+      recursion), ``uses`` one ``(k, i, part)`` per edge reaching it --
+      output half ``i`` gets edge ``k``'s weight times input part
+      ``part`` (the half itself for an identity child, else the
+      position of ``j`` in ``columns``) -- and ``identity`` whether the
+      child applies as the identity and is not recursed into.
 
-    ``d`` is the Kronecker-collapse diagonal (:func:`kron_collapse`), or
-    None when it is all ones and its scale is skipped.
+    ``d`` is the Kronecker-collapse diagonal (:func:`kron_collapse`) or
+    the pass-through weights, None when all ones and the scale is
+    skipped.
     """
 
     kind: str
     d: np.ndarray | None = None
-    data: np.ndarray | None = None
+    data: object = None
 
 
 _IDENTITY = BottomOut("identity")
 _PASSTHROUGH = BottomOut("passthrough")
-_DESCEND = BottomOut("descend")
 
 
 def bottom_out(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
-    """Classify the subtree under ``node`` for the DMAV kernels.
+    """Classify the subtree under ``node`` for the DMAV kernel.
 
     Cached per ``(node, dense_level)`` in ``pkg.kron_cache``, so garbage
     collection, build-mark rewinds and the sweep's per-column cache
@@ -198,23 +208,45 @@ def _classify(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
             return BottomOut("diagonal", unit, diag.copy())
         return BottomOut("dense", unit, block)
     e00, e01, e10, e11 = node.edges
-    if e00.is_zero or e11.is_zero:
-        return _DESCEND
-    if e01.is_zero and e10.is_zero:
-        return _PASSTHROUGH if e00.n is e11.n else _DESCEND
-    if (
-        not e01.is_zero
-        and not e10.is_zero
-        and e00.n is e01.n is e10.n is e11.n
-        and is_identity(pkg, e00.n)
-    ):
-        return BottomOut(
-            "pair",
-            data=np.array(
-                [[e00.w, e01.w], [e10.w, e11.w]], dtype=np.complex128
-            ),
+    if not (e00.is_zero or e11.is_zero):
+        if e01.is_zero and e10.is_zero and e00.n is e11.n:
+            if e00.w == 1 and e11.w == 1:
+                return _PASSTHROUGH
+            return BottomOut(
+                "passthrough",
+                np.array([e00.w, e11.w], dtype=np.complex128),
+            )
+        if (
+            not e01.is_zero
+            and not e10.is_zero
+            and e00.n is e01.n is e10.n is e11.n
+            and is_identity(pkg, e00.n)
+        ):
+            return BottomOut(
+                "pair",
+                data=np.array(
+                    [[e00.w, e01.w], [e10.w, e11.w]], dtype=np.complex128
+                ),
+            )
+    return BottomOut("descend", data=_child_groups(pkg, node))
+
+
+def _child_groups(pkg: DDPackage, node: DDNode) -> tuple:
+    """The ``descend`` grouping of ``node``'s non-zero edges by child node."""
+    groups: dict[int, list] = {}
+    for k, child in enumerate(node.edges):
+        if not child.is_zero:
+            groups.setdefault(id(child.n), [k, child.n, []])[2].append(k)
+    out = []
+    for first, child, ks in groups.values():
+        identity = is_identity(pkg, child)
+        columns = tuple(sorted({k % 2 for k in ks}))
+        uses = tuple(
+            (k, k // 2, k % 2 if identity else columns.index(k % 2))
+            for k in ks
         )
-    return _DESCEND
+        out.append((first, columns, uses, identity))
+    return tuple(out)
 
 
 def vector_kron_collapse(

@@ -25,6 +25,12 @@ run:
   simply overwritten and unwritten slices are never read (the plan's
   writer lists say which slices each buffer actually produced).
 
+Every buffer is *tile-major*: ``(tiles, rows, size // tiles)``, one tile
+per DMAV thread chunk and one row per batch row, so every task slice is
+one C-contiguous ``(rows, chunk)`` block.  ``run()`` uses one row (its
+flat state viewed as ``(threads, 1, h)``); a parameter sweep uses one row
+per sweep point, so the whole batch shares one arena warm-up.
+
 The allocation counters make "zero per-gate allocations after warm-up"
 an assertable property instead of a timing inference:
 ``partial_allocs`` can only ever reach the pool's high-water mark
@@ -42,38 +48,22 @@ __all__ = ["BufferArena"]
 class BufferArena:
     """Reusable output + partial-buffer memory for one DMAV phase."""
 
-    def __init__(
-        self, size: int, rows: int | None = None, tiles: int | None = None
-    ) -> None:
+    def __init__(self, size: int, rows: int = 1, tiles: int = 1) -> None:
         if size < 1:
             raise ValueError(f"arena size must be >= 1, got {size}")
-        if rows is not None and rows < 1:
+        if rows < 1:
             raise ValueError(f"arena rows must be >= 1, got {rows}")
-        if tiles is not None:
-            if rows is None:
-                raise ValueError("arena tiles require rows")
-            if tiles < 1 or size % tiles:
-                raise ValueError(
-                    f"arena tiles must divide size, got {tiles} for {size}"
-                )
-        #: Amplitudes per buffer (``2**n``).
+        if tiles < 1 or size % tiles:
+            raise ValueError(
+                f"arena tiles must divide size, got {tiles} for {size}"
+            )
+        #: Amplitudes per row (``2**n``).
         self.size = size
-        #: Batch rows per buffer (``None`` = single-shot 1-D buffers).
-        #: The sweep path (:mod:`repro.core.sweep`) hands every DMAV gate
-        #: a batched ping-pong output and batched partials so the whole
-        #: batch shares one arena warm-up.
+        #: Batch rows per buffer.
         self.rows = rows
-        #: Batched buffers are *tile-major*: ``(tiles, rows, size//tiles)``
-        #: with one tile per DMAV thread chunk, so every chunk-aligned
-        #: task slice is one C-contiguous ``(rows, chunk)`` block instead
-        #: of a strided column range of a ``(rows, 2**n)`` array.
+        #: Tiles per row: one per DMAV thread chunk.
         self.tiles = tiles
-        if rows is None:
-            self._shape: tuple[int, ...] = (size,)
-        elif tiles is None:
-            self._shape = (rows, size)
-        else:
-            self._shape = (tiles, rows, size // tiles)
+        self._shape = (tiles, rows, size // tiles)
         self._output: np.ndarray | None = None
         self._output_dirty = False
         self._partials: list[np.ndarray] = []

@@ -182,6 +182,30 @@ class TestClusterService:
         assert np.array_equal(job.result.state, ref.result.state)
 
 
+def _kill_every_dispatch(dispatcher, kills):
+    """Make every job dispatch kill its worker before it can answer.
+
+    The worker is stopped (SIGSTOP) before the job is sent and killed
+    after (resumed instead if the dispatch did not happen), so a worker
+    that would finish the job quickly can never report it first.  Each
+    killed slot is appended to ``kills``.
+    """
+    original_dispatch = dispatcher._dispatch
+
+    def murderous_dispatch(slot, group, job, inflight, dispatch_counts):
+        pid = dispatcher.supervisor.pid(slot)
+        os.kill(pid, signal.SIGSTOP)
+        ok = original_dispatch(slot, group, job, inflight, dispatch_counts)
+        if ok:
+            kills.append(slot)
+            os.kill(pid, signal.SIGKILL)
+        else:
+            os.kill(pid, signal.SIGCONT)
+        return ok
+
+    dispatcher._dispatch = murderous_dispatch
+
+
 class TestFaultPaths:
     def test_retry_budget_exhaustion_fails_the_job(self):
         # Kill the worker after *every* dispatch: the job requeues once,
@@ -198,19 +222,8 @@ class TestFaultPaths:
             processes=1,
         )
         dispatcher = svc.pool
-        original_dispatch = dispatcher._dispatch
         kills = []
-
-        def murderous_dispatch(slot, group, job, inflight, dispatch_counts):
-            ok = original_dispatch(
-                slot, group, job, inflight, dispatch_counts
-            )
-            if ok:
-                kills.append(slot)
-                os.kill(dispatcher.supervisor.pid(slot), signal.SIGKILL)
-            return ok
-
-        dispatcher._dispatch = murderous_dispatch
+        _kill_every_dispatch(dispatcher, kills)
         try:
             job_id = svc.submit(get_circuit("ghz", 4))
             report = svc.drain()
@@ -280,17 +293,7 @@ class TestFaultPaths:
             processes=1,
         )
         dispatcher = svc.pool
-        original_dispatch = dispatcher._dispatch
-
-        def murderous_dispatch(slot, group, job, inflight, dispatch_counts):
-            ok = original_dispatch(
-                slot, group, job, inflight, dispatch_counts
-            )
-            if ok:
-                os.kill(dispatcher.supervisor.pid(slot), signal.SIGKILL)
-            return ok
-
-        dispatcher._dispatch = murderous_dispatch
+        _kill_every_dispatch(dispatcher, [])
         try:
             job_id = svc.submit(get_circuit("ghz", 4))
             report = svc.drain()

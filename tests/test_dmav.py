@@ -14,7 +14,6 @@ from repro.core.dmav import (
     assign_tasks,
     dmav_cached,
     dmav_nocache,
-    run_border_task,
     run_border_task_batch,
 )
 from repro.core.plan import PlanCache
@@ -376,8 +375,13 @@ class TestGatePlan:
         assert saw_direct
 
 
+def _tiles(v, threads):
+    """The zero-copy one-row ``(threads, 1, h)`` view planned DMAV takes."""
+    return v.reshape(threads, 1, -1)
+
+
 class TestPlannedExecution:
-    """Planned kernels must be bit-identical to the legacy hot loop."""
+    """Planned kernels must be bit-identical to the listing forms."""
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_planned_nocache_bit_identical(self, threads):
@@ -389,17 +393,18 @@ class TestPlannedExecution:
             legacy, _ = dmav_nocache(pkg, m, v, threads)
             dirty = np.full(1 << n, 99.0 + 9j)
             planned, _ = dmav_nocache(
-                pkg, m, v, threads, out=dirty,
-                tasks=plans.get(m).row_tasks, out_dirty=True,
+                pkg, None, _tiles(v, threads), threads,
+                out=_tiles(dirty, threads), plans=[plans.get(m)],
+                out_dirty=True,
             )
-            assert np.array_equal(legacy, planned)
+            assert np.array_equal(legacy, planned.reshape(-1))
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_planned_cached_bit_identical(self, threads):
         n = 5
         pkg = DDPackage(n)
         plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n)
+        arena = BufferArena(1 << n, tiles=threads)
         v = random_state(n, seed=threads + 20)
         for m in _random_gates(pkg):
             plan = plans.get(m)
@@ -407,12 +412,11 @@ class TestPlannedExecution:
             out = np.full(1 << n, -7.0 + 3j)
             bufs = arena.partials(plan.assignment.num_buffers)
             planned, s2 = dmav_cached(
-                pkg, m, v, threads, out=out,
-                assignment=plan.assignment, buffers=bufs,
-                writers=plan.writers, out_dirty=True,
-                direct=plan.direct, direct_out=plan.direct_out,
+                pkg, None, _tiles(v, threads), threads,
+                out=_tiles(out, threads), plans=[plan], buffers=bufs,
+                out_dirty=True,
             )
-            assert np.array_equal(legacy, planned)
+            assert np.array_equal(legacy, planned.reshape(-1))
             assert s1.cache_hits == s2.cache_hits
 
     def test_dirty_buffers_never_leak_into_output(self):
@@ -422,7 +426,7 @@ class TestPlannedExecution:
         threads = 4
         pkg = DDPackage(n)
         plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n)
+        arena = BufferArena(1 << n, tiles=threads)
         for buf in arena.partials(threads):
             buf.fill(1e9 + 1e9j)
         v = random_state(n, seed=13)
@@ -431,15 +435,18 @@ class TestPlannedExecution:
         out = np.full(1 << n, 1e9 + 0j)
         bufs = arena.partials(plan.assignment.num_buffers)
         w, _ = dmav_cached(
-            pkg, m, v, threads, out=out, assignment=plan.assignment,
-            buffers=bufs, writers=plan.writers, out_dirty=True,
-            direct=plan.direct, direct_out=plan.direct_out,
+            pkg, None, _tiles(v, threads), threads, out=_tiles(out, threads),
+            plans=[plan], buffers=bufs, out_dirty=True,
         )
-        np.testing.assert_allclose(w, matrix_to_dense(pkg, m) @ v, atol=1e-10)
+        np.testing.assert_allclose(
+            w.reshape(-1), matrix_to_dense(pkg, m) @ v, atol=1e-10
+        )
 
     def test_planned_cached_requires_writers(self):
+        # Writer lists come with the plans; partial buffers alone are not
+        # a planned call.
         pkg = DDPackage(4)
-        v = random_state(4, seed=1)
+        v = _tiles(random_state(4, seed=1), 2)
         m = single_qubit_gate(pkg, H, 0)
         with pytest.raises(ValueError):
             dmav_cached(
@@ -450,16 +457,29 @@ class TestPlannedExecution:
     def test_planned_cached_rejects_short_buffer_list(self):
         pkg = DDPackage(4)
         plans = _plan_cache(pkg, 2)
-        v = random_state(4, seed=2)
+        v = _tiles(random_state(4, seed=2), 2)
         m = single_qubit_gate(pkg, H, 3)
         plan = plans.get(m)
         assert plan.assignment.num_buffers == 2
         with pytest.raises(ValueError):
             dmav_cached(
-                pkg, m, v, 2, out=np.zeros_like(v),
-                assignment=plan.assignment, buffers=[np.zeros_like(v)],
-                writers=plan.writers,
+                pkg, None, v, 2, out=np.zeros_like(v),
+                plans=[plan], buffers=[np.zeros_like(v)],
             )
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_planned_rejects_misshaped_or_aliased_batches(self, threads):
+        n = 4
+        pkg = DDPackage(n)
+        plan = _plan_cache(pkg, threads).get(single_qubit_gate(pkg, H, 1))
+        v = _tiles(random_state(n, seed=3), threads)
+        with pytest.raises(ValueError):
+            dmav_nocache(
+                pkg, None, v.reshape(-1), threads, out=np.zeros(1 << n),
+                plans=[plan],
+            )
+        with pytest.raises(ValueError):
+            dmav_nocache(pkg, None, v, threads, out=v, plans=[plan])
 
 
 class TestBufferArena:
@@ -467,8 +487,9 @@ class TestBufferArena:
         arena = BufferArena(8)
         first, dirty = arena.output()
         assert not dirty
+        assert first.shape == (1, 1, 8)
         assert np.all(first == 0)
-        consumed = np.arange(8, dtype=np.complex128)
+        consumed = np.arange(8, dtype=np.complex128).reshape(1, 1, 8)
         arena.retire(consumed)
         second, dirty = arena.output()
         assert dirty
@@ -479,6 +500,16 @@ class TestBufferArena:
         arena = BufferArena(8)
         with pytest.raises(ValueError):
             arena.retire(np.zeros(4, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            arena.retire(np.zeros(8, dtype=np.complex128))
+
+    def test_buffers_are_tile_major(self):
+        arena = BufferArena(16, rows=3, tiles=4)
+        out, _ = arena.output()
+        assert out.shape == (4, 3, 4)
+        assert [b.shape for b in arena.partials(2)] == [(4, 3, 4)] * 2
+        with pytest.raises(ValueError):
+            BufferArena(16, tiles=3)
 
     def test_partial_pool_grows_once_then_reuses(self):
         arena = BufferArena(8)
@@ -516,10 +547,13 @@ class TestGateSequences:
 
 
 def _kernel(pkg, node, v, dense_level):
-    """The single-shot kernel on one node, through the public task API."""
-    w = np.empty(v.size, dtype=np.complex128)
-    run_border_task(pkg, node, 1.0, v, w, 0, 0, dense_level, accumulate=False)
-    return w
+    """The kernel on one node and one row, through the border-task runner."""
+    w = np.empty((1, v.size), dtype=np.complex128)
+    run_border_task_batch(
+        pkg, [node], [1.0], v.reshape(1, -1), w, dense_level,
+        accumulate=False,
+    )
+    return w[0]
 
 
 def _block_gemm_reference(pkg, node, v, dense_level):
@@ -666,11 +700,11 @@ BATCH_CASES = [
 
 
 class TestBorderTaskBatch:
-    """The lockstep kernel against per-row single-shot runs, bit for bit."""
+    """Batched border tasks against one-row runs of each row, bit for bit."""
 
     N = 6
 
-    def _batch(self, spec, angles, dense_level, accumulate):
+    def _batch(self, spec, angles, dense_level, accumulate, one_row_calls):
         name, targets, controls = spec
         pkg = DDPackage(self.N)
         edges = [
@@ -683,59 +717,65 @@ class TestBorderTaskBatch:
         rng = np.random.default_rng(0)
         vin = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        refs = start.copy()
+        for b in range(len(angles)):
+            run_border_task_batch(
+                pkg, nodes[b:b + 1], coeffs[b:b + 1], vin[b:b + 1],
+                refs[b:b + 1], dense_level, accumulate=accumulate,
+            )
+        one_row_calls.clear()
         wout = start.copy()
         run_border_task_batch(
             pkg, nodes, coeffs, vin, wout, dense_level, accumulate=accumulate
         )
         for b in range(len(angles)):
-            w = start[b].copy()
-            run_border_task(
-                pkg, nodes[b], coeffs[b], vin[b], w, 0, 0, dense_level,
-                accumulate=accumulate,
-            )
-            assert np.array_equal(wout[b], w), b
+            assert np.array_equal(wout[b], refs[b]), b
         return pkg, nodes
 
     @pytest.fixture
-    def rowwise_calls(self, monkeypatch):
+    def one_row_calls(self, monkeypatch):
+        """Kernel calls on a one-row batch: per-row replays, once batched."""
         calls = []
-        original = dmav_module._lockstep_rowwise
+        original = dmav_module._apply_lockstep
 
-        def spy(pkg, nodes, *args, **kwargs):
-            calls.append(len(nodes))
-            return original(pkg, nodes, *args, **kwargs)
+        def spy(pkg, nodes, vten, *args, **kwargs):
+            if vten.shape[0] == 1:
+                calls.append(len(nodes))
+            return original(pkg, nodes, vten, *args, **kwargs)
 
-        monkeypatch.setattr(dmav_module, "_lockstep_rowwise", spy)
+        monkeypatch.setattr(dmav_module, "_apply_lockstep", spy)
         return calls
 
     @pytest.mark.parametrize("accumulate", [False, True])
     @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
     def test_distinct_angles_batched_bit_identical(
-        self, spec, dense_level, kind, accumulate, rowwise_calls
+        self, spec, dense_level, kind, accumulate, one_row_calls
     ):
         pkg, nodes = self._batch(
-            spec, [0.3, 1.1, 2.0], dense_level, accumulate
+            spec, [0.3, 1.1, 2.0], dense_level, accumulate, one_row_calls
         )
         assert len({id(nd) for nd in nodes}) == 3
         assert bottom_out(pkg, nodes[0], dense_level).kind == kind
         # Congruent rows never leave the batched branches.
-        assert rowwise_calls == []
+        assert one_row_calls == []
 
     @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
     def test_shared_node_bit_identical(
-        self, spec, dense_level, kind, rowwise_calls
+        self, spec, dense_level, kind, one_row_calls
     ):
-        _pkg, nodes = self._batch(spec, [0.7] * 3, dense_level, False)
+        _pkg, nodes = self._batch(
+            spec, [0.7] * 3, dense_level, False, one_row_calls
+        )
         assert all(nd is nodes[0] for nd in nodes)
-        assert rowwise_calls == []
+        assert one_row_calls == []
 
-    def test_identity_row_falls_back_rowwise(self, rowwise_calls):
+    def test_identity_row_falls_back_rowwise(self, one_row_calls):
         # rz(0) is the identity: that row's node disagrees with the
         # others' scale shape, so the level must replay per row.
         pkg, nodes = self._batch(
-            ("rz", (4,), ()), [0.4, 0.0, 1.3], 2, False
+            ("rz", (4,), ()), [0.4, 0.0, 1.3], 2, False, one_row_calls
         )
         assert [bottom_out(pkg, nd, 2).kind for nd in nodes] == [
             "scale", "identity", "scale",
         ]
-        assert rowwise_calls == [3]
+        assert one_row_calls == [1, 1, 1]

@@ -201,6 +201,26 @@ def test_cache_policies_bit_identical(policy):
     _assert_rows_identical(sim, c, rows, result)
 
 
+@pytest.mark.parametrize("use_thread_pool", [False, True])
+@pytest.mark.parametrize("policy", ["auto", "always", "never"])
+def test_incongruent_rows_replay_per_row(policy, use_thread_pool):
+    """ry(0) is the identity, so its plan has two border tasks where the
+    other rows' have four: that gate column replays each row with its
+    own plan, while the shared cx and h columns stay batched."""
+    c = Circuit(4, name="rowloop")
+    c.h(0).cx(0, 1).h(2).ry(0.0, 3)
+    rows = [(0.3,), (0.0,), (1.1,)]
+    sim = FlatDDSimulator(
+        threads=2, force_convert_at=0, cache_policy=policy,
+        use_thread_pool=use_thread_pool,
+    )
+    result = sim.simulate_sweep(c, rows)
+    counters = result.metadata["obs"]["counters"]
+    assert counters["dmav.sweep.gates_rowloop"] == 1
+    assert counters["dmav.sweep.gates_batched"] == 2
+    _assert_rows_identical(sim, c, rows, result)
+
+
 def test_ewma_timed_sweep_matches_runs():
     """No forced conversion: grouping follows each row's own trigger."""
     c = _template(n=4, layers=2)
@@ -302,6 +322,11 @@ def test_sweep_metadata_counters():
         counters["dmav.sweep.gates_batched"]
         + counters["dmav.sweep.gates_rowloop"]
     ) > 0
+    # The group leader packages' DD counters, as run() reports its own.
+    assert counters["dd.nodes_created"] > 0
+    assert counters["dd.compute_hits"] + counters["dd.compute_misses"] > 0
+    assert 0 < counters["dd.unique_nodes"] <= counters["dd.peak_nodes"]
+    assert counters["dd.gc_runs"] >= 0
     assert result.runtime_seconds > 0
     assert result.peak_memory_bytes > 0
     assert result.backend == sim.name
