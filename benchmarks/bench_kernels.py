@@ -14,12 +14,18 @@ import pytest
 
 from repro.backends import apply_gate_array
 from repro.backends.gatecache import build_gate_dd
-from repro.circuits import Gate
+from repro.circuits import Gate, get_circuit
+from repro.common.config import FlatDDConfig
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.plan import PlanCache
-from repro.core.simulator import apply_plan, plan_uses_cache
+from repro.core.simulator import (
+    FlatDDSimulator,
+    apply_plan,
+    dmav_phase,
+    plan_uses_cache,
+)
 from repro.dd import (
     DDPackage,
     mv_multiply,
@@ -27,7 +33,10 @@ from repro.dd import (
     vector_to_array,
     zero_state,
 )
+from repro.metrics.memory import MemoryMeter
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
+from repro.resilience.guard import MemoryGuard
 
 N = 12
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -123,6 +132,34 @@ def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
     benchmark(
         apply_plan, pkg, row_plans, use_cache, v, out, threads, None, 5,
         buffers=buffers,
+    )
+
+
+@pytest.fixture(scope="module", params=["supremacy", "dnn"])
+def phase_setup(request):
+    """A 12-qubit circuit run with conversion at gate 0: its config,
+    package, emitted gate DDs and final state."""
+    cfg = FlatDDConfig(threads=4, force_convert_at=0)
+    result = FlatDDSimulator(cfg).run(
+        get_circuit(request.param, N), keep_internals=True
+    )
+    meta = result.metadata
+    return cfg, meta["package"], meta["dmav_edges"], result.state
+
+
+@pytest.mark.benchmark(group="kernel-dmav-phase")
+@pytest.mark.parametrize("rows", [1, 8], ids=lambda r: f"rows{r}")
+def test_dmav_phase(benchmark, phase_setup, rows):
+    """One ``dmav_phase`` over every emitted gate, as ``run()`` (one row)
+    and a sweep group (eight rows repeating the edges) take it: a cold
+    plan cache and arena per call, the rows==1 path being the dispatch
+    floor of small circuits."""
+    cfg, pkg, edges, state = phase_setup
+    batch = np.repeat(state.reshape(cfg.threads, 1, -1), rows, axis=1)
+    # The phase recycles its input as scratch; any unit state times alike.
+    benchmark(
+        dmav_phase, cfg, pkg, None, batch, [edges] * rows, 0, 0,
+        MemoryGuard(None), MemoryMeter(), MetricsRegistry(), {}, None,
     )
 
 

@@ -277,6 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         circuit, rows, checkpoint_path=args.checkpoint
     )
     runtime = result.runtime_seconds
+    obs = result.metadata.get("obs") or {}
     payload = {
         "circuit": circuit.name,
         "qubits": circuit.num_qubits,
@@ -284,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "backend": result.backend,
         "rows": result.num_rows,
         "unique_rows": result.metadata.get("unique_rows"),
-        "groups": result.metadata.get("groups"),
+        "groups": obs.get("counters", {}).get("dmav.sweep.groups"),
         "mode": result.metadata.get("mode"),
         "runtime_seconds": round(runtime, 6),
         "rows_per_second": round(result.num_rows / runtime, 3)
@@ -294,8 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ),
     }
     if args.json:
-        obs = result.metadata.get("obs")
-        if obs is not None:
+        if obs:
             payload["obs"] = {
                 "counters": obs.get("counters", {}),
                 "gauges": obs.get("gauges", {}),

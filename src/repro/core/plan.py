@@ -59,7 +59,7 @@ from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
 from repro.parallel.pool import validate_thread_count
 
-__all__ = ["GatePlan", "PlanCache"]
+__all__ = ["GatePlan", "PlanCache", "plans_congruent"]
 
 
 @dataclass
@@ -93,6 +93,70 @@ class GatePlan:
     direct_out: list[bool]
     #: Border tasks in this plan (row and column views share the paths).
     num_tasks: int
+
+
+def _hit_pattern(tasks) -> tuple:
+    """Per-thread first-miss-occurrence pattern of ``id(node)`` reuse.
+
+    Mirrors ``dmav_cached``'s per-thread result cache: entry ``k`` is the
+    index of the task that would serve task ``k``'s cache hit (or None
+    for a miss).  Congruent batching requires every row to hit and miss
+    at the same task indices.
+    """
+    pats = []
+    for tlist in tasks:
+        seen: dict[int, int] = {}
+        pat = []
+        for k, (node, _ip, _c) in enumerate(tlist):
+            prev = seen.get(id(node))
+            pat.append(prev)
+            if prev is None:
+                seen[id(node)] = k
+        pats.append(tuple(pat))
+    return tuple(pats)
+
+
+def _tasks_congruent(tasks0, tasks) -> bool:
+    """Same shape: per-thread counts, offsets, and terminality classes."""
+    for t0, t in zip(tasks0, tasks):
+        if len(t0) != len(t):
+            return False
+        for (n0, i0, _c0), (n1, i1, _c1) in zip(t0, t):
+            if i0 != i1 or ((n0 is TERMINAL) != (n1 is TERMINAL)):
+                return False
+    return True
+
+
+def plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
+    """Whether one batched replay can serve every row's plan.
+
+    Rows of a sweep share gate *structure* but not weights, so their
+    plans normally agree in everything but coefficients; anything else
+    (pathological cancellation producing a zero edge in one row only,
+    say) is handled by falling back to per-row execution.
+    """
+    p0 = plans[0]
+    if all(p is p0 for p in plans):
+        return True
+    if not use_cache:
+        return all(
+            _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
+        )
+    a0 = p0.assignment
+    pat0 = _hit_pattern(a0.tasks)
+    for p in plans[1:]:
+        a = p.assignment
+        if (
+            a.num_buffers != a0.num_buffers
+            or a.buffer_of != a0.buffer_of
+            or p.writers != p0.writers
+            or p.direct != p0.direct
+            or p.direct_out != p0.direct_out
+            or not _tasks_congruent(a0.tasks, a.tasks)
+            or _hit_pattern(a.tasks) != pat0
+        ):
+            return False
+    return True
 
 
 class PlanCache:
@@ -137,12 +201,6 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of planned tasks served from the structural memo."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def get(self, m: Edge) -> GatePlan:
         """The plan for gate matrix ``m``, compiling it on first sight."""

@@ -17,10 +17,13 @@ phase (which is why FlatDD matches DDSIM on Adder/GHZ in Table 1).
 Each phase is one plain function that every entry point composes:
 :func:`dd_phase` (from gate 0, or from a snapshot's cursor on resume, and
 once per :func:`repro.core.sweep.run_sweep` group), :func:`release_dd_phase`
-after conversion, and :func:`dmav_phase`, whose per-gate step
-:func:`apply_plan` also runs every sweep row block and the sweep's
-per-row fallback.  They reach the DD-package and kernel entry points
-through this module's namespace, so patching one name here (as
+after conversion, and :func:`dmav_phase`, which applies emitted gate
+columns to a tile-major row batch: ``run()`` and its array-phase resume
+pass their flat state as one row, each sweep group its rows with their
+own gate DDs.  ``run()`` emits its gate DDs (and fuses them) before
+calling it; a sweep builds each row's on the group's package.  The
+phases reach the DD-package and kernel entry points through this
+module's namespace, so patching one name here (as
 ``perfbench/layers.py`` does for per-layer attribution) sees every call.
 """
 
@@ -37,7 +40,7 @@ from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
-from repro.core.plan import GatePlan, PlanCache
+from repro.core.plan import GatePlan, PlanCache, plans_congruent
 from repro.core.fusion import FusionResult, fuse_cost_aware, fuse_k_operations
 from repro.core.reorder import (
     permute_circuit,
@@ -277,103 +280,132 @@ def apply_plan(
     )
 
 
+#: Target bytes of one task slice per kernel call.  The kernels make
+#: several elementwise passes (scale, accumulate, fold) over each task
+#: slice; blocking a multi-row batch into row groups whose slice fits the
+#: CPU cache keeps those passes cache-resident the way one-row slices
+#: are, instead of streaming the whole ``rows x 2**n`` batch through DRAM
+#: once per pass.  Rows are independent in every kernel branch, so the
+#: split never changes a row's arithmetic.
+ROW_BLOCK_BYTES = 1 << 22
+
+
 def dmav_phase(
     cfg: FlatDDConfig,
     pkg: DDPackage,
-    gates: GateDDCache,
     runner: TaskRunner,
     state,
-    remaining: list,
+    edges_rows: list[list],
     convert_at: int,
     start: int,
     guard: MemoryGuard,
     meter: MemoryMeter,
     registry: MetricsRegistry,
     metadata: dict,
-    trace: list[GateRecord],
     write_checkpoint,
     *,
+    labels: list[str] | None = None,
+    trace: list[GateRecord] | None = None,
     tracer=NULL_TRACER,
     checkpoint_every: int | None = None,
     deadline: float | None = None,
+    phase: str = "array",
 ):
-    """Fuse ``remaining`` (the gates after ``convert_at``), apply to ``state``.
+    """Apply gate columns ``start:`` of ``edges_rows`` to the batch ``state``.
 
-    Returns ``(state, edges, timed_out)``, ``edges`` being the emitted
-    (post-``cfg.fusion``) gate DDs.  Execution enters at emitted gate
-    ``start`` -- an array-phase resume's cursor; the emitted list itself
-    is rebuilt deterministically.  Each gate runs through its compiled
-    :class:`~repro.core.plan.GatePlan` and :func:`apply_plan`, ping-ponging
-    between recycled :class:`~repro.parallel.arena.BufferArena` buffers.
+    ``state`` is tile-major ``(threads, rows, 2**n // threads)`` and row
+    ``b`` applies ``edges_rows[b]``, whose entry ``j`` is emitted gate
+    ``j`` after ``convert_at``: ``run()`` passes its flat state as one row,
+    a sweep group its repeated conversion.  Each column runs every row's
+    :class:`~repro.core.plan.GatePlan` through :func:`apply_plan` between
+    recycled :class:`~repro.parallel.arena.BufferArena` buffers, in
+    ``ROW_BLOCK_BYTES`` row blocks when the rows' verdicts and plans agree
+    (:func:`~repro.core.plan.plans_congruent`), else row by row.
 
-    After every gate the memory guard may raise, checkpointing through
-    ``write_checkpoint(state, cursor)`` first; every ``checkpoint_every``
-    emitted gates (never after the last) a snapshot is written the same
-    way.  Per-gate costs and the plan/arena counters land in ``metadata``
-    and ``registry``; ``trace`` and ``tracer`` get the per-gate records.
+    After every column the memory guard may raise (labelled ``phase``),
+    checkpointing through ``write_checkpoint(batch, cursor)`` first; every
+    ``checkpoint_every`` columns (never after the last) a snapshot is
+    written the same way and counted in ``metadata``.  ``trace`` and
+    ``tracer`` get one record per column, named by ``labels``, for row 0's
+    plan; the ``dmav.*`` counters land in ``registry``.
+
+    Returns ``(state, gate_costs, rowloop, timed_out)``: the final batch,
+    a ``(macs, cost_nocache, cost_cache, cached)`` tuple per row and
+    column, the columns replayed row by row, and whether ``deadline`` (a
+    ``time.perf_counter()`` value) passed.
     """
     tracing = tracer.enabled
-    model = CostModel(cfg.threads, cfg.simd_width)
-    f0 = time.perf_counter()
-    edges = [gates.get(g) for g in remaining]
-    labels = [g.name for g in remaining]
-    if cfg.fusion != "none" and edges:
-        if cfg.fusion == "cost":
-            fused = fuse_cost_aware(pkg, edges, model)
-        else:
-            fused = fuse_k_operations(pkg, edges, cfg.k_operations, model)
-        edges = fused.gates
-        labels = _fused_labels(labels, fused)
-        metadata["fusion_result"] = _fusion_summary(fused)
-    f1 = time.perf_counter()
-    metadata["fusion_seconds"] = f1 - f0
-    if tracing and cfg.fusion != "none" and edges:
-        tracer.record(
-            "fusion", "phase", f0, f1, mode=cfg.fusion, emitted=len(edges),
-        )
-
-    d0 = time.perf_counter()
-    plans = PlanCache(pkg, cfg.threads, model, cfg.dense_block_level)
-    arena = BufferArena(state.size, tiles=cfg.threads)
-    # The one-row tile-major view apply_plan takes; no copy.
-    state = state.reshape(cfg.threads, 1, -1)
+    threads = cfg.threads
+    dense = cfg.dense_block_level
     policy = cfg.cache_policy
+    rows = state.shape[1]
+    d0 = time.perf_counter()
+    plans = PlanCache(pkg, threads, CostModel(threads, cfg.simd_width), dense)
+    arena = BufferArena(1 << pkg.num_qubits, rows=rows, tiles=threads)
+    block = max(1, min(rows, ROW_BLOCK_BYTES // (state.shape[2] * 16)))
+    columns = len(edges_rows[0])
     gate_costs: list[tuple[int, float, float, bool]] = []
-    cache_hits = 0
+    cache_hits = rowloop = 0
     timed_out = False
-    for j in range(start, len(edges)):
-        edge = edges[j]
+    for j in range(start, columns):
         g0 = time.perf_counter()
-        plan = plans.get(edge)
-        cost = plan.cost
-        use_cache = plan_uses_cache(policy, plan)
         w_buf, w_dirty = arena.output()
-        w_buf, stats = apply_plan(
-            pkg, [plan], use_cache, state, w_buf, cfg.threads, runner,
-            cfg.dense_block_level, out_dirty=w_dirty,
-            buffers=(
-                arena.partials(plan.assignment.num_buffers)
-                if use_cache else None
-            ),
-        )
+        if rows == 1:
+            plan = plans.get(edges_rows[0][j])
+            use_cache = plan_uses_cache(policy, plan)
+            row_plans, verdicts = (plan,), (use_cache,)
+            _, stats = apply_plan(
+                pkg, row_plans, use_cache, state, w_buf, threads, runner,
+                dense, out_dirty=w_dirty, buffers=arena.partials(
+                    plan.assignment.num_buffers if use_cache else 0
+                ),
+            )
+            hits = stats.cache_hits
+        else:
+            row_plans = [plans.get(er[j]) for er in edges_rows]
+            verdicts = [plan_uses_cache(policy, p) for p in row_plans]
+            plan, use_cache = row_plans[0], verdicts[0]
+            size = block
+            if verdicts.count(use_cache) < rows or not plans_congruent(
+                row_plans, use_cache
+            ):
+                # Exact per-row replay: each row with its own plan.
+                size = 1
+                rowloop += 1
+            bufs = arena.partials(max(
+                p.assignment.num_buffers if v else 0
+                for p, v in zip(row_plans, verdicts)
+            ))
+            hits = 0
+            for b0 in range(0, rows, size):
+                b1 = min(b0 + size, rows)
+                _, stats = apply_plan(
+                    pkg, row_plans[b0:b1], verdicts[b0], state[:, b0:b1],
+                    w_buf[:, b0:b1], threads, runner, dense,
+                    buffers=[bf[:, b0:b1] for bf in bufs], out_dirty=w_dirty,
+                )
+                # A block's rows share one hit pattern.
+                hits += stats.cache_hits * (b1 - b0)
+            # Per-row rotation roots each cache full diagonals/dense
+            # blocks; over a big batch that accumulates to hundreds of MB
+            # of dead entries.  Recomputation is deterministic, so drop
+            # them every gate column (identity flags stay).
+            pkg.kron_cache.clear()
+            pkg.dense_cache.clear()
         arena.retire(state)
         state = w_buf
-        cache_hits += stats.cache_hits
-        gate_costs.append(
-            (cost.macs_total, cost.cost_nocache, cost.cost_cache, use_cache)
-        )
+        cache_hits += hits
+        for p, v in zip(row_plans, verdicts):
+            c = p.cost
+            gate_costs.append((c.macs_total, c.cost_nocache, c.cost_cache, v))
+        cost = plan.cost
         g1 = time.perf_counter()
         index = convert_at + 1 + j
-        trace.append(
-            GateRecord(
-                index=index,
-                name=labels[j],
-                seconds=g1 - g0,
-                phase="dmav",
-                macs=cost.macs_total,
-                cached=use_cache,
-            )
-        )
+        if trace is not None:
+            trace.append(GateRecord(
+                index=index, name=labels[j], seconds=g1 - g0, phase="dmav",
+                macs=cost.macs_total, cached=use_cache,
+            ))
         if tracing:
             tracer.record(
                 labels[j], "dmav", g0, g1,
@@ -381,22 +413,21 @@ def dmav_phase(
                 macs=cost.macs_total, cached=use_cache,
                 cost_cache=cost.cost_cache,
                 cost_nocache=cost.cost_nocache,
-                cache_hits=stats.cache_hits,
+                cache_hits=hits,
             )
         meter.sample(dd_bytes(pkg) + 2 * state.nbytes + arena.partial_bytes)
         guard.check_array(
             meter.last_bytes,
             index,
-            checkpoint=lambda s=state, c=j + 1: write_checkpoint(
-                s.reshape(-1), c
-            ),
+            checkpoint=lambda s=state, c=j + 1: write_checkpoint(s, c),
+            phase=phase,
         )
         if (
             checkpoint_every is not None
             and (j + 1) % checkpoint_every == 0
-            and j + 1 < len(edges)
+            and j + 1 < columns
         ):
-            write_checkpoint(state.reshape(-1), j + 1)
+            write_checkpoint(state, j + 1)
             metadata["checkpoints_written"] += 1
             if tracing:
                 tracer.instant("checkpoint", "dmav", gate_index=index)
@@ -407,7 +438,7 @@ def dmav_phase(
     if tracing:
         tracer.record(
             "dmav_phase", "phase", d0, time.perf_counter(),
-            gates=len(edges), macs=macs,
+            gates=columns, macs=macs,
         )
     n_cached = sum(1 for gc in gate_costs if gc[3])
     registry.counter("dmav.gates_cached").inc(n_cached)
@@ -415,19 +446,18 @@ def dmav_phase(
     registry.counter("dmav.gates").inc(len(gate_costs))
     registry.counter("dmav.macs").inc(macs)
     registry.counter("dmav.cache_hits").inc(cache_hits)
-    registry.counter("dmav.plan.hits").inc(plans.hits)
-    registry.counter("dmav.plan.misses").inc(plans.misses)
-    registry.counter("dmav.plan.gate_hits").inc(plans.gate_hits)
-    registry.counter("dmav.plan.compiles").inc(plans.compiles)
-    registry.counter("dmav.plan.invalidations").inc(plans.invalidations)
-    registry.counter("dmav.arena.partial_allocs").inc(arena.partial_allocs)
-    registry.counter("dmav.arena.partial_reuses").inc(arena.partial_reuses)
-    registry.counter("dmav.arena.output_allocs").inc(arena.output_allocs)
+    for key in ("hits", "misses", "gate_hits", "compiles", "invalidations"):
+        registry.counter(f"dmav.plan.{key}").inc(getattr(plans, key))
+    for key in ("partial_allocs", "partial_reuses", "output_allocs"):
+        registry.counter(f"dmav.arena.{key}").inc(getattr(arena, key))
     registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
-    registry.gauge("dmav.plan.hit_rate").set(plans.hit_rate)
-    metadata["dmav_macs_total"] = macs
-    metadata["dmav_gate_costs"] = gate_costs
-    return state.reshape(-1), edges, timed_out
+    # The rate over every call on this registry: a sweep calls once a group.
+    plan_hits = registry.counter("dmav.plan.hits").value
+    total = plan_hits + registry.counter("dmav.plan.misses").value
+    registry.gauge("dmav.plan.hit_rate").set(
+        plan_hits / total if total else 0.0
+    )
+    return state, gate_costs, rowloop, timed_out
 
 
 class FlatDDSimulator(Simulator):
@@ -575,7 +605,8 @@ class FlatDDSimulator(Simulator):
             write_snapshot(
                 checkpoint_path,
                 snapshot_array_phase(
-                    pkg, arr, convert_at, cursor, circuit, cfg_digest
+                    pkg, arr.reshape(-1), convert_at, cursor, circuit,
+                    cfg_digest,
                 ),
             )
             return checkpoint_path
@@ -612,7 +643,7 @@ class FlatDDSimulator(Simulator):
                 )
             registry.gauge("dd.size").set(node_count(state_dd))
         registry.gauge("ewma").set(monitor.value)
-        registry.counter("dd_phase.gates").inc(len(trace))
+        registry.counter("dd_phase.gates").inc(dd_gates_applied)
 
         with TaskRunner(
             cfg.threads, cfg.use_thread_pool, tracer=tr if tracing else None
@@ -662,13 +693,40 @@ class FlatDDSimulator(Simulator):
                     ),
                 )
                 # ---------------- Phase 3: (fusion +) DMAV ---------------
-                state, edges, timed_out = dmav_phase(
-                    cfg, pkg, gates, runner, state,
-                    circuit.gates[convert_at + 1:], convert_at, dmav_start,
-                    guard, meter, registry, metadata, trace,
-                    write_array_checkpoint, tracer=tr,
+                # The emitted list is rebuilt deterministically on resume.
+                f0 = time.perf_counter()
+                tail = circuit.gates[convert_at + 1:]
+                edges = [gates.get(g) for g in tail]
+                labels = [g.name for g in tail]
+                if cfg.fusion != "none" and edges:
+                    model = CostModel(cfg.threads, cfg.simd_width)
+                    fused = (
+                        fuse_cost_aware(pkg, edges, model)
+                        if cfg.fusion == "cost"
+                        else fuse_k_operations(
+                            pkg, edges, cfg.k_operations, model
+                        )
+                    )
+                    edges = fused.gates
+                    labels = _fused_labels(labels, fused)
+                    metadata["fusion_result"] = _fusion_summary(fused)
+                f1 = time.perf_counter()
+                metadata["fusion_seconds"] = f1 - f0
+                if tracing and cfg.fusion != "none" and edges:
+                    tr.record(
+                        "fusion", "phase", f0, f1,
+                        mode=cfg.fusion, emitted=len(edges),
+                    )
+                state, gate_costs, _, timed_out = dmav_phase(
+                    cfg, pkg, runner, state.reshape(cfg.threads, 1, -1),
+                    [edges], convert_at, dmav_start, guard, meter, registry,
+                    metadata, write_array_checkpoint, labels=labels,
+                    trace=trace, tracer=tr,
                     checkpoint_every=checkpoint_every, deadline=deadline,
                 )
+                state = state.reshape(-1)
+                metadata["dmav_macs_total"] = sum(gc[0] for gc in gate_costs)
+                metadata["dmav_gate_costs"] = gate_costs
                 if keep_internals:
                     metadata["dmav_edges"] = edges
 

@@ -16,20 +16,17 @@ it three ways:
    identical conversion point -- the group shares ONE DD phase (the same
    :func:`~repro.core.simulator.dd_phase` ``run()`` calls), ONE
    conversion, and ONE leader :class:`~repro.dd.package.DDPackage`.
-2. **Plan compile-once.**  One :class:`~repro.core.plan.PlanCache` per
-   group compiles each gate root once; rows of a sweep share whole plans
-   for parameterless gates and share the structural border-path memo for
-   per-row rotation roots.
-3. **Batched replay.**  The remaining gates replay over a *tile-major*
-   ``(threads, rows, 2**n / threads)`` batch -- DMAV task slices are
-   chunk-aligned, so each becomes one C-contiguous ``(rows, chunk)``
-   block -- through :func:`~repro.core.simulator.apply_plan`, the same
-   per-gate step ``run()`` takes with one row: every bottom-out shape of
-   the :mod:`repro.core.dmav` kernel -- scale, diagonal, block and 2x2
-   matmuls -- runs as a broadcast op whose per-row slices are
-   bit-identical to the one-row op.  Rows are blocked
-   (``ROW_BLOCK_BYTES``) so task slices stay cache-resident.  The array
-   phase becomes batched matrix x matrix work.
+2. **Plan compile-once.**  Each group's DMAV phase compiles each gate
+   root once; rows of a sweep share whole plans for parameterless gates
+   and share the structural border-path memo for per-row rotation roots.
+3. **Batched replay.**  Each group's rows replay their remaining gates
+   through :func:`~repro.core.simulator.dmav_phase`, the DMAV phase
+   ``run()`` calls with one row, over a *tile-major* ``(threads, rows,
+   2**n / threads)`` batch: DMAV task slices are chunk-aligned, so each
+   becomes one C-contiguous ``(rows, chunk)`` block, and every
+   bottom-out shape of the :mod:`repro.core.dmav` kernel runs as a
+   broadcast op whose per-row slices are bit-identical to the one-row
+   op.  The array phase becomes batched matrix x matrix work.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of
@@ -43,8 +40,8 @@ package right after conversion and
 :meth:`~repro.dd.package.DDPackage.build_mark` between rows so no row
 sees another's entries or creation indices.  Any structural incongruence
 between per-row plans drops that gate to an exact per-row replay (each
-row's own plan through ``apply_plan`` on its one-row view of the batch),
-and between per-row sub-DDs drops that kernel recursion level to one.
+row's own plan on its one-row view of the batch), and between per-row
+sub-DDs drops that kernel recursion level to one.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata).
@@ -54,6 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,27 +61,18 @@ from repro.circuits.gates import Gate
 from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
-from repro.core.cost_model import CostModel
 from repro.core.ewma import EWMAMonitor
-from repro.core.plan import GatePlan, PlanCache
 from repro.core.reorder import (
     permute_circuit,
     plan_qubit_order,
     unpermute_axes,
 )
-from repro.core.simulator import (
-    apply_plan,
-    dd_phase,
-    plan_uses_cache,
-    release_dd_phase,
-)
-from repro.dd.node import TERMINAL
+from repro.core.simulator import dd_phase, dmav_phase, release_dd_phase
 from repro.dd.package import DDPackage
 from repro.dd.vector import zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
 from repro.obs.collect import package_counters
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.arena import BufferArena
 from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.resilience.guard import MemoryGuard
 from repro.resilience.snapshot import snapshot_sweep_phase, write_snapshot
@@ -127,86 +116,6 @@ def _gate_key(g: Gate) -> tuple:
         g.controls,
         tuple(float(p).hex() for p in g.params),
     )
-
-
-def _hit_pattern(tasks) -> tuple:
-    """Per-thread first-miss-occurrence pattern of ``id(node)`` reuse.
-
-    Mirrors ``dmav_cached``'s per-thread result cache: entry ``k`` is the
-    index of the task that would serve task ``k``'s cache hit (or None
-    for a miss).  Congruent batching requires every row to hit and miss
-    at the same task indices.
-    """
-    pats = []
-    for tlist in tasks:
-        seen: dict[int, int] = {}
-        pat = []
-        for k, (node, _ip, _c) in enumerate(tlist):
-            prev = seen.get(id(node))
-            pat.append(prev)
-            if prev is None:
-                seen[id(node)] = k
-        pats.append(tuple(pat))
-    return tuple(pats)
-
-
-def _tasks_congruent(tasks0, tasks) -> bool:
-    """Same shape: per-thread counts, offsets, and terminality classes."""
-    for t0, t in zip(tasks0, tasks):
-        if len(t0) != len(t):
-            return False
-        for (n0, i0, _c0), (n1, i1, _c1) in zip(t0, t):
-            if i0 != i1 or ((n0 is TERMINAL) != (n1 is TERMINAL)):
-                return False
-    return True
-
-
-def _plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
-    """Whether one batched replay can serve every row's plan.
-
-    Rows of a sweep share gate *structure* but not weights, so their
-    plans normally agree in everything but coefficients; anything else
-    (pathological cancellation producing a zero edge in one row only,
-    say) is handled by falling back to per-row execution.
-    """
-    p0 = plans[0]
-    if all(p is p0 for p in plans):
-        return True
-    if not use_cache:
-        return all(
-            _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
-        )
-    a0 = p0.assignment
-    pat0 = _hit_pattern(a0.tasks)
-    for p in plans[1:]:
-        a = p.assignment
-        if (
-            a.num_buffers != a0.num_buffers
-            or a.buffer_of != a0.buffer_of
-            or p.writers != p0.writers
-            or p.direct != p0.direct
-            or p.direct_out != p0.direct_out
-            or not _tasks_congruent(a0.tasks, a.tasks)
-            or _hit_pattern(a.tasks) != pat0
-        ):
-            return False
-    return True
-
-
-#: Target bytes of one task slice per executor row block.  The batched
-#: kernels make several elementwise passes (scale, accumulate, fold) over
-#: each task slice; blocking the batch into row groups whose slice fits
-#: the CPU cache keeps those passes cache-resident the way single-shot
-#: 1-D slices are, instead of streaming the whole ``rows x 2**n`` batch
-#: through DRAM once per pass.  Blocking never changes per-row
-#: arithmetic -- rows are independent in every kernel branch -- so the
-#: bit-identity contract is unaffected by the split.
-ROW_BLOCK_BYTES = 1 << 22
-
-
-def _block_step(h: int, rows: int) -> int:
-    """Rows per executor block for chunk size ``h`` (at least 1)."""
-    return max(1, min(rows, ROW_BLOCK_BYTES // (h * 16)))
 
 
 def _untile(t3):
@@ -346,15 +255,7 @@ def run_sweep(
             })
     registry.counter("dmav.sweep.groups").inc(len(groups))
 
-    gates_batched = 0
-    gates_rowloop = 0
-    row_rewinds = 0
-    plan_totals = {
-        "hits": 0, "misses": 0, "gate_hits": 0, "compiles": 0,
-        "invalidations": 0,
-    }
-    arena_totals = {"output_allocs": 0, "partial_allocs": 0,
-                    "partial_reuses": 0}
+    gates_batched = gates_rowloop = row_rewinds = 0
     ustates: list[np.ndarray | None] = [None] * len(uniq)
     conversions = []
 
@@ -363,7 +264,6 @@ def run_sweep(
         gates: GateDDCache = g["gates"]
         convert_at = g["convert_at"]
         members: list[int] = g["members"]
-        rows = len(members)
         with TaskRunner(cfg.threads, cfg.use_thread_pool) as runner:
             conv, report = convert_parallel(
                 pkg, g["state_dd"], cfg.threads, runner,
@@ -395,86 +295,27 @@ def run_sweep(
                 pkg.rewind_to_mark(build_mark)
                 gates.rewind(gate_mark)
                 row_rewinds += 1
-            h = conv.size // cfg.threads
+            write_checkpoint = partial(
+                _write_sweep_checkpoint, checkpoint_path, pkg, convert_at,
+                circuit, cfg_digest,
+            )
             v3 = np.repeat(
-                conv.reshape(cfg.threads, 1, h), rows, axis=1
+                conv.reshape(cfg.threads, 1, -1), len(members), axis=1
             )
             meter.sample(dd_bytes(pkg) + v3.nbytes)
             guard.check_array(
                 meter.last_bytes, convert_at,
-                checkpoint=lambda s=v3, c=0: _write_sweep_checkpoint(
-                    checkpoint_path, pkg, _untile(s), convert_at, c,
-                    circuit, cfg_digest,
-                ),
-                phase="sweep",
+                checkpoint=lambda: write_checkpoint(v3, 0), phase="sweep",
             )
-            model = CostModel(cfg.threads, cfg.simd_width)
-            plan_cache = PlanCache(
-                pkg, cfg.threads, model, cfg.dense_block_level
+            v3, _, rowloop, _ = dmav_phase(
+                cfg, pkg, runner, v3, edges_rows, convert_at, 0, guard,
+                meter, registry, metadata, write_checkpoint, phase="sweep",
             )
-            arena = BufferArena(conv.size, rows=rows, tiles=cfg.threads)
-            n_remaining = len(uniq[members[0]].gates) - convert_at - 1
-            for j in range(n_remaining):
-                plans = [plan_cache.get(er[j]) for er in edges_rows]
-                verdicts = [
-                    plan_uses_cache(cfg.cache_policy, p) for p in plans
-                ]
-                if all(
-                    v == verdicts[0] for v in verdicts
-                ) and _plans_congruent(plans, verdicts[0]):
-                    step = _block_step(h, rows)
-                    gates_batched += 1
-                else:
-                    # Exact per-row replay: each row with its own plan.
-                    step = 1
-                    gates_rowloop += 1
-                w_buf, w_dirty = arena.output()
-                bufs = arena.partials(max(
-                    (p.assignment.num_buffers
-                     for p, v in zip(plans, verdicts) if v),
-                    default=0,
-                ))
-                for b0 in range(0, rows, step):
-                    b1 = min(b0 + step, rows)
-                    apply_plan(
-                        pkg, plans[b0:b1], verdicts[b0], v3[:, b0:b1],
-                        w_buf[:, b0:b1], cfg.threads, runner,
-                        cfg.dense_block_level,
-                        buffers=[bf[:, b0:b1] for bf in bufs],
-                        out_dirty=w_dirty,
-                    )
-                arena.retire(v3)
-                v3 = w_buf
-                # Per-row rotation roots each cache full diagonals/dense
-                # blocks; over a big batch that accumulates to hundreds
-                # of MB of dead entries.  Recomputation is deterministic,
-                # so drop them every gate column (identity flags stay).
-                pkg.kron_cache.clear()
-                pkg.dense_cache.clear()
-                meter.sample(
-                    dd_bytes(pkg) + 2 * v3.nbytes + arena.partial_bytes
-                )
-                guard.check_array(
-                    meter.last_bytes, convert_at + 1 + j,
-                    checkpoint=lambda s=v3, c=j + 1: (
-                        _write_sweep_checkpoint(
-                            checkpoint_path, pkg, _untile(s), convert_at, c,
-                            circuit, cfg_digest,
-                        )
-                    ),
-                    phase="sweep",
-                )
+            gates_rowloop += rowloop
+            gates_batched += len(edges_rows[0]) - rowloop
             final = _untile(v3)
             for pos, ui in enumerate(members):
                 ustates[ui] = final[pos]
-            plan_totals["hits"] += plan_cache.hits
-            plan_totals["misses"] += plan_cache.misses
-            plan_totals["gate_hits"] += plan_cache.gate_hits
-            plan_totals["compiles"] += plan_cache.compiles
-            plan_totals["invalidations"] += plan_cache.invalidations
-            arena_totals["output_allocs"] += arena.output_allocs
-            arena_totals["partial_allocs"] += arena.partial_allocs
-            arena_totals["partial_reuses"] += arena.partial_reuses
 
     states = np.empty((num_rows, 1 << n), dtype=np.complex128)
     for i, fp in enumerate(fps):
@@ -483,18 +324,7 @@ def run_sweep(
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
     registry.counter("dmav.sweep.gates_rowloop").inc(gates_rowloop)
     registry.counter("dmav.sweep.row_rewinds").inc(row_rewinds)
-    for key, val in plan_totals.items():
-        registry.counter(f"dmav.plan.{key}").inc(val)
-    for key, val in arena_totals.items():
-        registry.counter(f"dmav.arena.{key}").inc(val)
-    total_planned = plan_totals["hits"] + plan_totals["misses"]
-    registry.gauge("dmav.plan.hit_rate").set(
-        plan_totals["hits"] / total_planned if total_planned else 0.0
-    )
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
-    metadata["groups"] = len(groups)
-    metadata["gates_batched"] = gates_batched
-    metadata["gates_rowloop"] = gates_rowloop
     metadata["conversion_seconds"] = sum(conversions)
     snap = registry.snapshot()
     counters = snap["counters"]
@@ -520,15 +350,16 @@ def run_sweep(
 
 
 def _write_sweep_checkpoint(
-    checkpoint_path, pkg, states, convert_at, cursor, template, cfg_digest
+    checkpoint_path, pkg, convert_at, template, cfg_digest, batch, cursor
 ):
-    """Guard-breach snapshot writer (None when no path is configured)."""
+    """Guard-breach snapshot writer for a tile-major ``batch`` (None when
+    no path is configured)."""
     if checkpoint_path is None:
         return None
     write_snapshot(
         checkpoint_path,
         snapshot_sweep_phase(
-            pkg, states, convert_at, cursor, template, cfg_digest
+            pkg, _untile(batch), convert_at, cursor, template, cfg_digest
         ),
     )
     return checkpoint_path

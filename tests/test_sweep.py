@@ -131,7 +131,7 @@ def test_qft_identical_rows_collapse_to_one_group():
     for i in range(4):
         assert np.array_equal(result.states[i], ref)
     assert result.metadata["unique_rows"] == 1
-    assert result.metadata["groups"] == 1
+    assert result.metadata["obs"]["counters"]["dmav.sweep.groups"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +201,20 @@ def test_cache_policies_bit_identical(policy):
     _assert_rows_identical(sim, c, rows, result)
 
 
+def _rowloop_template():
+    """``h(0) cx(0,1) h(2) ry(theta,3)`` and three rows, one with theta=0."""
+    c = Circuit(4, name="rowloop")
+    c.h(0).cx(0, 1).h(2).ry(0.0, 3)
+    return c, [(0.3,), (0.0,), (1.1,)]
+
+
 @pytest.mark.parametrize("use_thread_pool", [False, True])
 @pytest.mark.parametrize("policy", ["auto", "always", "never"])
 def test_incongruent_rows_replay_per_row(policy, use_thread_pool):
     """ry(0) is the identity, so its plan has two border tasks where the
     other rows' have four: that gate column replays each row with its
     own plan, while the shared cx and h columns stay batched."""
-    c = Circuit(4, name="rowloop")
-    c.h(0).cx(0, 1).h(2).ry(0.0, 3)
-    rows = [(0.3,), (0.0,), (1.1,)]
+    c, rows = _rowloop_template()
     sim = FlatDDSimulator(
         threads=2, force_convert_at=0, cache_policy=policy,
         use_thread_pool=use_thread_pool,
@@ -219,6 +224,58 @@ def test_incongruent_rows_replay_per_row(policy, use_thread_pool):
     assert counters["dmav.sweep.gates_rowloop"] == 1
     assert counters["dmav.sweep.gates_batched"] == 2
     _assert_rows_identical(sim, c, rows, result)
+
+
+DMAV_WORK = ("dmav.gates", "dmav.macs", "dmav.gates_cached", "dmav.cache_hits")
+
+
+@pytest.mark.parametrize("template", ["congruent", "rowloop"])
+@pytest.mark.parametrize("policy", ["auto", "always", "never"])
+def test_sweep_dmav_counters_equal_looped_runs(policy, template):
+    """A sweep's DMAV work counters are the sums of run()'s over its
+    unique rows, batched columns and per-row replays alike."""
+    if template == "congruent":
+        c = _template(n=4, layers=2)
+        rows = _rows(c, 3, seed=3)
+        rows.append(rows[1])
+    else:
+        c, rows = _rowloop_template()
+    sim = FlatDDSimulator(threads=2, force_convert_at=0, cache_policy=policy)
+    counters = sim.simulate_sweep(c, rows).metadata["obs"]["counters"]
+    unique = list(dict.fromkeys(rows))
+    looped = [
+        sim.run(c.bind(row)).metadata["obs"]["counters"] for row in unique
+    ]
+    for key in DMAV_WORK:
+        assert counters[key] == sum(r[key] for r in looped), key
+    assert counters["dmav.gates"] == len(unique) * (
+        counters["dmav.sweep.gates_batched"]
+        + counters["dmav.sweep.gates_rowloop"]
+    )
+
+
+def test_sweep_counters_span_every_group():
+    """Two groups, each with its own plan cache: the work counters add
+    up over groups, and the hit-rate gauge is the rate of the summed
+    counters, not the last group's."""
+    c = _template(n=4, layers=2)
+    rows = _rows(c, 1, seed=3)
+    rows.append(tuple(0.0 if k % 2 else 0.7 for k in range(len(rows[0]))))
+    sim = FlatDDSimulator(threads=2, force_convert_at=5, cache_policy="always")
+    obs = sim.simulate_sweep(c, rows).metadata["obs"]
+    counters = obs["counters"]
+    assert counters["dmav.sweep.groups"] == 2
+    looped = [sim.run(c.bind(row)).metadata["obs"]["counters"] for row in rows]
+    for key in DMAV_WORK:
+        assert counters[key] == sum(r[key] for r in looped), key
+    hits, misses = counters["dmav.plan.hits"], counters["dmav.plan.misses"]
+    last = looped[-1]
+    last_rate = last["dmav.plan.hits"] / (
+        last["dmav.plan.hits"] + last["dmav.plan.misses"]
+    )
+    rate = obs["gauges"]["dmav.plan.hit_rate"]["value"]
+    assert rate == hits / (hits + misses)
+    assert rate != last_rate
 
 
 def test_ewma_timed_sweep_matches_runs():
@@ -300,7 +357,7 @@ def test_dd_shrink_rewind_rolls_back_windowed_prefix():
     rows = _rows(c, 4, seed=17)
     rows.append(rows[1])  # duplicate exercises the dedup fan-out too
     result = sim.simulate_sweep(c, rows)
-    assert result.metadata["groups"] >= 1
+    assert result.metadata["obs"]["counters"]["dmav.sweep.groups"] >= 1
     _assert_rows_identical(sim, c, rows, result)
 
 
@@ -317,7 +374,7 @@ def test_sweep_metadata_counters():
     counters = result.metadata["obs"]["counters"]
     assert counters["dmav.sweep.rows"] == 4
     assert counters["dmav.sweep.unique_rows"] == 4
-    assert counters["dmav.sweep.groups"] == result.metadata["groups"]
+    assert counters["dmav.sweep.groups"] == 1
     assert (
         counters["dmav.sweep.gates_batched"]
         + counters["dmav.sweep.gates_rowloop"]
