@@ -56,16 +56,19 @@ def setup():
 def _dmav_gates(n: int) -> dict[str, Gate]:
     """One gate per DMAV bottom-out path (``dense_block_level`` 5, 4 threads).
 
-    ``rz`` (qubit n/2) is a Kronecker collapse over an identity base,
-    ``rz_low`` and ``cz_low`` collapse over a diagonal base, ``h_low`` and
-    ``ry_q0`` over a dense base with an all-ones scale, ``ry_high`` is a
-    dense level above the block level over one identity subtree (2x2
-    matmul), ``cx`` and ``h_high`` act above the border level (task
-    splitting), and ``cx_border`` (target n/2, control above the border)
-    leaves an X level on the generic branch.
+    Every gate DD is windowed, as ``run()`` emits it.  ``rz`` (qubit n/2)
+    is a Kronecker collapse over an identity base, ``rz_low`` and
+    ``cz_low`` are diagonal windows (tiled to the dense block width),
+    ``h_low``/``ry_q0``, ``h_q1`` and ``h_q2`` dense windows 2, 4 and 8
+    wide, ``ry_high`` is a dense level above the block level over one
+    identity subtree (2x2 matmul), ``cx`` and ``h_high`` act above the
+    border level (task splitting), and ``cx_border`` (target n/2, control
+    above the border) leaves an X level on the generic branch.
     """
     return {
         "h_low": Gate("h", (0,)),
+        "h_q1": Gate("h", (1,)),
+        "h_q2": Gate("h", (2,)),
         "h_high": Gate("h", (n - 1,)),
         "cx": Gate("cx", (0,), (n - 1,)),
         "rz": Gate("rz", (n // 2,), params=(0.4,)),
@@ -85,7 +88,7 @@ def dmav_setup(request):
     arr = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     arr /= np.linalg.norm(arr)
     gates = {
-        name: build_gate_dd(pkg, gate)
+        name: build_gate_dd(pkg, gate, windowed=True)
         for name, gate in _dmav_gates(n).items()
     }
     return pkg, arr, gates
@@ -121,7 +124,7 @@ def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
         plans.get(build_gate_dd(pkg, Gate(
             proto.name, proto.targets, proto.controls,
             params=tuple(p + 0.1 * r for p in proto.params),
-        )))
+        ), windowed=True))
         for r in range(rows)
     ]
     use_cache = plan_uses_cache("auto", row_plans[0])

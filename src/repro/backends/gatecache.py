@@ -3,6 +3,13 @@
 Gate DDs depend only on the gate's signature (base name, qubits, params),
 so repeated gates -- ubiquitous in the benchmark circuits -- reuse one DD.
 The cached edges also act as garbage-collection roots for the package.
+
+FlatDD builds every gate *windowed* (root at the gate's highest qubit,
+levels above it implicit identity): its DD phase applies them with the
+identity-skipping ``mv`` rules and its DMAV tail plans, prices and
+applies them over their active window, so one cache entry serves both
+phases.  ``windowed=False`` (full height) now serves only the DDSIM and
+DDMM baselines and FlatDD's ``identity_skip=False`` DD phase.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ def build_gate_dd(pkg: DDPackage, gate: Gate, windowed: bool = False) -> Edge:
 
     ``windowed=True`` builds only the gate's active-qubit window (root at
     ``max(gate.qubits)``; levels above it are implicit identity), which is
-    what identity-skipped application consumes.  ``windowed=False`` wraps
+    what FlatDD's DD phase and DMAV tail consume.  ``windowed=False`` wraps
     the same window subtree in weight-1 pass-through levels to full
     height, bit-identical to the historic full-height construction.
     """
@@ -62,17 +69,6 @@ class GateDDCache:
     def clear(self) -> None:
         """Drop all cached gate DDs (checkpoint barrier support)."""
         self._cache.clear()
-
-    def drop_windowed(self) -> None:
-        """Drop every identity-skipped (windowed) entry.
-
-        Called right after DD-to-array conversion: the DD phase is over,
-        windowed gate DDs are never consulted again, and keeping them as
-        garbage-collection roots would pin their pass-through nodes in
-        memory through the whole array phase.
-        """
-        for key in [k for k in self._cache if k[1]]:
-            del self._cache[key]
 
     def mark(self) -> int:
         """Rewind point for :meth:`rewind` (the cache is insert-only)."""

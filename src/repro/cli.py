@@ -124,8 +124,9 @@ def _add_dd_shrink_args(p: argparse.ArgumentParser) -> None:
                         "local search; conversion restores canonical "
                         "amplitude order (docs/PERFORMANCE.md)")
     p.add_argument("--no-identity-skip", action="store_true",
-                   help="build full-height gate DDs instead of "
-                        "identity-skipped windows (flatdd only; "
+                   help="build the DD phase's gate DDs full height "
+                        "instead of identity-skipped windows (flatdd "
+                        "only; the DMAV tail stays windowed; "
                         "bit-identical performance ablation)")
 
 

@@ -96,9 +96,10 @@ class FlatDDConfig:
     #: this to check that early/late conversion points are semantically
     #: equivalent.
     force_convert_at: int | None = None
-    #: Build gate DDs over only their active-qubit window and apply them
-    #: with the identity-skipping mv rules (pass-through levels cross
-    #: without node creation or compute-table entries).  Bit-identical to
+    #: Build the DD phase's gate DDs over only their active-qubit window
+    #: and apply them with the identity-skipping mv rules (pass-through
+    #: levels cross without node creation or compute-table entries); the
+    #: DMAV tail takes windowed gate DDs either way.  Bit-identical to
     #: the full-height path by construction -- the windowed DD shares its
     #: window subtree with the wrapped full-height DD and the skip rules
     #: perform the same arithmetic (``1.0 * x == x``) -- and enforced by

@@ -10,6 +10,14 @@ Equation 6 (caching, C2 = K2/t + 2**n/(d*t) * (H/t + b)) for a gate matrix,
 where H (cache hits), K2 (MACs not eliminated by caching) and b (partial
 output buffers) come from simulating Algorithm 2's AssignCache partitioning
 -- exactly the quantities the running system would realize.
+
+A gate DD may be *windowed*: its root sits at level ``top < n - 1`` and
+the levels above it are implicit identity (``I^(n-1-top) (x) W``).
+Figure 8 charges each such pass-through level its two children, so K1
+is the window's count times ``2**(n-1-top)``, and a border task whose
+node sits below the border level (a window that fits inside one
+thread's diagonal block) costs its count times ``2**(border - level)``.
+The verdicts therefore equal those of the full-height form.
 """
 
 from __future__ import annotations
@@ -83,14 +91,22 @@ class CacheAssignment:
         return hits
 
     def k2_macs(self, pkg: DDPackage) -> int:
-        """K2 of Equation 6: MACs of each thread's *unique* border nodes."""
+        """K2 of Equation 6: MACs of each thread's *unique* border nodes.
+
+        A task node below the border level applies over the
+        ``2**(border - level)`` diagonal blocks of its task slice, each
+        one charged as Figure 8 charges the pass-through levels above it.
+        """
+        border = border_level(self.num_qubits, self.threads)
         total = 0
         for thread_tasks in self.tasks:
             seen: set[int] = set()
             for node, _, _ in thread_tasks:
                 if id(node) not in seen:
                     seen.add(id(node))
-                    total += _mac_count_node(pkg, node)
+                    total += _mac_count_node(pkg, node) << max(
+                        border - node.level, 0
+                    )
         return total
 
 
@@ -100,7 +116,9 @@ def assign_cache_tasks(pkg: DDPackage, m: Edge, threads: int) -> CacheAssignment
     The thread index follows the *column* half chosen at each level, the
     partial-output offset follows the *row* half -- so each thread owns a
     fixed slice of the input vector and its cache can reuse results across
-    its own tasks (Section 3.2.2).
+    its own tasks (Section 3.2.2).  Implicit identity levels above a
+    windowed root descend their diagonal only, carrying the root edge
+    unmultiplied.
     """
     n = pkg.num_qubits
     validate_thread_count(threads, n)
@@ -114,6 +132,10 @@ def assign_cache_tasks(pkg: DDPackage, m: Edge, threads: int) -> CacheAssignment
             tasks[u].append((e.n, i_p, f * e.w))
             return
         stride = threads >> (n - level)
+        if e.n.level < level:
+            for i in (0, 1):
+                descend(e, f, u + i * stride, i_p + (1 << level) * i, level - 1)
+            return
         for j in (0, 1):
             for i in (0, 1):
                 descend(
@@ -232,11 +254,11 @@ class CostModel:
         self, pkg: DDPackage, m: Edge, assignment: CacheAssignment
     ) -> GateCost:
         t, d = self.threads, self.simd_width
-        k1 = mac_count(pkg, m)
+        n = pkg.num_qubits
+        k1 = mac_count(pkg, m) << (n - 1 - m.n.level)
         h_hits = assignment.cache_hits
         k2 = assignment.k2_macs(pkg)
         b = assignment.num_buffers
-        n = pkg.num_qubits
         c1 = k1 / t
         c2 = k2 / t + ((1 << n) / (d * t)) * (h_hits / t + b)
         return GateCost(

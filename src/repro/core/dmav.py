@@ -22,6 +22,11 @@ scales, a dense base is one block matmul, and a dense level over one
 identity subtree is one 2x2 matmul -- see DESIGN.md substitution 2; MAC
 counts for the cost model are unaffected.
 
+Gate DDs arrive windowed (root at the gate's highest qubit, the levels
+above it implicit identity).  Both descents walk those levels on the
+diagonal only, and a root below the border level is one task per thread
+that the kernel applies to each diagonal block of its tile.
+
 One kernel and one border-task runner (:func:`run_border_task_batch`)
 serve every caller.  They work on ``rows`` state vectors at once, each
 row with its own gate DD, and ``run()`` is the one-row case.  The planned
@@ -76,7 +81,10 @@ def assign_tasks(
 
     Each task is ``(border_node, v_start_index, coefficient)`` where the
     coefficient is the weight product along the DD path *including* the
-    border edge's own weight.
+    border edge's own weight.  The implicit identity levels above a
+    windowed root descend their diagonal only, carrying the root edge
+    without multiplying their exact 1.0 weights; a root below the border
+    level becomes one task per thread, spanning its diagonal block.
     """
     n = pkg.num_qubits
     validate_thread_count(threads, n)
@@ -90,6 +98,10 @@ def assign_tasks(
             tasks[u].append((e.n, i_v, f * e.w))
             return
         stride = threads >> (n - level)
+        if e.n.level < level:
+            for i in (0, 1):
+                descend(e, f, u + i * stride, i_v + (1 << level) * i, level - 1)
+            return
         for i in (0, 1):
             for j in (0, 1):
                 descend(
@@ -109,10 +121,11 @@ def _tile(t3: np.ndarray, off: int, h: int, node: DDNode) -> np.ndarray:
     """The ``(rows, size)`` columns a border task under ``node`` touches.
 
     ``t3`` is a tile-major ``(threads, rows, h)`` batch and ``off`` the
-    task's column offset.  A non-terminal border node sits at the border
-    level, so its task spans exactly one tile -- C-contiguous whenever
-    ``t3``'s rows are, as in every arena buffer, row block and one-row
-    view; a terminal task touches one column.
+    task's column offset.  A non-terminal task spans exactly one tile:
+    its node sits at the border level, or below it as a windowed root
+    that repeats down the tile's diagonal.  The tile is C-contiguous
+    whenever ``t3``'s rows are, as in every arena buffer, row block and
+    one-row view; a terminal task touches one column.
     """
     if node is not TERMINAL:
         return t3[off // h]
@@ -174,7 +187,9 @@ def _apply_lockstep(
     """Apply gate sub-DDs to a batch of vector blocks, all rows in lockstep.
 
     ``vten`` has shape ``(rows, m, 2**(level+1))``: row ``b`` stacks the
-    ``m`` vector blocks its sub-DD applies to.  ``nodes`` holds either one
+    ``m`` vector blocks its sub-DD applies to (a windowed root below the
+    dense level may arrive in wider blocks of ``I (x) W``, see
+    :func:`run_border_task_batch`).  ``nodes`` holds either one
     node shared by every row (``run()``'s one-row case, or rows whose
     sub-DDs are the same object) or one node per row (rows of a parameter
     sweep share structure but differ in edge weights, so the node
@@ -231,6 +246,20 @@ def _apply_lockstep(
             block_t = s0.data.T
         else:
             block_t = np.stack([s.data for s in shapes]).transpose(0, 2, 1)
+        bs = block_t.shape[-1]
+        if bs != size:
+            # A window root below the dense level: its block
+            # (analysis._window) is narrower than the task's view, or
+            # wider than a tile of fewer than DENSE_WINDOW_WIDTH columns.
+            if bs > size:
+                block_t = block_t[..., :size, :size]
+            else:
+                shape3 = vten.shape
+                vten = vten.reshape(rows, m * size // bs, bs)
+                res = vten @ block_t if out is None else np.matmul(
+                    vten, block_t, out=out.reshape(vten.shape)
+                )
+                return res.reshape(shape3)
         if out is None:
             return vten @ block_t
         np.matmul(vten, block_t, out=out)
@@ -247,23 +276,23 @@ def _apply_lockstep(
     if kind == "diagonal" or kind == "dense":
         # diag(d) (x) M_base over (m, len(d), bs) blocks; d is None when
         # it is all ones.
-        bs = s0.data.shape[0]
+        data = s0.data if shapes is None else np.stack(
+            [s.data for s in shapes]
+        )
+        bs = data.shape[-1]
+        if bs > size:
+            # A window root's diagonal (analysis._window) over a tile
+            # narrower than its tiling.
+            data, bs = data[..., :size], size
         shape4 = (rows, m, size // bs, bs)
         dst = None if out is None else out.reshape(shape4)
         if kind == "diagonal":
-            diag = (
-                s0.data
-                if shapes is None
-                else np.stack([s.data for s in shapes])[:, None, None, :]
-            )
+            diag = data if shapes is None else data[:, None, None, :]
             folded = np.multiply(vten.reshape(shape4), diag, out=dst)
         else:
-            if shapes is None:
-                block_t = s0.data.T
-            else:
-                block_t = np.stack(
-                    [s.data for s in shapes]
-                ).transpose(0, 2, 1)[:, None]
+            block_t = (
+                data.T if shapes is None else data.transpose(0, 2, 1)[:, None]
+            )
             folded = np.matmul(vten.reshape(shape4), block_t, out=dst)
         if s0.d is not None:
             folded *= s0.d[:, None] if shapes is None else _row_scales(shapes)
@@ -367,6 +396,14 @@ def run_border_task_batch(
     one-row case.  Each row's result is bit-identical (``np.array_equal``,
     the repo-wide replay guarantee) to a one-row call on that row alone.
 
+    A node at the border level spans its slice.  A windowed root below
+    the border (levels above it implicit identity) applies ``I (x) W``:
+    the kernel sees the slice as ``(rows, size >> (level + 1),
+    2**(level + 1))`` blocks, for one row and a batch alike.  Below
+    ``dense_level`` the blocks are ``2**(dense_level + 1)`` wide (at most
+    ``size``): such a root is diagonal or dense, and its bottom-out base
+    repeats over them (:func:`repro.dd.analysis.bottom_out`).
+
     With ``accumulate=False`` the block is *assigned* instead of
     accumulated, which lets planned runs write into recycled (dirty,
     never-zeroed) buffers; the values only differ from ``0 + x`` in
@@ -386,7 +423,12 @@ def run_border_task_batch(
     rows, size = vin.shape
     if not vin.flags.c_contiguous:
         vin = np.ascontiguousarray(vin)
-    v3 = vin.reshape(rows, 1, size)
+    level = nodes[0].level
+    width = 2 << level
+    if width < size and level < dense_level:
+        width = min(size, 2 << dense_level)
+    shape3 = (rows, size // width, width)
+    v3 = vin.reshape(shape3)
     # Operand order matters bit-for-bit: numpy's FMA-based complex
     # multiply rounds differently per order, so every path computes
     # ``coeff * res``.
@@ -405,7 +447,7 @@ def run_border_task_batch(
     # ``res`` either IS that slice's memory (same positions, so the
     # aliased multiply is well-defined) or an input view the kernel
     # passed through untouched.
-    fwd = wout.reshape(rows, 1, size) if wout.flags.c_contiguous else None
+    fwd = wout.reshape(shape3) if wout.flags.c_contiguous else None
     res = _apply_lockstep(pkg, nodes, v3, dense_level, fwd).reshape(rows, size)
     if unit:
         # Unit coefficients: ``1 * res`` differs from ``res`` only in

@@ -12,22 +12,34 @@ plus the derived per-slice writer lists -- compiled once per unique
 dense_block_level)`` (one :class:`PlanCache` instance serves exactly one
 such configuration, the one the simulator runs).
 
+Gate DDs arrive *windowed*: the root sits at the gate's highest qubit
+``top`` and the levels above it are implicit identity.  Those levels add
+only diagonal blocks, so the compiler never walks them.  With ``border
+= n - log2(t) - 1``:
+
+* a root at or above ``border`` compiles its window's border paths once
+  and copies them onto the ``2**(n-1-top)`` diagonal blocks, copy ``a``
+  shifting row and column offsets by ``a * 2**(top-border)`` tiles;
+* a root below ``border`` is one task ``(root, u*h, w)`` per thread
+  ``u``: the kernel applies it to each diagonal block of its tile.
+
 Two properties make the compiler more than a per-root dict:
 
 * **Structural memoization.**  Hash-consing guarantees structurally
   identical sub-DDs are the *same object*, so the compiler memoizes
   border-task paths per sub-DD node and shares them across gates.  Even
   circuits with zero repeated gate roots (QFT applies every cp/h at a
-  distinct position) share most of their upper-level structure:
-  pass-through levels, identity chains, and repeated border blocks all
-  collapse.  ``hits``/``misses`` are therefore *task-weighted*: a memo
-  hit counts every cached border task it serves, a miss counts the one
-  freshly compiled border task -- the fraction of planned tasks served
-  from cache is exactly the work amortized.
+  distinct position) share structure inside their windows: identity
+  chains and repeated border blocks collapse.  ``hits``/``misses`` are
+  therefore *task-weighted*: a memo hit counts every cached border task
+  it serves, a miss counts the one freshly compiled border task, and a
+  whole-plan replay counts all of its tasks.  Diagonal copies and
+  below-border roots are no memo traffic.
 * **Bit-exact replay.**  Paths store the edge-weight *chain* instead of a
   pre-multiplied product, and coefficients are folded top-down at plan
-  build exactly like the legacy descents multiplied them
-  (``((1 * w_root) * w_1) * ... * w_border``).  A planned run therefore
+  build exactly like the listing descents multiply them
+  (``((1 * w_root) * w_1) * ... * w_border``; neither multiplies the
+  implicit levels' exact 1.0 weights).  A planned run therefore
   reproduces the unplanned per-gate partitioning bit-for-bit (signed
   zeros aside), which is why the pipeline has no unplanned mode: the
   listing-form kernels of :mod:`repro.core.dmav` are the reference it is
@@ -267,8 +279,19 @@ class PlanCache:
         n = self.pkg.num_qubits
         t = self.threads
         h = (1 << n) // t
-        rel = [] if m.is_zero else self._paths(m.n, n - 1)
-        # Fold coefficients top-down in the legacy descents' exact
+        top = m.n.level
+        if m.is_zero:
+            rel, span, copies = [], 1, 0
+        elif top < self.border:
+            # The window fits inside one diagonal block: one task per
+            # thread, applying the root over its own tile.
+            rel, span, copies = [(m.n, 0, 0, (), 0, 0)], 1, t
+        else:
+            # The implicit levels above the root add only diagonal
+            # blocks: the window's border paths repeat on each of them.
+            rel = self._paths(m.n, top)
+            span, copies = 1 << (top - self.border), 1 << (n - 1 - top)
+        # Fold coefficients top-down in the listing descents' exact
         # multiplication order: ((1 * m.w) * w_1) * ... * w_border.
         paths = []
         for bn, r, c, chain, rk, ck in rel:
@@ -276,16 +299,21 @@ class PlanCache:
             for w in chain:
                 f = f * w
             paths.append((bn, r, c, f, rk, ck))
+        # Each thread's tasks come from one diagonal copy ``a``, so
+        # sorting within the window replays the listing order.
         row_tasks: list[list[tuple[DDNode, int, complex]]] = [
             [] for _ in range(t)
         ]
-        for bn, r, c, f, _rk, _ck in sorted(paths, key=lambda p: p[4]):
-            row_tasks[r].append((bn, c * h, f))
+        by_row = sorted(paths, key=lambda p: p[4])
         cache_tasks: list[list[tuple[DDNode, int, complex]]] = [
             [] for _ in range(t)
         ]
-        for bn, r, c, f, _rk, _ck in sorted(paths, key=lambda p: p[5]):
-            cache_tasks[c].append((bn, r * h, f))
+        by_col = sorted(paths, key=lambda p: p[5])
+        for a in range(0, copies * span, span):
+            for bn, r, c, f, _rk, _ck in by_row:
+                row_tasks[a + r].append((bn, (a + c) * h, f))
+            for bn, r, c, f, _rk, _ck in by_col:
+                cache_tasks[a + c].append((bn, (a + r) * h, f))
         buffer_of, num_buffers = assign_buffers(cache_tasks)
         assignment = CacheAssignment(
             num_qubits=n,
@@ -337,5 +365,5 @@ class PlanCache:
             writers=[sorted(ws) for ws in writer_sets],
             direct=direct,
             direct_out=direct_out,
-            num_tasks=len(paths),
+            num_tasks=copies * len(paths),
         )

@@ -210,21 +210,21 @@ def release_dd_phase(
 ) -> None:
     """Post-conversion cleanup of the DD-phase package.
 
-    Windowed gate DDs are never consulted again, so they stop pinning
-    their pass-through nodes.  ``barrier`` (set by a run that may write,
-    or has read, a snapshot) resets the package to the cold state in
-    which an array-phase resume rebuilds the DMAV gate list, so the
-    fused edges cannot drift by ulps between writer and resume.  Without
-    a barrier, under a memory budget, the dead state DD is reclaimed so a
-    forced conversion actually shrinks the working set (value-neutral:
-    GC only frees dead nodes and clears caches).
+    The gate-DD cache is kept: the DMAV tail takes the same windowed
+    gate DDs the DD phase built, so its repeated gates are cache hits.
+    ``barrier`` (set by a run that may write, or has read, a snapshot)
+    resets the package to the cold state in which an array-phase resume
+    rebuilds the DMAV gate list, so the fused edges cannot drift by ulps
+    between writer and resume.  Without a barrier, under a memory
+    budget, the dead state DD is reclaimed so a forced conversion
+    actually shrinks the working set (value-neutral: GC only frees dead
+    nodes and clears caches).
 
     Conversion mutates none of the state gate builds read, so afterwards
     the package is exactly where the DMAV phase's gate builds start --
     for ``run()`` and for every row a sweep group builds on its leader
     package.
     """
-    gates.drop_windowed()
     if barrier:
         gates.clear()
         pkg.checkpoint_barrier([])
@@ -696,7 +696,7 @@ class FlatDDSimulator(Simulator):
                 # The emitted list is rebuilt deterministically on resume.
                 f0 = time.perf_counter()
                 tail = circuit.gates[convert_at + 1:]
-                edges = [gates.get(g) for g in tail]
+                edges = [gates.get(g, windowed=True) for g in tail]
                 labels = [g.name for g in tail]
                 if cfg.fusion != "none" and edges:
                     model = CostModel(cfg.threads, cfg.simd_width)

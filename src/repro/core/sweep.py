@@ -289,7 +289,7 @@ def run_sweep(
             edges_rows = []
             for ui in members:
                 edges_rows.append([
-                    gates.get(gt)
+                    gates.get(gt, windowed=True)
                     for gt in uniq[ui].gates[convert_at + 1:]
                 ])
                 pkg.rewind_to_mark(build_mark)

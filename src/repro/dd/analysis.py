@@ -142,7 +142,8 @@ class BottomOut(NamedTuple):
       by the base diagonal ``data``, then by ``d``.
     * ``"dense"`` -- ``diag(d) (x) data``: one matmul by the dense base
       block ``data``, then the ``d`` scale.  A node at or below the dense
-      level is its own base.
+      level is its own base; below it, ``data`` repeats the base over the
+      kernel's wider blocks (``_window``).
     * ``"pair"`` -- a level above the dense level whose four non-zero
       children reach one identity subtree: ``data`` is its 2x2 weight
       matrix, applied as one matmul over the ``(m, 2, half)`` view.
@@ -205,8 +206,10 @@ def _classify(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
         block = dense_matrix_block(pkg, base)
         diag = np.diagonal(block)
         if np.count_nonzero(block) == np.count_nonzero(diag):
-            return BottomOut("diagonal", unit, diag.copy())
-        return BottomOut("dense", unit, block)
+            return BottomOut(
+                "diagonal", unit, _window(diag.copy(), node, dense_level)
+            )
+        return BottomOut("dense", unit, _window(block, node, dense_level))
     e00, e01, e10, e11 = node.edges
     if not (e00.is_zero or e11.is_zero):
         if e01.is_zero and e10.is_zero and e00.n is e11.n:
@@ -229,6 +232,42 @@ def _classify(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
                 ),
             )
     return BottomOut("descend", data=_child_groups(pkg, node))
+
+
+#: Narrowest block a dense window below the dense level applies as: a
+#: one-qubit gate on qubit 0 runs as ``I_2 (x) U``, one 4x4 gemm, instead
+#: of a 2x2 gemm over twice as many rows.  Chosen from
+#: ``benchmarks/bench_kernels.py``'s ``h_low``/``ry_q0`` fixtures against
+#: their 2- and 8-wide forms (docs/PERFORMANCE.md, "DMAV on windowed gate
+#: DDs").
+DENSE_WINDOW_WIDTH = 4
+
+
+def _window(base: np.ndarray, node: DDNode, dense_level: int) -> np.ndarray:
+    """``base`` of a node below ``dense_level``, repeated over wider blocks.
+
+    Recursion bottoms out at or above the dense level, so a node below it
+    is a border task's own node: a windowed gate root, which applies
+    ``I (x) base`` to its task slice.  The DMAV kernel views that slice in
+    ``2**(dense_level+1)``-wide blocks
+    (:func:`repro.core.dmav.run_border_task_batch`): a diagonal tiles to
+    that width, so its elementwise pass is as wide as a full-height
+    collapse's with the same products, and a dense block repeats down a
+    block diagonal to ``DENSE_WINDOW_WIDTH``.  Other nodes keep ``base``.
+    """
+    span = 2 << node.level
+    if node.level >= dense_level:
+        return base
+    if base.ndim == 1:
+        wide = np.tile(base, (2 << dense_level) // span)
+    else:
+        if span >= DENSE_WINDOW_WIDTH:
+            return base
+        wide = np.zeros((DENSE_WINDOW_WIDTH,) * 2, dtype=np.complex128)
+        for a in range(0, DENSE_WINDOW_WIDTH, span):
+            wide[a:a + span, a:a + span] = base
+    wide.setflags(write=False)
+    return wide
 
 
 def _child_groups(pkg: DDPackage, node: DDNode) -> tuple:

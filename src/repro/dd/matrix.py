@@ -202,7 +202,11 @@ def _resolve_top(pkg: DDPackage, top: int | None, window_top: int) -> int:
 
 
 def matrix_to_dense(pkg: DDPackage, e: Edge, num_qubits: int | None = None) -> np.ndarray:
-    """Expand a matrix DD to a dense ``2**n x 2**n`` numpy array (tests)."""
+    """Expand a matrix DD to a dense ``2**n x 2**n`` numpy array (tests).
+
+    A windowed root at level ``top < n - 1`` expands as
+    ``I^(n-1-top) (x) block``: its implicit levels are identity.
+    """
     n = pkg.num_qubits if num_qubits is None else num_qubits
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=np.complex128)
@@ -228,15 +232,22 @@ def matrix_to_dense(pkg: DDPackage, e: Edge, num_qubits: int | None = None) -> n
         memo[id(node)] = arr
         return arr
 
-    if e.n.level != n - 1:
-        raise DDError(f"root level {e.n.level} does not match {n} qubits")
-    out[:] = e.w * subtree(e.n)
+    if e.n.level > n - 1:
+        raise DDError(f"root level {e.n.level} does not fit {n} qubits")
+    block = e.w * subtree(e.n)
+    size = block.shape[0]
+    for a in range(0, dim, size):
+        out[a:a + size, a:a + size] = block
     return out
 
 
 def matrix_entry(pkg: DDPackage, e: Edge, row: int, col: int) -> complex:
-    """Single entry M[row][col]: weight product along one path (Fig. 2a)."""
-    if e.is_zero:
+    """Single entry M[row][col]: weight product along one path (Fig. 2a).
+
+    The implicit identity levels above a windowed root make every entry
+    whose row and column differ in those bits zero.
+    """
+    if e.is_zero or row >> (e.n.level + 1) != col >> (e.n.level + 1):
         return 0j
     w = e.w
     node = e.n

@@ -55,6 +55,13 @@ def random_state(n: int, seed: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_unitary(dim: int, seed: int = 0) -> np.ndarray:
+    """A random ``dim x dim`` unitary (the Q factor of a complex matrix)."""
+    g = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
+    return q
+
+
 def reference_state(circuit: Circuit) -> np.ndarray:
     """Final state via the simplest baseline (reshape-mode statevector)."""
     return StatevectorSimulator(mode="reshape").run(circuit).state

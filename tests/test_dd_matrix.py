@@ -17,6 +17,8 @@ from repro.dd import (
     two_qubit_gate,
 )
 
+from tests.conftest import random_unitary
+
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -213,3 +215,55 @@ class TestFactorsAndEntries:
         pkg = DDPackage(2)
         e = single_qubit_gate(pkg, H, 1)
         assert matrix_entry(pkg, e, 0, 2) == pytest.approx(1 / math.sqrt(2))
+
+
+#: ``(name, build)`` with ``build(pkg, positions, top)``: every gate kind
+#: whose windowed and full-height DDs the tail and the baselines share.
+_WINDOW_GATES = [
+    ("h", 1, lambda pkg, q, top: single_qubit_gate(pkg, H, q[0], top=top)),
+    ("cx", 2, lambda pkg, q, top: controlled_gate(
+        pkg, X, (q[0],), (q[1],), top=top)),
+    ("cp", 2, lambda pkg, q, top: controlled_gate(
+        pkg, np.diag([1, np.exp(0.3j)]), (q[1],), (q[0],), top=top)),
+    ("ccx", 3, lambda pkg, q, top: controlled_gate(
+        pkg, X, (q[1],), (q[0], q[2]), top=top)),
+    ("u4", 2, lambda pkg, q, top: two_qubit_gate(
+        pkg, random_unitary(4, 5), q[0], q[1], top=top)),
+]
+
+
+def _window_cases():
+    import itertools
+
+    for n in (3, 4):
+        for name, arity, build in _WINDOW_GATES:
+            for qubits in itertools.permutations(range(n), arity):
+                yield pytest.param(n, qubits, build, id=f"{name}-n{n}-{qubits}")
+
+
+class TestWindowedRoots:
+    """A windowed root expands as ``I^(n-1-top) (x) window``."""
+
+    @pytest.mark.parametrize("n, qubits, build", list(_window_cases()))
+    def test_windowed_matches_full_height(self, n, qubits, build):
+        pkg = DDPackage(n)
+        windowed = build(pkg, qubits, max(qubits))
+        full = build(pkg, qubits, None)
+        assert windowed.n.level == max(qubits)
+        assert full.n.level == n - 1
+        dense = matrix_to_dense(pkg, full)
+        assert np.array_equal(matrix_to_dense(pkg, windowed), dense)
+        for r in range(1 << n):
+            for c in range(1 << n):
+                entry = matrix_entry(pkg, windowed, r, c)
+                assert entry == matrix_entry(pkg, full, r, c)
+                assert entry == pytest.approx(dense[r, c], abs=1e-12)
+
+    def test_entry_outside_diagonal_block_is_zero(self):
+        # h on qubit 0 of 3: rows 0 and 2 differ in bit 1, above the root.
+        pkg = DDPackage(3)
+        windowed = single_qubit_gate(pkg, H, 0, top=0)
+        assert matrix_entry(pkg, windowed, 0, 2) == 0
+        assert matrix_entry(pkg, windowed, 2, 3) == pytest.approx(
+            1 / math.sqrt(2)
+        )

@@ -280,19 +280,3 @@ class TestBuildMarkRewind:
         hits = cache.hits
         cache.get(Gate("h", (0,)), windowed=True)
         assert cache.hits == hits + 1
-
-    def test_drop_windowed_keeps_full_height_entries(self):
-        from repro.backends.gatecache import GateDDCache
-        from repro.circuits.gates import Gate
-
-        pkg = DDPackage(3)
-        cache = GateDDCache(pkg)
-        cache.get(Gate("h", (0,)), windowed=True)
-        cache.get(Gate("h", (0,)))
-        cache.get(Gate("cx", (1,), (0,)), windowed=True)
-        assert len(cache) == 3
-        cache.drop_windowed()
-        assert len(cache) == 1
-        hits = cache.hits
-        cache.get(Gate("h", (0,)))
-        assert cache.hits == hits + 1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.backends.gatecache import build_gate_dd
-from repro.circuits import Gate
-from repro.common.config import DENSE_BLOCK_LEVEL
+from repro.circuits import Gate, get_circuit
+from repro.common.config import DENSE_BLOCK_LEVEL, FlatDDConfig
 from repro.core.cost_model import CostModel, assign_cache_tasks
 from repro.core import dmav as dmav_module
 from repro.core.dmav import (
@@ -17,15 +17,17 @@ from repro.core.dmav import (
     run_border_task_batch,
 )
 from repro.core.plan import PlanCache
+from repro.core.simulator import FlatDDSimulator, apply_plan
 from repro.dd import DDPackage, matrix_to_dense, mm_multiply, single_qubit_gate
 from repro.dd.analysis import bottom_out, dense_matrix_block, kron_collapse
-from repro.dd.matrix import controlled_gate
+from repro.dd.matrix import controlled_gate, two_qubit_gate
+from repro.dd.operations import identity_extend
 from repro.parallel.arena import BufferArena
 from repro.parallel.partition import border_level
 from repro.parallel.pool import TaskRunner
 from repro.common.errors import ParallelError
 
-from tests.conftest import random_state
+from tests.conftest import random_state, random_unitary
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -779,3 +781,112 @@ class TestBorderTaskBatch:
             "scale", "identity", "scale",
         ]
         assert one_row_calls == [1, 1, 1]
+
+
+def _windowed(pkg, gate):
+    return build_gate_dd(pkg, gate, windowed=True)
+
+
+#: name -> (arity, build(pkg, q)): windowed gate DDs rooted at qubit q.
+WINDOW_GATES = {
+    "h": (1, lambda pkg, q: _windowed(pkg, Gate("h", (q,)))),
+    "ry": (1, lambda pkg, q: _windowed(pkg, Gate("ry", (q,), params=(0.4,)))),
+    "u3": (1, lambda pkg, q: _windowed(
+        pkg, Gate("u3", (q,), params=(0.3, 0.7, 1.1)))),
+    "rz": (1, lambda pkg, q: _windowed(pkg, Gate("rz", (q,), params=(0.4,)))),
+    "cz": (2, lambda pkg, q: _windowed(pkg, Gate("cz", (q,), (0,)))),
+    "cp": (2, lambda pkg, q: _windowed(
+        pkg, Gate("cp", (q - 1,), (q,), params=(0.3,)))),
+    "cx": (2, lambda pkg, q: _windowed(pkg, Gate("cx", (0,), (q,)))),
+    "ccx": (3, lambda pkg, q: _windowed(pkg, Gate("ccx", (q,), (0, q - 1)))),
+    "u4": (2, lambda pkg, q: two_qubit_gate(
+        pkg, random_unitary(4, q), q, q - 1, top=q)),
+}
+
+
+def _window_reference(pkg, m, v):
+    """``matrix_to_dense(pkg, m) @ v``, applied as ``I (x) window``."""
+    size = 2 << m.n.level
+    block = matrix_to_dense(pkg, m, num_qubits=m.n.level + 1)
+    return (v.reshape(-1, size) @ block.T).reshape(-1)
+
+
+class TestWindowedGateDDs:
+    """A windowed gate DD is priced and applied like its full-height form.
+
+    The levels above a windowed root are implicit identity.  The cost
+    model charges them as Fig. 8 charges pass-through levels, and the
+    plan compiler, the listing descents and the kernel apply the window
+    on each diagonal block.  Only a dense window at or below the dense
+    block level changes gemm shape, so only there may bits differ from
+    the full-height run.
+    """
+
+    @pytest.mark.parametrize("gate", list(WINDOW_GATES))
+    @pytest.mark.parametrize(
+        "n, threads", [(n, t) for n in (8, 12) for t in (1, 2, 4, 8)]
+    )
+    def test_priced_and_applied_like_full_height(self, n, threads, gate):
+        arity, build = WINDOW_GATES[gate]
+        border = border_level(n, threads)
+        positions = {0, 1, 2, 5, 6, border - 1, border, border + 1, n - 1}
+        v = random_state(n, seed=n + threads)
+        for q in sorted(positions & set(range(arity - 1, n))):
+            pkg = DDPackage(n)
+            m = build(pkg, q)
+            assert m.n.level == q
+            full = identity_extend(pkg, m, n - 1)
+            assert CostModel(threads).evaluate(pkg, m) == CostModel(
+                threads
+            ).evaluate(pkg, full), q
+            plan = _plan_cache(pkg, threads).get(m)
+            low = q <= DENSE_BLOCK_LEVEL
+            dense_window = (
+                low and bottom_out(pkg, m.n, DENSE_BLOCK_LEVEL).kind == "dense"
+            )
+            for listing, use_cache in (
+                (dmav_nocache, False), (dmav_cached, True)
+            ):
+                w, _ = listing(pkg, m, v, threads)
+                out = np.full(1 << n, 99.0 + 9j)
+                planned, _ = apply_plan(
+                    pkg, [plan], use_cache, _tiles(v, threads),
+                    _tiles(out, threads), threads, None, DENSE_BLOCK_LEVEL,
+                    buffers=BufferArena(1 << n, tiles=threads).partials(
+                        plan.assignment.num_buffers
+                    ),
+                )
+                assert np.array_equal(planned.reshape(-1), w), (q, use_cache)
+                if low:
+                    np.testing.assert_allclose(
+                        w, _window_reference(pkg, m, v), atol=1e-12, rtol=0
+                    )
+                if not dense_window:
+                    w_full, _ = listing(pkg, full, v, threads)
+                    assert np.array_equal(w, w_full), (q, use_cache)
+
+    @pytest.mark.parametrize("policy", ["auto", "always", "never"])
+    @pytest.mark.parametrize(
+        "family, n", [("supremacy", 12), ("dnn", 10), ("knn", 11)]
+    )
+    def test_pipeline_costs_equal_full_height(self, family, n, policy):
+        threads = 4
+        circuit = get_circuit(family, n)
+        meta = FlatDDSimulator(
+            FlatDDConfig(threads=threads, cache_policy=policy)
+        ).run(circuit, keep_internals=True).metadata
+        assert meta["converted"]
+        pkg, edges = meta["package"], meta["dmav_edges"]
+        tail = circuit.gates[meta["conversion_gate_index"] + 1:]
+        # run() emits every tail gate windowed, rooted at its top qubit.
+        assert [e.n.level for e in edges] == [max(g.qubits) for g in tail]
+        model = CostModel(threads)
+        expected = []
+        for e in edges:
+            c = model.evaluate(pkg, identity_extend(pkg, e, n - 1))
+            cached = c.use_cache if policy == "auto" else policy == "always"
+            expected.append(
+                (c.macs_total, c.cost_nocache, c.cost_cache, cached)
+            )
+        assert meta["dmav_gate_costs"] == expected
+        assert meta["dmav_macs_total"] == sum(c[0] for c in expected)
