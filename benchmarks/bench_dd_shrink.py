@@ -3,10 +3,10 @@
 Two levers make the DD phase smaller rather than faster-per-node
 (``docs/PERFORMANCE.md``, "Shrinking the DD phase"):
 
-* **Identity skip** (``identity_skip``, default on): gate DDs span only
-  their active-qubit window; ``mv``/``mm`` treat missing levels as exact
-  weight-1 pass-throughs.  The state DD -- and hence the EWMA trigger,
-  which watches state-DD node counts -- is unchanged; the win is gate-DD
+* **Identity skip** (always on): gate DDs span only their active-qubit
+  window; ``mv``/``mm`` treat missing levels as exact weight-1
+  pass-throughs.  The state DD -- and hence the EWMA trigger, which
+  watches state-DD node counts -- is unchanged; the win is gate-DD
   construction and application cost.
 * **Reorder** (``--qubit-order interaction|sift``): a static
   logical-to-physical permutation keeps interacting qubits adjacent, so
@@ -19,7 +19,10 @@ windowed -- the table is shared, so hash-consed identity chains are
 counted once, same as the simulator pays for them), the EWMA conversion
 gate index per variant (deterministic: the trigger is size-driven), and
 DD-phase + conversion wall seconds per variant (min over interleaved
-repeats).
+repeats).  The ``baseline`` variant drives
+:func:`~repro.core.simulator.dd_phase` with a gate-DD cache that builds
+every gate full height, then converts; the others are ``run()`` under a
+qubit order.
 
 Shape targets: >= 2x windowed node reduction on at least one
 sparse-gate workload (supremacy/dnn clear it; qft's controlled-phase
@@ -39,7 +42,13 @@ from repro.bench.tables import render_table
 from repro.circuits import get_circuit
 from repro.common.config import FlatDDConfig
 from repro.core import FlatDDSimulator
+from repro.core.conversion import convert_parallel
+from repro.core.ewma import EWMAMonitor
+from repro.core.simulator import dd_phase
 from repro.dd.package import DDPackage
+from repro.dd.vector import zero_state
+from repro.metrics.memory import MemoryMeter
+from repro.resilience.guard import MemoryGuard
 
 from conftest import emit, record
 
@@ -49,11 +58,12 @@ WORKLOADS = [
     ("supremacy", 18),
     ("dnn", 12),
 ]
-#: (label, identity_skip, qubit_order) variants timed per workload.
+#: (label, qubit_order) variants timed per workload; ``baseline`` (no
+#: order) is the DD phase on full-height gate DDs.
 VARIANTS = [
-    ("baseline", False, "natural"),
-    ("skip", True, "natural"),
-    ("skip+sift", True, "sift"),
+    ("baseline", None),
+    ("skip", "natural"),
+    ("skip+sift", "sift"),
 ]
 REPEATS = 4
 MIN_NODE_REDUCTION = 2.0
@@ -73,16 +83,46 @@ def gate_dd_nodes(circuit, windowed: bool) -> int:
     return pkg.matrix_node_count
 
 
-def _dd_phase_run(circuit, threads, identity_skip, qubit_order):
-    cfg = FlatDDConfig(
-        threads=threads, identity_skip=identity_skip, qubit_order=qubit_order
-    )
+def _dd_phase_run(circuit, threads, qubit_order):
+    cfg = FlatDDConfig(threads=threads, qubit_order=qubit_order)
     result = FlatDDSimulator(cfg).run(circuit)
     seconds = sum(g.seconds for g in result.gate_trace if g.phase == "dd")
     report = result.metadata.get("conversion_report")
     if result.metadata.get("converted") and report is not None:
         seconds += report.seconds
     return seconds, result
+
+
+class FullHeightGateDDCache(GateDDCache):
+    """Builds every gate DD full height, whatever the caller asks for."""
+
+    def get(self, gate, windowed=False):
+        return super().get(gate, windowed=False)
+
+
+def _full_height_dd_phase_run(circuit, threads):
+    """The span ``_dd_phase_run`` times, on full-height gate DDs.
+
+    Drives ``dd_phase`` under the default config at ``threads`` with a
+    :class:`FullHeightGateDDCache`, then converts if the trigger fired.
+    Returns ``(seconds, conversion gate index or None)``.
+    """
+    cfg = FlatDDConfig(threads=threads)
+    pkg = DDPackage(circuit.num_qubits)
+    trace = []
+    state_dd, convert_at, _, _ = dd_phase(
+        cfg, pkg, FullHeightGateDDCache(pkg),
+        EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon), zero_state(pkg),
+        circuit.gates, 0, MemoryGuard(None), MemoryMeter(), {},
+        FlatDDSimulator.GC_THRESHOLD, trace=trace,
+    )
+    seconds = sum(g.seconds for g in trace)
+    if convert_at is not None:
+        _, report = convert_parallel(
+            pkg, state_dd, threads, dense_level=cfg.dense_block_level
+        )
+        seconds += report.seconds
+    return seconds, convert_at
 
 
 def run_experiment(threads: int = 4):
@@ -101,13 +141,20 @@ def run_experiment(threads: int = 4):
         conv_at = {}
         counters = {}
         for _ in range(REPEATS):
-            for label, skip, order in VARIANTS:
-                seconds, result = _dd_phase_run(circuit, threads, skip, order)
+            for label, order in VARIANTS:
+                if order is None:
+                    seconds, conv_at[label] = _full_height_dd_phase_run(
+                        circuit, threads
+                    )
+                else:
+                    seconds, result = _dd_phase_run(circuit, threads, order)
+                    conv_at[label] = result.metadata.get(
+                        "conversion_gate_index"
+                    )
+                    counters[label] = result.metadata["obs"]["counters"]
                 best[label] = min(best.get(label, seconds), seconds)
-                conv_at[label] = result.metadata.get("conversion_gate_index")
-                counters[label] = result.metadata["obs"]["counters"]
         base_s = best["baseline"]
-        for label, _, _ in VARIANTS:
+        for label, _ in VARIANTS:
             timed_rows.append([
                 name if label == "baseline" else "",
                 label,
@@ -227,8 +274,8 @@ def run_smoke(directory: str | None = None) -> str:
         name = f"{family}-{n}"
         full = gate_dd_nodes(circuit, windowed=False)
         windowed = gate_dd_nodes(circuit, windowed=True)
-        _, skip_res = _dd_phase_run(circuit, 2, True, "natural")
-        _, sift_res = _dd_phase_run(circuit, 2, True, "sift")
+        _, skip_res = _dd_phase_run(circuit, 2, "natural")
+        _, sift_res = _dd_phase_run(circuit, 2, "sift")
         counters = skip_res.metadata["obs"]["counters"]
         metrics[name] = {
             "gate_dd_nodes_full": full,

@@ -5,6 +5,11 @@ simulation per unique circuit.  This bench runs the same 60-job batch
 (20 unique circuits, 3 copies each) twice -- once with the result cache
 disabled and once enabled -- so the table shows both raw service
 overhead (jobs/sec with no dedup help) and the cache's multiplier.
+
+Run as a script, it writes the process-scaling record
+``BENCH_serve_procs.json`` to OUTDIR (see :func:`run_smoke`)::
+
+    PYTHONPATH=src:benchmarks python benchmarks/bench_serve_throughput.py /tmp/bench
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ GATES = 30
 
 #: Fleet sizes for the process-scaling study (threads vs processes).
 PROC_COUNTS = (1, 2, 4)
+#: Thread count of the process-scaling record :func:`run_smoke` writes.
+SMOKE_THREADS = 4
 
 
 def _jobs():
@@ -144,6 +151,37 @@ def run_process_scaling(threads: int):
     return table, reports, metrics
 
 
+def _procs_digest(threads: int) -> str:
+    """Config digest of a ``serve_procs`` record."""
+    return (
+        f"threads={threads};procs={','.join(map(str, PROC_COUNTS))};"
+        f"unique={UNIQUE};copies={COPIES};qubits={QUBITS};gates={GATES}"
+    )
+
+
+def run_smoke(directory: str | None = None) -> str:
+    """Write ``BENCH_serve_procs.json`` from the process-scaling study.
+
+    Prints the table and asserts that every engine finished the batch
+    clean.  The timings are host-dependent, so compare the record with
+    ``benchmarks/baselines`` report-only.
+    """
+    from repro.bench.registry import write_bench_record
+
+    table, reports, metrics = run_process_scaling(SMOKE_THREADS)
+    print(table)
+    for report in reports.values():
+        assert report.ok and report.internal_errors == 0
+    path = write_bench_record(
+        "serve_procs",
+        metrics,
+        directory=directory,
+        config_digest=_procs_digest(SMOKE_THREADS),
+    )
+    print(f"bench record: {path}")
+    return path
+
+
 @pytest.mark.benchmark(group="serve-throughput")
 def test_serve_throughput(benchmark, threads):
     table, reports = benchmark.pedantic(
@@ -178,14 +216,7 @@ def test_serve_process_scaling(benchmark, threads):
         run_process_scaling, args=(threads,), rounds=1, iterations=1
     )
     emit("serve_procs", table)
-    record(
-        "serve_procs",
-        metrics,
-        config_digest=(
-            f"threads={threads};procs={','.join(map(str, PROC_COUNTS))};"
-            f"unique={UNIQUE};copies={COPIES};qubits={QUBITS};gates={GATES}"
-        ),
-    )
+    record("serve_procs", metrics, config_digest=_procs_digest(threads))
     # Correctness invariants only: every engine finishes the batch clean
     # and the fleet actually dispatched work over the wire.  There is no
     # speedup assertion -- scaling is whatever the host's cores allow,
@@ -202,3 +233,10 @@ def test_serve_process_scaling(benchmark, threads):
         cluster = reports[f"procs{procs}"].cluster
         assert cluster is not None and cluster["dispatched"] >= 1
         assert cluster["worker_deaths"] == 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    # A real file as __main__: the fleet's spawned workers re-import it.
+    run_smoke(sys.argv[1] if len(sys.argv) > 1 else None)

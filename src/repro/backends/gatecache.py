@@ -8,8 +8,8 @@ FlatDD builds every gate *windowed* (root at the gate's highest qubit,
 levels above it implicit identity): its DD phase applies them with the
 identity-skipping ``mv`` rules and its DMAV tail plans, prices and
 applies them over their active window, so one cache entry serves both
-phases.  ``windowed=False`` (full height) now serves only the DDSIM and
-DDMM baselines and FlatDD's ``identity_skip=False`` DD phase.
+phases.  ``windowed=False`` (full height) serves the DDSIM and DDMM
+baselines, equivalence checking and the density-matrix noise helper.
 """
 
 from __future__ import annotations

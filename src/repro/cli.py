@@ -96,7 +96,6 @@ def _make_simulator(args: argparse.Namespace):
             fusion=args.fusion,
             memory_budget_bytes=getattr(args, "memory_budget", None),
             force_convert_at=getattr(args, "force_convert_at", None),
-            identity_skip=not getattr(args, "no_identity_skip", False),
             qubit_order=getattr(args, "qubit_order", "natural"),
         )
     if args.backend == "ddsim":
@@ -114,8 +113,8 @@ def _add_circuit_args(p: argparse.ArgumentParser) -> None:
                    help="generator seed (random families)")
 
 
-def _add_dd_shrink_args(p: argparse.ArgumentParser) -> None:
-    """DD-phase shrinking flags shared by simulate/sweep/compare."""
+def _add_qubit_order_arg(p: argparse.ArgumentParser) -> None:
+    """The ``--qubit-order`` flag shared by simulate/sweep/compare."""
     p.add_argument("--qubit-order", default="natural",
                    choices=["natural", "interaction", "sift"],
                    help="DD-phase variable order (flatdd only): "
@@ -123,11 +122,6 @@ def _add_dd_shrink_args(p: argparse.ArgumentParser) -> None:
                         "qubits adjacent; 'sift' refines that order by "
                         "local search; conversion restores canonical "
                         "amplitude order (docs/PERFORMANCE.md)")
-    p.add_argument("--no-identity-skip", action="store_true",
-                   help="build the DD phase's gate DDs full height "
-                        "instead of identity-skipped windows (flatdd "
-                        "only; the DMAV tail stays windowed; "
-                        "bit-identical performance ablation)")
 
 
 def cmd_families(args: argparse.Namespace) -> int:
@@ -266,7 +260,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fusion=args.fusion,
         memory_budget_bytes=args.memory_budget,
         force_convert_at=args.force_convert_at,
-        identity_skip=not args.no_identity_skip,
         qubit_order=args.qubit_order,
     )
     _log.info(
@@ -764,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(open in Perfetto / chrome://tracing)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-phase timing breakdown")
-    _add_dd_shrink_args(p)
+    _add_qubit_order_arg(p)
     p.add_argument("--force-convert-at", type=int, default=None,
                    metavar="GATE",
                    help="force DD-to-array conversion right after this "
@@ -800,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--fusion", default="none",
                    choices=["none", "cost", "koperations"])
-    _add_dd_shrink_args(p)
+    _add_qubit_order_arg(p)
     p.add_argument("--force-convert-at", type=int, default=None,
                    metavar="GATE",
                    help="force DD-to-array conversion right after this "
@@ -821,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--fusion", default="none",
                    choices=["none", "cost", "koperations"])
-    _add_dd_shrink_args(p)
+    _add_qubit_order_arg(p)
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--trace", metavar="PATH",
                    help="write one Chrome trace per backend "

@@ -96,16 +96,6 @@ class FlatDDConfig:
     #: this to check that early/late conversion points are semantically
     #: equivalent.
     force_convert_at: int | None = None
-    #: Build the DD phase's gate DDs over only their active-qubit window
-    #: and apply them with the identity-skipping mv rules (pass-through
-    #: levels cross without node creation or compute-table entries); the
-    #: DMAV tail takes windowed gate DDs either way.  Bit-identical to
-    #: the full-height path by construction -- the windowed DD shares its
-    #: window subtree with the wrapped full-height DD and the skip rules
-    #: perform the same arithmetic (``1.0 * x == x``) -- and enforced by
-    #: the ``identity_skip_equivalence`` fuzz oracle, so this is an
-    #: execution-only knob; False is the ``--no-identity-skip`` ablation.
-    identity_skip: bool = True
     #: Variable (qubit) order for the DD phase: "natural" keeps circuit
     #: order; "interaction" places strongly interacting qubits adjacently
     #: (greedy linear arrangement over the qubit-interaction graph);
@@ -155,12 +145,9 @@ class FlatDDConfig:
 #: never the final state -- excluded from the cache-key config digest.
 #: ``memory_budget_bytes`` stays *in* the digest: a guardrail-forced early
 #: conversion changes the conversion point, which is bit-level visible.
-#: ``identity_skip`` is execution-only by construction: windowed gate DDs
-#: share their window subtree with the wrapped full-height DDs and the
-#: skip rules reproduce the pass-through arithmetic exactly (enforced by
-#: the ``identity_skip_equivalence`` fuzz oracle).  ``qubit_order`` stays
-#: in the digest: permuting the DD phase moves the conversion point.
-_EXECUTION_ONLY_FIELDS = ("use_thread_pool", "identity_skip")
+#: ``qubit_order`` stays in the digest: permuting the DD phase moves the
+#: conversion point.
+_EXECUTION_ONLY_FIELDS = ("use_thread_pool",)
 
 
 def config_digest(config: "FlatDDConfig | None") -> str:

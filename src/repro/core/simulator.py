@@ -110,6 +110,11 @@ def dd_phase(
     ``deadline`` passes first (``timed_out``).  ``applied`` counts every
     gate applied since gate 0, a resumed prefix included.
 
+    Each gate is applied as its windowed DD, ``gates.get(gate,
+    windowed=True)``: it spans only the gate's active-qubit window, and
+    ``mv_multiply`` crosses the levels above its root as implicit
+    identity.
+
     Every decision -- trigger, guard, the ``gc_threshold`` GC cadence --
     reads only this package's DD working set, so a single-shot run, a
     resume entering at its snapshot cursor and each sweep group all
@@ -123,14 +128,11 @@ def dd_phase(
     """
     tracing = tracer.enabled
     force_at = cfg.force_convert_at
-    windowed = cfg.identity_skip
     total = len(dd_gates)
     for i in range(start, total):
         gate = dd_gates[i]
         g0 = time.perf_counter()
-        state_dd = mv_multiply(
-            pkg, gates.get(gate, windowed=windowed), state_dd
-        )
+        state_dd = mv_multiply(pkg, gates.get(gate, windowed=True), state_dd)
         size = node_count(state_dd)
         triggered = monitor.update(size)
         if force_at is not None:
@@ -575,7 +577,6 @@ class FlatDDSimulator(Simulator):
             "forced_conversion": cfg.force_convert_at is not None,
             "resumed": resume is not None,
             "resume_phase": resume.phase if resume is not None else None,
-            "identity_skip": cfg.identity_skip,
             "qubit_order": cfg.qubit_order,
             "reorder": {
                 "mode": reorder.mode,
@@ -737,18 +738,6 @@ class FlatDDSimulator(Simulator):
         metadata["gate_dd_cache_hits"] = gates.hits
         metadata["gate_dd_cache_misses"] = gates.misses
         metadata["dd_stats"] = pkg.stats.as_dict()
-        registry.counter("dd.identity.mv_skips").inc(
-            pkg.stats.identity_mv_skips
-        )
-        registry.counter("dd.identity.mm_skips").inc(
-            pkg.stats.identity_mm_skips
-        )
-        registry.counter("dd.identity.passthrough_skips").inc(
-            pkg.stats.identity_passthrough_skips
-        )
-        registry.counter("dd.identity.lift_steps").inc(
-            pkg.stats.identity_lift_steps
-        )
         registry.gauge("dd.reorder.applied").set(
             0 if reorder.is_natural else 1
         )

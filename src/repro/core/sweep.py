@@ -44,7 +44,8 @@ row's own plan on its one-row view of the batch), and between per-row
 sub-DDs drops that kernel recursion level to one.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
-falls back to deduplicated per-row ``run()`` calls (noted in metadata).
+falls back to deduplicated per-row ``run()`` calls (noted in metadata),
+each counted as one group and its counters merged into the sweep's.
 """
 
 from __future__ import annotations
@@ -183,28 +184,29 @@ def run_sweep(
         "fusion": cfg.fusion,
         "rows": num_rows,
         "unique_rows": len(uniq),
-        "identity_skip": cfg.identity_skip,
         "qubit_order": cfg.qubit_order,
         "reorder_applied": not reorder.is_natural,
     }
 
     if cfg.fusion != "none":
         # Fusion emits per-run gate groupings the lockstep replay does
-        # not model; dedup still pays, batching does not apply.
+        # not model; dedup still pays, batching does not apply.  Each
+        # unique row's run is its own group.
         metadata["mode"] = "fallback-fusion"
+        registry.counter("dmav.sweep.groups").inc(len(uniq))
+        snap = registry.snapshot()
+        counters = snap["counters"]
         ustates = []
         peak = 0
         for c in uniq:
             r = sim.run(c, tracer=tracer)
             ustates.append(r.state)
             peak = max(peak, r.peak_memory_bytes)
+            _merge_counters(counters, r.metadata["obs"]["counters"])
         states = np.empty((num_rows, 1 << n), dtype=np.complex128)
         for i, fp in enumerate(fps):
             states[i] = ustates[first_of[fp]]
-        snap = registry.snapshot()
-        metadata["obs"] = {
-            "counters": snap["counters"], "gauges": snap["gauges"],
-        }
+        metadata["obs"] = {"counters": counters, "gauges": snap["gauges"]}
         return SweepResult(
             backend=sim.name,
             circuit_name=circuit.name,
@@ -328,14 +330,8 @@ def run_sweep(
     metadata["conversion_seconds"] = sum(conversions)
     snap = registry.snapshot()
     counters = snap["counters"]
-    # Every group's leader package: work counts add up, node populations
-    # are the largest group's.
     for g in groups:
-        for key, val in package_counters(g["pkg"]).items():
-            if key in ("dd.unique_nodes", "dd.peak_nodes"):
-                counters[key] = max(counters.get(key, 0), val)
-            else:
-                counters[key] = counters.get(key, 0) + val
+        _merge_counters(counters, package_counters(g["pkg"]))
     metadata["obs"] = {"counters": counters, "gauges": snap["gauges"]}
     return SweepResult(
         backend=sim.name,
@@ -347,6 +343,20 @@ def run_sweep(
         peak_memory_bytes=meter.peak_bytes,
         metadata=metadata,
     )
+
+
+def _merge_counters(counters: dict, group: dict) -> None:
+    """Fold one group's counters into the sweep's ``counters``.
+
+    A group is a batched group's leader package or one fallback run.
+    Work counts add up; node populations (``dd.unique_nodes``,
+    ``dd.peak_nodes``) are the largest group's.
+    """
+    for key, val in group.items():
+        if key in ("dd.unique_nodes", "dd.peak_nodes"):
+            counters[key] = max(counters.get(key, 0), val)
+        else:
+            counters[key] = counters.get(key, 0) + val
 
 
 def _write_sweep_checkpoint(

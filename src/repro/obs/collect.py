@@ -36,6 +36,10 @@ def package_counters(pkg) -> dict:
         "dd.unique_nodes": pkg.unique_node_count,
         "dd.peak_nodes": pkg.peak_node_count,
         "dd.nodes_created": pkg.nodes_created,
+        "dd.identity.mv_skips": stats.identity_mv_skips,
+        "dd.identity.mm_skips": stats.identity_mm_skips,
+        "dd.identity.passthrough_skips": stats.identity_passthrough_skips,
+        "dd.identity.lift_steps": stats.identity_lift_steps,
     }
 
 

@@ -11,9 +11,9 @@ Two families, both cheap relative to writing amplitude-level golden data:
   drawn: norm preservation, ``C . C^-1 = I`` round-trips, gate-fusion
   on/off equivalence, forced early/late conversion-point equivalence,
   thread-count invariance of the parallel conversion + DMAV kernels,
-  bit-identical identity-skip on/off equivalence, qubit-reorder
-  equivalence (any variable order un-permutes back to the natural-order
-  state), and bit-identical checkpoint/resume (a run interrupted at a
+  qubit-reorder equivalence (any variable order un-permutes back to the
+  natural-order state), bit-identical sweep rows against single-shot
+  runs, and bit-identical checkpoint/resume (a run interrupted at a
   fingerprint-derived gate and resumed from its snapshot must reproduce
   the uninterrupted run's amplitudes *exactly*, see docs/RESILIENCE.md).
 
@@ -165,18 +165,14 @@ class OracleContext:
         threads: int | None = None,
         fusion: str = "none",
         force_convert_at: int | None = None,
-        identity_skip: bool = True,
         qubit_order: str = "natural",
     ) -> np.ndarray:
         t = self._effective_threads(threads)
-        key = (
-            "flatdd", t, fusion, force_convert_at, identity_skip,
-            qubit_order,
-        )
+        key = ("flatdd", t, fusion, force_convert_at, qubit_order)
         if key not in self._states:
             cfg = FlatDDConfig(
                 threads=t, fusion=fusion, force_convert_at=force_convert_at,
-                identity_skip=identity_skip, qubit_order=qubit_order,
+                qubit_order=qubit_order,
             )
             self._states[key] = FlatDDSimulator(cfg).run(self.circuit).state
         return self._states[key]
@@ -346,41 +342,6 @@ def oracle_thread_invariance(
     )
 
 
-def oracle_identity_skip_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """Identity-skipped gate DDs must be a pure performance optimization.
-
-    Runs the pipeline with ``identity_skip`` on and off.  Equality is
-    ``np.array_equal``, not a tolerance: windowed and full-height gate
-    DDs share the active-window subtree through hash-consing and the
-    pass-through levels carry exact ``1.0`` weights, so the two modes
-    multiply exactly the same complex values in exactly the same order
-    (:mod:`repro.dd.operations`).  Any drift is a real skip-rule bug,
-    not float noise.
-    """
-    t0 = time.perf_counter()
-    skipped = ctx.flatdd(identity_skip=True)
-    full = ctx.flatdd(identity_skip=False)
-    identical = bool(np.array_equal(skipped, full))
-    err = (
-        0.0 if identical
-        else float(np.max(np.abs(skipped - full)))
-    )
-    return OracleOutcome(
-        oracle="identity_skip",
-        family="metamorphic",
-        passed=identical,
-        max_error=err,
-        tier="tight" if identical else "violation",
-        detail=(
-            "identity_skip on vs off (EWMA-timed conversion), "
-            "bit-exact comparison"
-        ),
-        seconds=time.perf_counter() - t0,
-    )
-
-
 def oracle_reorder_equivalence(
     circuit: Circuit, ctx: OracleContext
 ) -> OracleOutcome:
@@ -534,7 +495,6 @@ ORACLES: dict[str, tuple[str, callable]] = {
     "thread_invariance": ("metamorphic", oracle_thread_invariance),
     "fusion_equivalence": ("metamorphic", oracle_fusion_equivalence),
     "inverse_roundtrip": ("metamorphic", oracle_inverse_roundtrip),
-    "identity_skip": ("metamorphic", oracle_identity_skip_equivalence),
     "reorder_equivalence": ("metamorphic", oracle_reorder_equivalence),
     "checkpoint_resume": ("metamorphic", oracle_checkpoint_resume),
     "sweep_consistency": ("metamorphic", oracle_sweep_consistency),

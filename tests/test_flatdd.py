@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from repro import FlatDDConfig, FlatDDSimulator
-from repro.backends import DDSimulator, StatevectorSimulator
+from repro.backends import DDSimulator, GateDDCache, StatevectorSimulator
 from repro.circuits import get_circuit
 from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import ParallelError
 from repro.core.cost_model import CostModel, assign_cache_tasks
 from repro.core.dmav import dmav_cached, dmav_nocache
+from repro.core.ewma import EWMAMonitor
+from repro.core.simulator import dd_phase
+from repro.dd.package import DDPackage
+from repro.dd.vector import vector_to_array, zero_state
+from repro.metrics.memory import MemoryMeter
+from repro.resilience.guard import MemoryGuard
+from repro.verify.fuzz import generate_circuit, spec_for_iteration
 
 from tests.conftest import reference_state
 
@@ -82,6 +89,75 @@ class TestPhaseBehaviour:
         samples = r.metadata["ewma_samples"]
         assert len(samples) == 6
         assert all(s.ewma > 0 for s in samples)
+
+
+class _FullHeightCache(GateDDCache):
+    """Builds every gate DD full height, whatever the caller asks for."""
+
+    def get(self, gate, windowed=False):
+        return super().get(gate, windowed=False)
+
+
+def _drive_dd_phase(circuit, cache_cls):
+    """``dd_phase`` over the whole circuit under the default config."""
+    cfg = FlatDDConfig()
+    pkg = DDPackage(circuit.num_qubits)
+    trace = []
+    state_dd, convert_at, applied, _ = dd_phase(
+        cfg, pkg, cache_cls(pkg),
+        EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon), zero_state(pkg),
+        circuit.gates, 0, MemoryGuard(None), MemoryMeter(), {},
+        FlatDDSimulator.GC_THRESHOLD, trace=trace,
+    )
+    return (
+        convert_at,
+        applied,
+        [r.dd_size for r in trace],
+        vector_to_array(pkg, state_dd),
+    )
+
+
+def _assert_full_height_dd_phase_identical(circuit):
+    windowed = _drive_dd_phase(circuit, GateDDCache)
+    full = _drive_dd_phase(circuit, _FullHeightCache)
+    assert windowed[:3] == full[:3], circuit.name
+    assert np.array_equal(windowed[3], full[3]), circuit.name
+
+
+#: Table 1 families at n = 6-12 (knn and swaptest take odd n).
+DD_PHASE_FAMILIES = [
+    ("dnn", 6), ("dnn", 9), ("dnn", 12),
+    ("adder", 6), ("adder", 12),
+    ("ghz", 6), ("ghz", 12),
+    ("vqe", 6), ("vqe", 12),
+    ("knn", 7), ("knn", 11),
+    ("swaptest", 7), ("swaptest", 11),
+    ("supremacy", 6), ("supremacy", 9), ("supremacy", 10), ("supremacy", 12),
+]
+
+
+class TestWindowedDDPhase:
+    """The DD phase's windowed gate DDs against full-height ones.
+
+    A windowed gate DD shares its window subtree with the full-height
+    DD of the same gate, and the identity-skipping ``mv`` rules do the
+    pass-through levels' arithmetic exactly (``1.0 * x == x``).  So the
+    DD phase must convert at the same gate, see the same per-gate
+    state-DD sizes and end on the same amplitudes, bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "family,n", DD_PHASE_FAMILIES,
+        ids=[f"{f}-{n}" for f, n in DD_PHASE_FAMILIES],
+    )
+    def test_table1_families(self, family, n):
+        _assert_full_height_dd_phase_identical(get_circuit(family, n))
+
+    def test_seed0_fuzz_circuits(self):
+        for i in range(200):
+            _assert_full_height_dd_phase_identical(
+                generate_circuit(spec_for_iteration(0, i))
+            )
 
 
 class TestInstrumentation:

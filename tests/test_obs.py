@@ -237,6 +237,13 @@ class TestBackendObsMetadata:
             assert obs["counters"]["gate_cache.misses"] > 0
             assert result.metadata["dd_stats"]["unique_misses"] > 0
             assert result.metadata["gate_dd_cache_hits"] >= 0
+            stats = result.metadata["dd_stats"]
+            for rule in ("mv_skips", "mm_skips", "passthrough_skips",
+                         "lift_steps"):
+                assert (
+                    obs["counters"][f"dd.identity.{rule}"]
+                    == stats[f"identity_{rule}"]
+                ), rule
 
     def test_traced_flatdd_has_summary_and_ewma(self):
         tracer = Tracer()

@@ -168,19 +168,14 @@ class TestMemoryGuard:
     def test_simulator_degrades_then_completes(self):
         # A budget large enough for the flat array but not for the DD
         # growth: the run must force conversion early and still finish
-        # with correct amplitudes.
+        # with correct amplitudes.  The DD phase outgrows it at gate 47,
+        # two gates before the EWMA trigger would fire.
         circuit = get_circuit("supremacy", 9)
-        # identity_skip off: windowed gate DDs keep this circuit's DD
-        # phase under the budget, and the EWMA trigger would fire before
-        # the guard ever breaches -- the ablation keeps the historic
-        # DD-growth-breaches-first scenario this test exercises.
-        cfg = FlatDDConfig(
-            threads=2, memory_budget_bytes=60_000, identity_skip=False
-        )
+        cfg = FlatDDConfig(memory_budget_bytes=40_000)
         res = FlatDDSimulator(cfg).run(circuit)
         assert res.metadata.get("guard_forced_conversion") is True
         assert res.metadata["converted"] is True
-        assert res.metadata["guard"]["budget_bytes"] == 60_000
+        assert res.metadata["guard"]["budget_bytes"] == 40_000
         ref = reference_state(circuit)
         assert abs(abs(np.vdot(res.state, ref)) - 1.0) < 1e-9
 

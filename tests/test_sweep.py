@@ -227,20 +227,36 @@ def test_incongruent_rows_replay_per_row(policy, use_thread_pool):
 
 
 DMAV_WORK = ("dmav.gates", "dmav.macs", "dmav.gates_cached", "dmav.cache_hits")
+IDENTITY_COUNTERS = (
+    "dd.identity.mv_skips",
+    "dd.identity.mm_skips",
+    "dd.identity.passthrough_skips",
+    "dd.identity.lift_steps",
+)
 
 
-@pytest.mark.parametrize("template", ["congruent", "rowloop"])
-@pytest.mark.parametrize("policy", ["auto", "always", "never"])
-def test_sweep_dmav_counters_equal_looped_runs(policy, template):
+COUNTER_CASES = [
+    pytest.param(policy, template, fusion, id=f"{policy}-{template}{suffix}")
+    for fusion, suffix in (("none", ""), ("cost", "-cost"))
+    for policy in ("always", "auto", "never")
+    for template in ("congruent", "rowloop")
+]
+
+
+@pytest.mark.parametrize("policy,template,fusion", COUNTER_CASES)
+def test_sweep_dmav_counters_equal_looped_runs(policy, template, fusion):
     """A sweep's DMAV work counters are the sums of run()'s over its
-    unique rows, batched columns and per-row replays alike."""
+    unique rows: batched columns, per-row replays and fusion-fallback
+    runs alike."""
     if template == "congruent":
         c = _template(n=4, layers=2)
         rows = _rows(c, 3, seed=3)
         rows.append(rows[1])
     else:
         c, rows = _rowloop_template()
-    sim = FlatDDSimulator(threads=2, force_convert_at=0, cache_policy=policy)
+    sim = FlatDDSimulator(
+        threads=2, force_convert_at=0, cache_policy=policy, fusion=fusion
+    )
     counters = sim.simulate_sweep(c, rows).metadata["obs"]["counters"]
     unique = list(dict.fromkeys(rows))
     looped = [
@@ -248,10 +264,13 @@ def test_sweep_dmav_counters_equal_looped_runs(policy, template):
     ]
     for key in DMAV_WORK:
         assert counters[key] == sum(r[key] for r in looped), key
-    assert counters["dmav.gates"] == len(unique) * (
-        counters["dmav.sweep.gates_batched"]
-        + counters["dmav.sweep.gates_rowloop"]
-    )
+    if fusion == "none":
+        assert counters["dmav.gates"] == len(unique) * (
+            counters["dmav.sweep.gates_batched"]
+            + counters["dmav.sweep.gates_rowloop"]
+        )
+    else:
+        assert counters["dmav.sweep.groups"] == len(unique)
 
 
 def test_sweep_counters_span_every_group():
@@ -315,33 +334,25 @@ def _guarded(convert_at):
 
 
 @pytest.mark.parametrize(
-    "identity_skip,qubit_order,extra",
+    "qubit_order,extra",
     [
-        pytest.param(True, "natural", {}, id="True-natural"),
-        pytest.param(False, "natural", {}, id="False-natural"),
-        pytest.param(True, "interaction", {}, id="True-interaction"),
-        pytest.param(False, "sift", {}, id="False-sift"),
-        pytest.param(True, "sift", {}, id="True-sift"),
-        pytest.param(True, "natural", _guarded(0), id="True-natural-guard0"),
-        pytest.param(False, "natural", _guarded(3), id="False-natural-guard3"),
-        pytest.param(
-            True, "interaction", _guarded(2), id="True-interaction-guard2"
-        ),
-        pytest.param(False, "sift", _guarded(5), id="False-sift-guard5"),
-        pytest.param(True, "sift", _guarded(1), id="True-sift-guard1"),
+        pytest.param("natural", {}, id="True-natural"),
+        pytest.param("interaction", {}, id="True-interaction"),
+        pytest.param("sift", {}, id="True-sift"),
+        pytest.param("natural", _guarded(0), id="True-natural-guard0"),
+        pytest.param("natural", _guarded(3), id="natural-guard3"),
+        pytest.param("interaction", _guarded(2), id="True-interaction-guard2"),
+        pytest.param("sift", _guarded(5), id="sift-guard5"),
+        pytest.param("sift", _guarded(1), id="True-sift-guard1"),
     ],
 )
-def test_dd_shrink_rows_bit_identical(identity_skip, qubit_order, extra):
+def test_dd_shrink_rows_bit_identical(qubit_order, extra):
     """Identity-skipped, reordered sweeps keep the bit-identity contract."""
     c = _template(n=4, layers=2)
-    sim = FlatDDSimulator(
-        threads=2, identity_skip=identity_skip, qubit_order=qubit_order,
-        **extra,
-    )
+    sim = FlatDDSimulator(threads=2, qubit_order=qubit_order, **extra)
     rows = _rows(c, 4, seed=13)
     result = sim.simulate_sweep(c, rows)
     _assert_rows_identical(sim, c, rows, result)
-    assert result.metadata["identity_skip"] is identity_skip
     assert result.metadata["qubit_order"] == qubit_order
 
 
@@ -351,9 +362,7 @@ def test_dd_shrink_rewind_rolls_back_windowed_prefix():
     against single-shot runs proves the rewind rolls windowed builds and
     permuted gate DDs back exactly."""
     c = _template(n=4, layers=2)
-    sim = FlatDDSimulator(
-        threads=2, force_convert_at=2, identity_skip=True, qubit_order="sift"
-    )
+    sim = FlatDDSimulator(threads=2, force_convert_at=2, qubit_order="sift")
     rows = _rows(c, 4, seed=17)
     rows.append(rows[1])  # duplicate exercises the dedup fan-out too
     result = sim.simulate_sweep(c, rows)
@@ -387,6 +396,14 @@ def test_sweep_metadata_counters():
     assert result.runtime_seconds > 0
     assert result.peak_memory_bytes > 0
     assert result.backend == sim.name
+    # A one-row sweep's package counts its identity-rule traffic as the
+    # row's own run() does, with a forced conversion and without.
+    for convert_at in (0, None):
+        one = FlatDDSimulator(threads=2, force_convert_at=convert_at)
+        swept = one.simulate_sweep(c, rows[:1]).metadata["obs"]["counters"]
+        ran = one.run(c.bind(rows[0])).metadata["obs"]["counters"]
+        for key in IDENTITY_COUNTERS:
+            assert swept[key] == ran[key], (convert_at, key)
 
 
 # ---------------------------------------------------------------------------
