@@ -2,7 +2,8 @@
 
 Not a paper artifact; these watch the building blocks the experiments rest
 on: DD gate application, DMAV, conversion, array-backend gate application,
-and DD construction.
+and DD construction (``kernel-gate-build`` times one cold gate-DD build per
+branch of the direct builder in :mod:`repro.dd.matrix`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.simulator import (
 )
 from repro.dd import (
     DDPackage,
+    controlled_gate,
     mv_multiply,
     vector_from_array,
     vector_to_array,
@@ -224,3 +226,55 @@ def test_gate_dd_build_kernel(benchmark):
         return build_gate_dd(pkg, gate)
 
     benchmark(run)
+
+
+def _gate_builds(n: int) -> dict:
+    """One windowed gate-DD build per branch of the direct builder.
+
+    ``h`` and ``rz_top`` (the root qubit) fold one target; ``cx_down``
+    (control above the target) wraps a single entry through its untouched
+    and control levels, ``cx_up`` (control below) a 2x2 grid; ``ccx`` has
+    a control on each side of its target, ``cswap`` carries a 4x4 grid
+    from its middle control through two target folds.  No library gate
+    is asymmetric under exchanging its targets, so a random dense 4x4
+    (``controlled_gate`` directly) covers both fold orders.
+    """
+    gates = {
+        "h": Gate("h", (n // 2,)),
+        "rz_top": Gate("rz", (n - 1,), params=(0.4,)),
+        "cx_down": Gate("cx", (1,), (n - 2,)),
+        "cx_up": Gate("cx", (n - 2,), (1,)),
+        "ccx": Gate("ccx", (n // 2,), (0, n - 1)),
+        "cswap": Gate("cswap", (n - 1, 2), (n // 2,)),
+    }
+    builds = {
+        name: (lambda pkg, g=gate: build_gate_dd(pkg, g, windowed=True))
+        for name, gate in gates.items()
+    }
+    rng = np.random.default_rng(13)
+    u, _ = np.linalg.qr(
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    )
+    for name, targets in (("u4_hi_lo", (n - 2, 1)), ("u4_lo_hi", (1, n - 2))):
+        builds[name] = (
+            lambda pkg, t=targets: controlled_gate(pkg, u, t, (), top=n - 2)
+        )
+    return builds
+
+
+@pytest.mark.benchmark(group="kernel-gate-build")
+@pytest.mark.parametrize("n", [12, 16], ids=lambda n: f"n{n}")
+@pytest.mark.parametrize("kind", list(_gate_builds(N)))
+def test_gate_dd_build_cold(benchmark, kind, n):
+    """One cold windowed build: a fresh package per round, holding only
+    the identity chain every run builds first, so each of the gate's own
+    nodes is created."""
+    build = _gate_builds(n)[kind]
+
+    def fresh_package():
+        pkg = DDPackage(n)
+        pkg.identity_edge(n - 1)
+        return (pkg,), {}
+
+    edge = benchmark.pedantic(build, setup=fresh_package, rounds=100)
+    assert not edge.is_zero

@@ -15,7 +15,7 @@ baselines, equivalence checking and the density-matrix noise helper.
 from __future__ import annotations
 
 from repro.circuits.gates import Gate
-from repro.dd.matrix import controlled_gate, single_qubit_gate, two_qubit_gate
+from repro.dd.matrix import controlled_gate
 from repro.dd.node import Edge
 from repro.dd.package import DDPackage
 
@@ -29,16 +29,11 @@ def build_gate_dd(pkg: DDPackage, gate: Gate, windowed: bool = False) -> Edge:
     ``max(gate.qubits)``; levels above it are implicit identity), which is
     what FlatDD's DD phase and DMAV tail consume.  ``windowed=False`` wraps
     the same window subtree in weight-1 pass-through levels to full
-    height, bit-identical to the historic full-height construction.
+    height.  Every gate kind is one direct, level-by-level build.
     """
-    u = gate.matrix()
     top = max(gate.qubits) if windowed else None
-    if gate.controls:
-        return controlled_gate(pkg, u, gate.targets, gate.controls, top=top)
-    if len(gate.targets) == 1:
-        return single_qubit_gate(pkg, u, gate.targets[0], top=top)
-    return two_qubit_gate(
-        pkg, u, gate.targets[0], gate.targets[1], top=top
+    return controlled_gate(
+        pkg, gate.matrix(), gate.targets, gate.controls, top=top
     )
 
 

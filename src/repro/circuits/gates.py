@@ -204,6 +204,10 @@ class Gate:
                 f"gate {self.name!r} takes {nparams} parameter(s), "
                 f"got {self.params}"
             )
+        if not all(math.isfinite(p) for p in self.params):
+            raise CircuitError(
+                f"gate {self.name!r} has a non-finite parameter: {self.params}"
+            )
         touched = (*self.targets, *self.controls)
         if len(set(touched)) != len(touched):
             raise CircuitError(f"gate {self.name!r} repeats a qubit: {touched}")

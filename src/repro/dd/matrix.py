@@ -1,13 +1,20 @@
 """Matrix DDs: gate construction, Kronecker factors, dense export.
 
-Gate DDs are built from per-level 2x2 factors (a Kronecker product built
-bottom-up through the unique table) plus the controlled-gate identity
-
-    C(U) = I  +  P1(controls) (x) (U - I)(targets) (x) I(elsewhere)
-
-which handles any number of controls, and a 2x2-block decomposition for
-arbitrary two-qubit matrices.  This covers every gate in
-:mod:`repro.circuits.gates` exactly, with full node sharing.
+Every gate DD is built directly, bottom-up over the gate's active window
+(lowest to highest qubit), as a QMDD package builds gates.  The builder
+carries a ``2**k x 2**k`` grid of edges for ``k`` targets: entry
+``(r, c)`` is the block of ``U`` whose unplaced target bits are ``r``
+(row) and ``c`` (column), over the levels walked so far.  It starts as
+``U[r][c]`` times the memoized identity chain below the window; then a
+target level folds each 2x2 sub-grid over its bit into one node, a
+control level makes each entry ``(I, 0, 0, entry)`` on the grid diagonal
+and ``(0, 0, 0, entry)`` off it (a control at |0> leaves the identity),
+and an untouched level makes it ``(entry, 0, 0, entry)``.  Identical
+entries on a level are built once, and every node a build creates is part
+of its result.  The root sits at the gate's highest qubit (the windowed
+shape: levels above are implicit identity) and is wrapped in weight-1
+pass-through nodes up to any requested ``top``.  Any number of controls
+works, which covers every gate in :mod:`repro.circuits.gates` exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from repro.common.errors import DDError
 from repro.dd.node import TERMINAL, ZERO_EDGE, DDNode, Edge
-from repro.dd.operations import identity_extend, madd, mm_multiply, scale
+from repro.dd.operations import identity_extend
 from repro.dd.package import DDPackage
 
 __all__ = [
@@ -28,9 +35,6 @@ __all__ = [
     "matrix_entry",
     "matrix_node_count",
 ]
-
-_I2 = np.eye(2, dtype=np.complex128)
-_P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 
 def matrix_from_factors(pkg: DDPackage, factors: list[np.ndarray]) -> Edge:
@@ -66,26 +70,13 @@ def single_qubit_gate(
 ) -> Edge:
     """DD of ``I (x) ... (x) U_target (x) ... (x) I``.
 
-    Built directly on the package's memoized identity chain, so only the
-    target node and the pass-through nodes above it are (re)constructed.
     ``top`` is the root level; the default is full height, ``top=target``
     builds the identity-skipped window (no pass-through levels at all).
     """
-    _check_qubit(pkg, target)
-    top = _resolve_top(pkg, top, target)
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise DDError(f"single-qubit gate matrix must be 2x2: {u.shape}")
-    below = pkg.identity_edge(target - 1)
-    e = pkg.make_mnode(
-        target,
-        tuple(
-            pkg.edge(u[i, j] * below.w, below.n)
-            for i in (0, 1)
-            for j in (0, 1)
-        ),
-    )
-    return identity_extend(pkg, e, top)
+    return controlled_gate(pkg, u, (target,), (), top=top)
 
 
 def two_qubit_gate(
@@ -97,34 +88,16 @@ def two_qubit_gate(
 ) -> Edge:
     """DD of an arbitrary 4x4 ``u`` acting on qubits ``(q_high, q_low)``.
 
-    ``u`` is indexed so that the *first* qubit of its 2-bit index is
-    ``q_high`` (the more significant of the pair in the state index).
-    Decomposes ``u`` into its four 2x2 blocks:
-    ``u = sum_ij |i><j|_high (x) B_ij_low``.  ``top`` is the root level
-    (default full height; ``max(q_high, q_low)`` for the skipped window).
+    ``q_high`` is the more significant bit of ``u``'s 2-bit index, whichever
+    qubit sits higher in the DD.  ``top`` is the root level (default full
+    height; ``max(q_high, q_low)`` for the skipped window).
     """
-    _check_qubit(pkg, q_high)
-    _check_qubit(pkg, q_low)
     if q_high == q_low:
         raise DDError("two-qubit gate needs two distinct qubits")
-    top = _resolve_top(pkg, top, max(q_high, q_low))
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (4, 4):
         raise DDError(f"two-qubit gate matrix must be 4x4, got {u.shape}")
-    win = max(q_high, q_low)
-    total = ZERO_EDGE
-    for i in (0, 1):
-        for j in (0, 1):
-            block = u[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-            if not block.any():
-                continue
-            outer = np.zeros((2, 2), dtype=np.complex128)
-            outer[i, j] = 1.0
-            factors = [_I2] * (win + 1)
-            factors[q_high] = outer
-            factors[q_low] = block
-            total = madd(pkg, total, matrix_from_factors(pkg, factors))
-    return identity_extend(pkg, total, top)
+    return controlled_gate(pkg, u, (q_high, q_low), (), top=top)
 
 
 def controlled_gate(
@@ -137,57 +110,85 @@ def controlled_gate(
     """DD of ``u`` on ``targets``, applied when all ``controls`` are |1>.
 
     ``u`` is 2x2 for one target or 4x4 for two (``targets[0]`` is the more
-    significant index bit of ``u``).  Uses
-    ``C(U) = I + P1(controls) (x) (U - I)(targets)``, so any control count
-    works (CCX is ``controls=(c1, c2)``).  ``top`` is the root level
-    (default full height; the max active qubit for the skipped window).
+    significant index bit of ``u``); ``controls`` may be empty.  ``top`` is
+    the root level (default full height; the max active qubit for the
+    skipped window).
     """
-    for q in (*targets, *controls):
+    active = (*targets, *controls)
+    for q in active:
         _check_qubit(pkg, q)
     if set(targets) & set(controls):
         raise DDError("target and control qubits overlap")
     if len(set(targets)) != len(targets) or len(set(controls)) != len(controls):
         raise DDError("duplicate qubits in gate specification")
-    u = np.asarray(u, dtype=np.complex128)
-    if not controls:
-        if len(targets) == 1:
-            return single_qubit_gate(pkg, u, targets[0], top=top)
-        if len(targets) == 2:
-            return two_qubit_gate(pkg, u, targets[0], targets[1], top=top)
+    if not 1 <= len(targets) <= 2:
         raise DDError("only 1- and 2-qubit target blocks are supported")
-
-    win = max(*targets, *controls)
-    top = _resolve_top(pkg, top, win)
+    top = _resolve_top(pkg, top, max(active))
+    u = np.asarray(u, dtype=np.complex128)
     dim = 1 << len(targets)
     if u.shape != (dim, dim):
         raise DDError(
             f"matrix shape {u.shape} does not match {len(targets)} targets"
         )
-    diff = u - np.eye(dim, dtype=np.complex128)
-    identity = pkg.identity_edge(win)
-    if len(targets) == 1:
-        terms = [(diff, None)]
-    else:
-        terms = []
-        for i in (0, 1):
-            for j in (0, 1):
-                block = diff[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                if block.any():
-                    outer = np.zeros((2, 2), dtype=np.complex128)
-                    outer[i, j] = 1.0
-                    terms.append((block, outer))
-    total = identity
-    for block, outer in terms:
-        factors = [_I2] * (win + 1)
-        for c in controls:
-            factors[c] = _P1
-        if outer is None:
-            factors[targets[0]] = block
+    below = pkg.identity_edge(min(active) - 1)
+    grid = [
+        [pkg.edge(x * below.w, below.n) for x in row] for row in u.tolist()
+    ]
+    # Unplaced targets, most significant index bit of the grid first.
+    pending = list(targets)
+    for level in range(min(active), max(active) + 1):
+        if level in pending:
+            bit = len(pending) - 1 - pending.index(level)
+            pending.remove(level)
+            grid = _fold_target(pkg, grid, level, bit)
         else:
-            factors[targets[0]] = outer
-            factors[targets[1]] = block
-        total = madd(pkg, total, matrix_from_factors(pkg, factors))
-    return identity_extend(pkg, total, top)
+            grid = _wrap_level(pkg, grid, level, level in controls)
+    return identity_extend(pkg, grid[0][0], top)
+
+
+def _fold_target(
+    pkg: DDPackage, grid: list[list[Edge]], level: int, bit: int
+) -> list[list[Edge]]:
+    """Place a target: one node per 2x2 sub-grid over index bit ``bit``."""
+    step = 1 << bit
+    # The half-size grid's indices with a 0 inserted at ``bit``.
+    spread = [i + (i & -step) for i in range(len(grid) >> 1)]
+    out = []
+    for r in spread:
+        row0, row1 = grid[r], grid[r | step]
+        out.append([
+            pkg.make_mnode(
+                level, (row0[c], row0[c | step], row1[c], row1[c | step])
+            )
+            for c in spread
+        ])
+    return out
+
+
+def _wrap_level(
+    pkg: DDPackage, grid: list[list[Edge]], level: int, control: bool
+) -> list[list[Edge]]:
+    """Lift every grid entry through a control or an untouched level."""
+    ident = pkg.identity_edge(level - 1) if control else None
+    made: dict[tuple, Edge] = {}
+    out = []
+    for r, row in enumerate(grid):
+        new_row = []
+        for c, e in enumerate(row):
+            diagonal = control and r == c
+            if e.is_zero and not diagonal:
+                new_row.append(ZERO_EDGE)
+                continue
+            key = (diagonal, e.w, id(e.n))
+            lifted = made.get(key)
+            if lifted is None:
+                first = ident if diagonal else ZERO_EDGE if control else e
+                lifted = made[key] = pkg.make_mnode(
+                    level, (first, ZERO_EDGE, ZERO_EDGE, e)
+                )
+            new_row.append(lifted)
+        out.append(new_row)
+    return out
 
 
 def _resolve_top(pkg: DDPackage, top: int | None, window_top: int) -> int:

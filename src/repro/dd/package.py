@@ -399,7 +399,7 @@ class DDPackage:
     def build_mark(self) -> dict:
         """Transactional rewind point covering everything a DD build mutates.
 
-        Gate-DD weight arithmetic is history-dependent: the add memos are
+        DD weight arithmetic is history-dependent: the add memos are
         rescaling-invariant (keyed on node ids plus a bucketed weight
         ratio) and a hit reconstructs its result as ``a.w * cached.w`` --
         numerically equal to the fresh computation but not always

@@ -208,6 +208,14 @@ class TestCircuitWire:
                 {"num_qubits": 1, "gates": [["cx", [1], [0], []]]}  # oob
             )
 
+    def test_nan_param_raises_circuit_error(self):
+        # Python's json reads the non-standard ``NaN`` literal.
+        data = json.loads(
+            '{"num_qubits": 2, "gates": [["rz", [1], [], [NaN]]]}'
+        )
+        with pytest.raises(CircuitError, match="non-finite"):
+            Circuit.from_wire(data)
+
 
 class TestJobWire:
     def test_job_round_trip_preserves_cache_key(self):

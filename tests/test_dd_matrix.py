@@ -1,14 +1,19 @@
 """Unit tests for matrix DDs: gate construction against dense references."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from repro.backends.gatecache import build_gate_dd
+from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS, Gate
 from repro.common.errors import DDError
 from repro.dd import (
+    ZERO_EDGE,
     DDPackage,
     controlled_gate,
+    madd,
     matrix_entry,
     matrix_from_factors,
     matrix_node_count,
@@ -16,6 +21,7 @@ from repro.dd import (
     single_qubit_gate,
     two_qubit_gate,
 )
+from repro.dd.operations import identity_extend
 
 from tests.conftest import random_unitary
 
@@ -233,8 +239,6 @@ _WINDOW_GATES = [
 
 
 def _window_cases():
-    import itertools
-
     for n in (3, 4):
         for name, arity, build in _WINDOW_GATES:
             for qubits in itertools.permutations(range(n), arity):
@@ -267,3 +271,145 @@ class TestWindowedRoots:
         assert matrix_entry(pkg, windowed, 2, 3) == pytest.approx(
             1 / math.sqrt(2)
         )
+
+
+# ---------------------------------------------------------------------------
+# The direct build against the historic madd assembly
+# ---------------------------------------------------------------------------
+
+_I2 = np.eye(2, dtype=complex)
+_P1 = np.diag([0, 1]).astype(complex)
+
+
+def _madd_assembly(pkg, u, targets, controls, top=None):
+    """The historic builder: ``I + P1(controls) (x) (U - I)`` via ``madd``.
+
+    One target without controls is the single 2x2 node on the identity
+    chain; two targets without controls sum their four 2x2 blocks
+    ``|i><j|_targets[0] (x) B_ij``.  With controls the same blocks of
+    ``U - I`` carry ``P1`` on every control and are added to the identity.
+    """
+    u = np.asarray(u, dtype=complex)
+    win = max((*targets, *controls))
+    if len(targets) == 1 and not controls:
+        below = pkg.identity_edge(targets[0] - 1)
+        total = pkg.make_mnode(
+            targets[0],
+            [pkg.edge(u[i, j] * below.w, below.n)
+             for i in (0, 1) for j in (0, 1)],
+        )
+    else:
+        if controls:
+            total, body = pkg.identity_edge(win), u - np.eye(len(u))
+        else:
+            total, body = ZERO_EDGE, u
+        if len(targets) == 1:
+            terms = [{targets[0]: body}]
+        else:
+            terms = []
+            for i in (0, 1):
+                for j in (0, 1):
+                    block = body[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                    if block.any():
+                        outer = np.zeros((2, 2), dtype=complex)
+                        outer[i, j] = 1.0
+                        terms.append({targets[0]: outer, targets[1]: block})
+        for placed in terms:
+            factors = [_I2] * (win + 1)
+            for c in controls:
+                factors[c] = _P1
+            for q, f in placed.items():
+                factors[q] = f
+            total = madd(pkg, total, matrix_from_factors(pkg, factors))
+    return identity_extend(
+        pkg, total, pkg.num_qubits - 1 if top is None else top
+    )
+
+
+_PARAMS = (0.3, 1.1, -0.7)
+_N = 5
+
+
+def _library_gates(name):
+    """``name`` at every ordered placement on ``_N`` qubits."""
+    base, extra = CONTROLLED_ALIASES.get(name, (name, 0))
+    ntargets, nparams, _ = GATE_BUILDERS[base]
+    for qubits in itertools.permutations(range(_N), ntargets + extra):
+        yield Gate(
+            name, targets=qubits[extra:], controls=qubits[:extra],
+            params=_PARAMS[:nparams],
+        )
+
+
+def _random_gates(ncontrols):
+    """An asymmetric random 4x4 with ``ncontrols`` controls, every placement."""
+    u = random_unitary(4, 11)
+    for qubits in itertools.permutations(range(_N), 2 + ncontrols):
+        yield u, qubits[:2], qubits[2:]
+
+
+_LIBRARY = sorted(GATE_BUILDERS) + sorted(CONTROLLED_ALIASES)
+
+
+def _assert_same_dd(pkg, u, targets, controls, windowed, build, rel=0.0):
+    top = max((*targets, *controls)) if windowed else None
+    where = f"targets={targets} controls={controls} top={top}"
+    ref = _madd_assembly(pkg, u, targets, controls, top)
+    new = build()
+    assert new.n is ref.n, where
+    assert new.w == pytest.approx(ref.w, rel=rel, abs=0), where
+    np.testing.assert_allclose(
+        matrix_to_dense(pkg, new),
+        dense_controlled(u, targets, controls, _N),
+        atol=1e-12, err_msg=where,
+    )
+
+
+class TestDirectBuild:
+    """Built after the madd assembly in one package, the direct build is
+    the same node with the same root weight, and it leaves no dead nodes."""
+
+    @pytest.mark.parametrize("windowed", [True, False], ids=["win", "full"])
+    @pytest.mark.parametrize("name", _LIBRARY)
+    def test_library_gate_is_madd_assembly(self, name, windowed):
+        for gate in _library_gates(name):
+            pkg = DDPackage(_N)
+            _assert_same_dd(
+                pkg, gate.matrix(), gate.targets, gate.controls, windowed,
+                lambda: build_gate_dd(pkg, gate, windowed=windowed),
+            )
+
+    @pytest.mark.parametrize("windowed", [True, False], ids=["win", "full"])
+    @pytest.mark.parametrize("ncontrols", [0, 1, 2])
+    def test_random_4x4_is_madd_assembly(self, ncontrols, windowed):
+        # Every two-target library gate is symmetric under exchanging its
+        # targets; only an asymmetric matrix exposes a target-order slip.
+        # Without controls the root weight is an entry of ``u`` itself,
+        # where the assembly's went through madd arithmetic: an ulp apart.
+        for u, targets, controls in _random_gates(ncontrols):
+            pkg = DDPackage(_N)
+            top = max((*targets, *controls)) if windowed else None
+            _assert_same_dd(
+                pkg, u, targets, controls, windowed,
+                lambda: controlled_gate(pkg, u, targets, controls, top=top),
+                rel=1e-15,
+            )
+
+    @pytest.mark.parametrize("windowed", [True, False], ids=["win", "full"])
+    @pytest.mark.parametrize("name", _LIBRARY)
+    def test_library_gate_leaves_no_dead_nodes(self, name, windowed):
+        for gate in _library_gates(name):
+            pkg = DDPackage(_N)
+            e = build_gate_dd(pkg, gate, windowed=windowed)
+            assert pkg.matrix_node_count == matrix_node_count(e), gate
+
+    @pytest.mark.parametrize("windowed", [True, False], ids=["win", "full"])
+    @pytest.mark.parametrize("ncontrols", [0, 1, 2])
+    def test_random_4x4_leaves_no_dead_nodes(self, ncontrols, windowed):
+        for u, targets, controls in _random_gates(ncontrols):
+            pkg = DDPackage(_N)
+            top = max((*targets, *controls)) if windowed else None
+            e = controlled_gate(pkg, u, targets, controls, top=top)
+            assert pkg.matrix_node_count == matrix_node_count(e), (
+                targets, controls
+            )

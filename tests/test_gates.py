@@ -113,6 +113,13 @@ class TestGateRecord:
         with pytest.raises(CircuitError):
             Gate("h", targets=(-1,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_param_rejected(self, value):
+        with pytest.raises(CircuitError, match="non-finite"):
+            Gate("rz", (0,), params=(value,))
+        with pytest.raises(CircuitError, match="non-finite"):
+            Gate("u3", (0,), params=(0.1, value, 0.2))
+
     def test_is_diagonal(self):
         assert Gate("rz", (0,), params=(0.4,)).is_diagonal
         assert Gate("cz", (1,), (0,)).is_diagonal

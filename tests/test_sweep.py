@@ -95,6 +95,16 @@ def test_wrong_row_width_rejected():
         sim.simulate_sweep(c, [(0.1, 0.2)])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_row_rejected(value):
+    c = _template()
+    rows = _rows(c, 2)
+    rows[1] = (value,) + rows[1][1:]
+    sim = FlatDDSimulator(threads=1)
+    with pytest.raises(CircuitError, match="non-finite"):
+        sim.simulate_sweep(c, rows)
+
+
 def test_non_parameterized_circuit_sweeps():
     ghz = Circuit(4, name="ghz").h(0)
     for q in range(3):
