@@ -258,22 +258,23 @@ class Circuit:
             circuit = cls(
                 int(data["num_qubits"]), name=str(data.get("name", "circuit"))
             )
-            rows = data["gates"]
+            rows = list(data["gates"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CircuitError(f"bad wire circuit {data!r}: {exc}") from exc
         for row in rows:
             try:
                 name, targets, controls, params = row
-            except (TypeError, ValueError) as exc:
-                raise CircuitError(f"bad wire gate row {row!r}") from exc
-            circuit.append(
-                Gate(
+                fields = dict(
                     name=str(name),
                     targets=tuple(int(q) for q in targets),
                     controls=tuple(int(q) for q in controls),
                     params=tuple(float(p) for p in params),
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise CircuitError(
+                    f"bad wire gate row {row!r}: {exc}"
+                ) from exc
+            circuit.append(Gate(**fields))
         return circuit
 
     def fingerprint(self, params=None) -> str:

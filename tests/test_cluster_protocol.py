@@ -208,6 +208,22 @@ class TestCircuitWire:
                 {"num_qubits": 1, "gates": [["cx", [1], [0], []]]}  # oob
             )
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["h", ["x"], [], []],
+            ["rz", [0], [], ["abc"]],
+            ["h", [0], "ab", []],
+            ["h", [None], [], []],
+        ],
+        ids=["text-target", "text-param", "text-controls", "null-target"],
+    )
+    def test_non_numeric_row_raises_circuit_error(self, row):
+        # A serve worker retries anything but a ReproError as transient,
+        # so a bad row must not surface as a bare ValueError/TypeError.
+        with pytest.raises(CircuitError, match="bad wire gate row"):
+            Circuit.from_wire({"num_qubits": 2, "gates": [row]})
+
     def test_nan_param_raises_circuit_error(self):
         # Python's json reads the non-standard ``NaN`` literal.
         data = json.loads(

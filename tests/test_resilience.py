@@ -65,6 +65,25 @@ class TestBitIdenticalResume:
         assert_dd_gates_agree(full)
         assert_dd_gates_agree(resumed)
 
+    def test_array_phase_resume_mid_tile_local_tail(self, tmp_path):
+        # dnn's rotations and cx chain sit mostly below the border level,
+        # so the tail mixes tile-local steps with gate-DD steps; the last
+        # rolling snapshot lands between them.
+        circuit = get_circuit("dnn", 8)
+        path = tmp_path / "tail.ckpt"
+        full = run_with_checkpoint(circuit, 7, path, force_convert_at=5)
+        snap = read_snapshot(str(path))
+        assert snap.phase == "array"
+        tail = len(circuit.gates) - 6
+        assert 0 < snap.gate_cursor < tail
+        resumed = FlatDDSimulator(
+            FlatDDConfig(threads=2, force_convert_at=5)
+        ).run(circuit, resume_from=str(path))
+        assert np.array_equal(full.state, resumed.state)
+        for result in (full, resumed):
+            counters = result.metadata["obs"]["counters"]
+            assert 0 < counters["dmav.gates_tile_local"] < counters["dmav.gates"]
+
     def test_ewma_timed_conversion_resume(self, tmp_path):
         # No forcing: the EWMA monitor decides, and its restored
         # accumulator must re-trigger at the very same gate.

@@ -160,6 +160,26 @@ def test_batch_sizes_straddling_thread_count(batch):
     _assert_rows_identical(sim, c, rows, result)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_tile_local_columns_with_degenerate_angles(threads):
+    """Gates below the border level are applied from their matrices, one
+    row operand stacked per row; rows whose rotations sit at 0 (the
+    identity) or pi stay bit-identical to their single-shot runs."""
+    c = _template(n=6)
+    sim = FlatDDSimulator(threads=threads, force_convert_at=0)
+    rows = _rows(c, 4, seed=3)
+    rows[1] = (0.0,) * c.num_param_slots
+    rows[2] = (np.pi,) * c.num_param_slots
+    result = sim.simulate_sweep(c, rows)
+    counters = result.metadata["obs"]["counters"]
+    assert counters["dmav.gates_tile_local"] > 0
+    assert counters["dmav.gates"] == (
+        counters["dmav.gates_cached"] + counters["dmav.gates_uncached"]
+        + counters["dmav.gates_tile_local"]
+    )
+    _assert_rows_identical(sim, c, rows, result)
+
+
 def test_thread_count_invariance():
     """Sweep(t) is bit-equal to run(t); states agree across thread counts.
 
