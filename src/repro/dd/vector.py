@@ -48,17 +48,22 @@ def vector_from_array(pkg: DDPackage, array: np.ndarray) -> Edge:
 
     The array length must be ``2**n`` for some ``n >= 1``.  Shared and
     scalar-multiple sub-vectors collapse automatically through the unique
-    table and normalization.
+    table and normalization.  Leaf amplitudes stay un-bucketed (only exact
+    near-zeros collapse): the complex table's absolute grid is not scale
+    invariant, so bucketing them would let ``x`` and ``2 * x`` snap
+    differently.  Canonicalization happens on the O(1) ratios that
+    :meth:`DDPackage.make_vnode` stores.
     """
     arr = np.asarray(array, dtype=np.complex128).ravel()
     size = arr.shape[0]
     n = size.bit_length() - 1
     if size != 1 << n or n < 1:
         raise DDError(f"array length {size} is not a power of two >= 2")
+    amps = arr.tolist()
 
     def build(lo: int, hi: int, level: int) -> Edge:
         if level < 0:
-            return pkg.edge(arr[lo], TERMINAL)
+            return pkg.raw_edge(amps[lo], TERMINAL)
         mid = (lo + hi) // 2
         e0 = build(lo, mid, level - 1)
         e1 = build(mid, hi, level - 1)

@@ -49,6 +49,18 @@ class TestRoundTrip:
         with pytest.raises(DDError):
             vector_from_array(pkg, np.ones(1))
 
+    def test_scalar_multiple_with_near_tolerance_component(self):
+        # The last amplitude's real part (8e-11) sits below TOLERANCE but
+        # doubles past it; only the normalized ratios may be bucketed, or
+        # the two vectors get different nodes.
+        arr = np.zeros(16, dtype=complex)
+        arr[13:] = [0.81649658j, 0.40824829j, 8.16496592e-11 + 0.40824829j]
+        pkg = DDPackage(4)
+        a = vector_from_array(pkg, arr)
+        b = vector_from_array(pkg, 2.0 * arr)
+        assert a.n is b.n
+        np.testing.assert_allclose(vector_to_array(pkg, a), arr, atol=1e-15)
+
 
 class TestBasisStates:
     def test_zero_state_amplitudes(self):
