@@ -13,6 +13,9 @@ shapes the plans target: QFT (no repeated gate roots: amortization comes
 from the structural memo sharing border tasks across distinct roots) and
 supremacy (repeated roots: whole plans are served from cache).  The
 replay must land on the pipeline's bits, so both sides do the same work.
+A tile-local step (a gate below the border level, applied from its
+matrix) has no plan: both sides apply it with the same kernel, and
+neither side times it, so the ratio covers the steps plans serve.
 
 Runs interleave the two variants and take per-variant minima so slow
 drifting machine load cancels out of the ratio.
@@ -30,11 +33,11 @@ import numpy as np
 import pytest
 
 from repro.bench.tables import render_table
-from repro.circuits import get_circuit
+from repro.circuits import Gate, get_circuit
 from repro.common.config import DENSE_BLOCK_LEVEL, FlatDDConfig
 from repro.core import FlatDDSimulator
 from repro.core.cost_model import CostModel, assign_cache_tasks
-from repro.core.dmav import dmav_cached, dmav_nocache
+from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
 
 from conftest import emit, record
 
@@ -47,17 +50,22 @@ MIN_SPEEDUP = 1.3
 
 
 def _planned_run(circuit, threads):
-    """Array-phase seconds of the pipeline (conversion after gate 0)."""
+    """Array-phase seconds of the pipeline's gate-DD steps (conversion
+    after gate 0)."""
     cfg = FlatDDConfig(threads=threads, force_convert_at=0)
     result = FlatDDSimulator(cfg).run(circuit, keep_internals=True)
+    records = [g for g in result.gate_trace if g.phase == "dmav"]
     seconds = sum(
-        g.seconds for g in result.gate_trace if g.phase == "dmav"
+        g.seconds
+        for g, step in zip(records, result.metadata["dmav_steps"])
+        if not isinstance(step, Gate)
     )
     return seconds, result
 
 
 def _listing_replay(circuit, threads, result):
-    """Array-phase seconds of ``result``'s gates through the listing kernels.
+    """Array-phase seconds of ``result``'s gate DDs through the listing
+    kernels, its tile-local steps applied untimed as the run applied them.
 
     Starts from the same converted array (a run of gate 0 alone) in the
     run's own package.  The run warmed that package's per-node analysis
@@ -74,7 +82,14 @@ def _listing_replay(circuit, threads, result):
     model = CostModel(threads)
     out = np.zeros_like(state)
     seconds = 0.0
-    for edge in result.metadata["dmav_edges"]:
+    for edge in result.metadata["dmav_steps"]:
+        if isinstance(edge, Gate):
+            apply_tile_local(
+                [edge], state.reshape(threads, 1, -1),
+                out.reshape(threads, 1, -1),
+            )
+            state, out = out, state
+            continue
         g0 = time.perf_counter()
         if model.evaluate(pkg, edge).use_cache:
             out, _ = dmav_cached(

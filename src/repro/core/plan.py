@@ -54,12 +54,23 @@ compares epochs on each lookup and drops everything when they diverge.
 Both a checkpoint writer's continuation and a resumed process then evolve
 from an identically cold plan state, preserving the bit-identical-resume
 guarantee of docs/RESILIENCE.md.
+
+**Tile-local gates.**  A gate whose highest qubit sits below the border
+level arrives as itself, not as a DD (``dmav_steps`` in
+:mod:`repro.core.simulator`).  Algorithm 1 makes it one identical task
+per thread over that thread's own tile, and Eq. 6 never picks caching
+for it, so there is nothing to compile: its :class:`TileLocalPlan` holds
+the gate and its closed-form cost
+(:meth:`~repro.core.cost_model.CostModel.evaluate_tile_local`), keyed by
+the gate's kind, qubits and exact parameters.  Such lookups are no memo
+traffic and no compiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.circuits.gates import Gate
 from repro.core.cost_model import (
     CacheAssignment,
     CostModel,
@@ -71,7 +82,7 @@ from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
 from repro.parallel.pool import validate_thread_count
 
-__all__ = ["GatePlan", "PlanCache", "plans_congruent"]
+__all__ = ["GatePlan", "PlanCache", "TileLocalPlan", "plans_congruent"]
 
 
 @dataclass
@@ -105,6 +116,19 @@ class GatePlan:
     direct_out: list[bool]
     #: Border tasks in this plan (row and column views share the paths).
     num_tasks: int
+
+
+@dataclass(frozen=True)
+class TileLocalPlan:
+    """A tile-local gate's plan: the gate itself and its Eq. 5-6 entry.
+
+    :func:`~repro.core.dmav.dmav_nocache` applies it from the gate's
+    matrix (:func:`~repro.core.dmav.apply_tile_local`); the verdict is
+    always Algorithm 1.
+    """
+
+    gate: Gate
+    cost: GateCost
 
 
 def _hit_pattern(tasks) -> tuple:
@@ -150,6 +174,10 @@ def plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
     p0 = plans[0]
     if all(p is p0 for p in plans):
         return True
+    local = [isinstance(p, TileLocalPlan) for p in plans]
+    if any(local):
+        # One kernel call takes every row's gate matrix, or none can.
+        return all(local)
     if not use_cache:
         return all(
             _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
@@ -172,7 +200,8 @@ def plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
 
 
 class PlanCache:
-    """Compile-once cache of :class:`GatePlan` per unique gate-DD root.
+    """Compile-once cache of :class:`GatePlan` per unique gate-DD root,
+    and of :class:`TileLocalPlan` per tile-local gate.
 
     One instance serves one ``(package, threads, dense_block_level)``
     configuration -- the simulator builds it next to the ``CostModel`` it
@@ -199,6 +228,8 @@ class PlanCache:
         self._plans: dict[tuple[int, complex], GatePlan] = {}
         #: Per-node relative path lists (the structural memo).
         self._memo: dict[int, list] = {}
+        #: Tile-local plans, keyed by kind, qubits and ``float.hex`` params.
+        self._local: dict[tuple, TileLocalPlan] = {}
         self._epoch = pkg.gc_epoch
         #: Task-weighted memo service: cached border tasks served.
         self.hits = 0
@@ -214,8 +245,23 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, m: Edge) -> GatePlan:
-        """The plan for gate matrix ``m``, compiling it on first sight."""
+    def get(self, m: Edge | Gate) -> GatePlan | TileLocalPlan:
+        """The plan for gate matrix ``m``, compiling it on first sight.
+
+        A tile-local gate (``m`` a :class:`~repro.circuits.gates.Gate`)
+        gets its :class:`TileLocalPlan`, priced on first sight.
+        """
+        if isinstance(m, Gate):
+            key = (
+                m.base_name, m.targets, m.controls,
+                tuple(float(p).hex() for p in m.params),
+            )
+            local = self._local.get(key)
+            if local is None:
+                local = self._local[key] = TileLocalPlan(
+                    m, self.model.evaluate_tile_local(self.pkg.num_qubits, m)
+                )
+            return local
         if self.pkg.gc_epoch != self._epoch:
             # GC may have swept (and Python may have recycled ids of)
             # nodes this cache keys by; everything derived is suspect.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.config import TOLERANCE
 from repro.common.errors import DDError
 from repro.dd.node import TERMINAL, ZERO_EDGE, DDNode, Edge
 from repro.dd.operations import identity_extend
@@ -31,6 +32,7 @@ __all__ = [
     "single_qubit_gate",
     "two_qubit_gate",
     "controlled_gate",
+    "kept_entries",
     "matrix_to_dense",
     "matrix_entry",
     "matrix_node_count",
@@ -189,6 +191,64 @@ def _wrap_level(
             new_row.append(lifted)
         out.append(new_row)
     return out
+
+
+def kept_entries(u: np.ndarray, targets: tuple[int, ...]) -> int:
+    """How many entries of ``u`` :func:`controlled_gate`'s DD keeps,
+    without building it.
+
+    The construction drops an entry twice over: where the complex table
+    zeroes it (both parts below ``TOLERANCE``), and where a target fold's
+    :meth:`~repro.dd.package.DDPackage.make_mnode` divides it by its 2x2
+    sub-grid's factor (the first weight of largest magnitude) and both
+    parts of the ratio are below ``TOLERANCE``.  With two targets the
+    second fold divides the first fold's factors, so a whole sub-grid can
+    go.  Control and untouched levels drop nothing.  The package divides
+    weights already canonicalized by its complex table, which moves a
+    value by less than ``TOLERANCE``; raw values are used here, so only an
+    entry or ratio within that distance of the threshold can count
+    differently.
+    """
+    grid = [
+        [(0j, 0) if _negligible(x) else (x, 1) for x in row]
+        for row in np.asarray(u, dtype=np.complex128).tolist()
+    ]
+    # Targets fold from the lowest level up, as in controlled_gate.
+    pending = list(targets)
+    for level in sorted(targets):
+        step = 1 << (len(pending) - 1 - pending.index(level))
+        pending.remove(level)
+        spread = [i + (i & -step) for i in range(len(grid) >> 1)]
+        grid = [
+            [
+                _fold_count((
+                    grid[r][c], grid[r][c | step],
+                    grid[r | step][c], grid[r | step][c | step],
+                ))
+                for c in spread
+            ]
+            for r in spread
+        ]
+    return grid[0][0][1]
+
+
+def _negligible(w: complex) -> bool:
+    """The complex table's zero rule."""
+    return abs(w.real) < TOLERANCE and abs(w.imag) < TOLERANCE
+
+
+def _fold_count(entries) -> tuple[complex, int]:
+    """``make_mnode``'s factor for four ``(weight, kept)`` entries, and
+    the kept entries whose ratio to it survives the zero rule."""
+    max_mag = max(abs(w) for w, _ in entries)
+    if max_mag == 0:
+        return 0j, 0
+    factor = next(
+        w for w, _ in entries if abs(w) >= max_mag * (1.0 - TOLERANCE)
+    )
+    return factor, sum(
+        kept for w, kept in entries if not _negligible(w / factor)
+    )
 
 
 def _resolve_top(pkg: DDPackage, top: int | None, window_top: int) -> int:

@@ -7,11 +7,11 @@ import pytest
 
 from repro import FlatDDConfig, FlatDDSimulator
 from repro.backends import DDSimulator, GateDDCache, StatevectorSimulator
-from repro.circuits import get_circuit
+from repro.circuits import Gate, get_circuit
 from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import ParallelError
 from repro.core.cost_model import CostModel, assign_cache_tasks
-from repro.core.dmav import dmav_cached, dmav_nocache
+from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
 from repro.core.simulator import dd_phase
 from repro.dd.package import DDPackage
@@ -259,9 +259,11 @@ class TestPlanCachePipeline:
     def test_plan_on_off_bit_identical(self, threads):
         """Plans on (the pipeline) vs off (the paper's per-gate listing:
         cost model, Assign descent and unplanned kernel run afresh for
-        every gate of ``metadata["dmav_edges"]``) land on the same bits
+        every gate DD of ``metadata["dmav_steps"]``) land on the same bits
         under every cache policy.  Cost-aware fusion makes "auto" mix
-        both kernels at threads >= 2."""
+        both kernels at threads >= 2.  A tile-local step has no plan to
+        turn off: the replay takes it through the run's kernel, and its
+        verdict is checked on its gate DD in ``metadata["dmav_edges"]``."""
         c = get_circuit("supremacy", 9)
         for policy, fusion in itertools.product(
             ("auto", "always", "never"), ("none", "cost")
@@ -277,13 +279,23 @@ class TestPlanCachePipeline:
             pkg = r.metadata["package"]
             model = CostModel(threads)
             verdicts = []
-            for edge in r.metadata["dmav_edges"]:
+            for step, edge in zip(
+                r.metadata["dmav_steps"], r.metadata["dmav_edges"]
+            ):
                 cost = model.evaluate(pkg, edge)
                 cached = (
                     cost.use_cache if policy == "auto"
                     else policy == "always"
                 )
-                if cached:
+                if isinstance(step, Gate):
+                    assert not cached, step
+                    out = np.empty_like(state)
+                    apply_tile_local(
+                        [step], state.reshape(threads, 1, -1),
+                        out.reshape(threads, 1, -1),
+                    )
+                    state = out
+                elif cached:
                     state, _ = dmav_cached(
                         pkg, edge, state, threads, None, DENSE_BLOCK_LEVEL,
                         assignment=assign_cache_tasks(pkg, edge, threads),
