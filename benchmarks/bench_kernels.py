@@ -23,12 +23,7 @@ from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
 from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
 from repro.core.plan import PlanCache
-from repro.core.simulator import (
-    FlatDDSimulator,
-    apply_plan,
-    dmav_phase,
-    plan_uses_cache,
-)
+from repro.core.simulator import FlatDDSimulator, apply_plan, dmav_phase
 from repro.dd import (
     DDPackage,
     controlled_gate,
@@ -163,18 +158,17 @@ def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
         _tile_local_gates(n)[gate[3:]] if gate.startswith("tl_")
         else _dmav_gates(n)[gate]
     )
-    plans = PlanCache(pkg, threads, CostModel(threads), 5)
+    plans = PlanCache(pkg, threads, CostModel(threads))
     row_plans = [
         plans.get(build_gate_dd(pkg, g, windowed=True))
         for g in _row_gates(proto, rows)
     ]
-    use_cache = plan_uses_cache("auto", row_plans[0])
     arena = BufferArena(1 << n, rows=rows, tiles=threads)
     v = np.repeat(arr.reshape(threads, 1, -1), rows, axis=1)
     out, _ = arena.output()
     buffers = arena.partials(row_plans[0].assignment.num_buffers)
     benchmark(
-        apply_plan, pkg, row_plans, use_cache, v, out, threads, None, 5,
+        apply_plan, pkg, row_plans, v, out, threads, None, 5,
         buffers=buffers,
     )
 

@@ -43,9 +43,9 @@ def run_experiment(threads: int):
         circuit = workload.build()
         ours = FlatDDSimulator(threads=threads, fusion="cost").run(circuit)
         none = FlatDDSimulator(threads=threads, fusion="none").run(circuit)
-        kops = FlatDDSimulator(
-            threads=threads, fusion="koperations", k_operations=4
-        ).run(circuit)
+        kops = FlatDDSimulator(threads=threads, fusion="koperations").run(
+            circuit
+        )
         for other in (none, kops):
             fid = abs(np.vdot(ours.state, other.state)) ** 2
             assert fid == pytest.approx(1.0, abs=1e-7), workload.name

@@ -50,10 +50,11 @@ class ThreadScalingModel:
         cls,
         result: SimulationResult,
         thread_counts: list[int],
-        simd_width: int = 2,
-        cache_policy: str = "auto",
     ) -> "ThreadScalingModel":
-        """Calibrate from a run made with ``keep_internals=True``."""
+        """Calibrate from a run made with ``keep_internals=True``.
+
+        Each gate is charged ``min(C1, C2)``, the Eq. 5-6 verdict's cost.
+        """
         pkg = result.metadata["package"]
         edges = result.metadata.get("dmav_edges", [])
         t_ref = result.metadata["threads"]
@@ -67,17 +68,8 @@ class ThreadScalingModel:
 
         costs_by_t: dict[int, float] = {}
         for t in sorted({*thread_counts, t_ref}):
-            model = CostModel(t, simd_width)
-            total = 0.0
-            for e in edges:
-                cost = model.evaluate(pkg, e)
-                if cache_policy == "always":
-                    total += cost.cost_cache
-                elif cache_policy == "never":
-                    total += cost.cost_nocache
-                else:
-                    total += cost.cost
-            costs_by_t[t] = total
+            model = CostModel(t)
+            costs_by_t[t] = sum(model.evaluate(pkg, e).cost for e in edges)
 
         # kappa: per-gate dispatch floor, from the cheapest observed gate.
         kappa = min((g.seconds for g in dmav_records), default=0.0)

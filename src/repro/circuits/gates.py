@@ -21,7 +21,13 @@ import numpy as np
 
 from repro.common.errors import CircuitError
 
-__all__ = ["Gate", "gate_matrix", "known_gates", "GATE_BUILDERS"]
+__all__ = [
+    "DIAGONAL_GATES",
+    "Gate",
+    "gate_matrix",
+    "known_gates",
+    "GATE_BUILDERS",
+]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -148,6 +154,13 @@ CONTROLLED_ALIASES: dict[str, tuple[str, int]] = {
 }
 
 
+#: Base gates whose matrix is diagonal for every parameter value; a
+#: controlled alias resolves to its base (cz, cp, cu1, crz, ccz).
+DIAGONAL_GATES = frozenset(
+    {"id", "z", "s", "sdg", "t", "tdg", "rz", "p", "u1", "rzz"}
+)
+
+
 def known_gates() -> list[str]:
     """All gate names accepted by :meth:`Gate` / the QASM parser."""
     return sorted(set(GATE_BUILDERS) | set(CONTROLLED_ALIASES))
@@ -222,11 +235,6 @@ class Gate:
         return self.name
 
     @property
-    def all_controls(self) -> tuple[int, ...]:
-        """Explicit controls (alias controls are already in ``controls``)."""
-        return self.controls
-
-    @property
     def qubits(self) -> tuple[int, ...]:
         return (*self.controls, *self.targets)
 
@@ -241,9 +249,14 @@ class Gate:
 
     @property
     def is_diagonal(self) -> bool:
-        """True when the gate matrix is diagonal (useful for fast paths)."""
-        m = self.matrix()
-        return bool(np.allclose(m, np.diag(np.diag(m))))
+        """True when the gate's kind is diagonal for every parameter value
+        (:data:`DIAGONAL_GATES`).
+
+        Decided by kind alone, never by parameter values, so every row of
+        a parameter sweep takes the same fast path: ``rx(0)`` is not
+        diagonal.
+        """
+        return self.base_name in DIAGONAL_GATES
 
     def __str__(self) -> str:
         parts = [self.name]

@@ -223,11 +223,6 @@ class UnitaryGate(Gate):
     def signature(self) -> tuple:
         return ("unitary", self.targets, self.controls, self.params)
 
-    @property
-    def is_diagonal(self) -> bool:
-        m = self.matrix()
-        return bool(np.allclose(m, np.diag(np.diag(m))))
-
 
 def hidden_shift(n: int, shift: int | None = None) -> Circuit:
     """Hidden-shift circuit for bent functions (QASMBench 'hs' family).

@@ -68,21 +68,18 @@ AMPLITUDE_BYTES: int = 16
 class FlatDDConfig:
     """Tunable knobs of the FlatDD pipeline, bundled for the orchestrator.
 
-    Defaults reproduce the paper's evaluation settings.
+    Defaults reproduce the paper's evaluation settings.  The DMAV variant
+    of each gate is not a knob: the Eq. 5-6 cost model picks Algorithm 1
+    or 2 per gate (Section 3.2.3) at ``SIMD_WIDTH``, and the k-operations
+    baseline groups ``repro.core.fusion.K_OPERATIONS`` qubits.
     """
 
     beta: float = DEFAULT_BETA
     epsilon: float = DEFAULT_EPSILON
     threads: int = DEFAULT_THREADS
-    simd_width: int = SIMD_WIDTH
-    #: "auto" picks caching per gate via the cost model (Section 3.2.3);
-    #: "always"/"never" force one DMAV variant (Figure 14 ablation).
-    cache_policy: str = "auto"
     #: "cost" = Algorithm 3; "koperations" = the k-operations baseline [100];
     #: "none" = no fusion (Table 2 configurations).
     fusion: str = "none"
-    #: Group size for the k-operations baseline.
-    k_operations: int = 4
     #: Dense bottom-out level for the Python kernels.
     dense_block_level: int = DENSE_BLOCK_LEVEL
     #: If False, thread tasks run inline (deterministic, used by tests);
@@ -118,12 +115,8 @@ class FlatDDConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.cache_policy not in ("auto", "always", "never"):
-            raise ValueError(f"unknown cache_policy {self.cache_policy!r}")
         if self.fusion not in ("cost", "koperations", "none"):
             raise ValueError(f"unknown fusion mode {self.fusion!r}")
-        if self.k_operations < 2:
-            raise ValueError("k_operations must be at least 2")
         if self.qubit_order not in ("natural", "interaction", "sift"):
             raise ValueError(f"unknown qubit_order {self.qubit_order!r}")
         if self.force_convert_at is not None and self.force_convert_at < 0:

@@ -225,17 +225,20 @@ class CostModel:
         self.simd_width = simd_width
         # Cost depends only on the DD's zero structure, never on weights,
         # so verdicts are cached per root node: the fusion pass and the
-        # DMAV loop both evaluate the same (hash-consed) gate DDs.
-        self._cache: dict[int, GateCost] = {}
+        # DMAV loop both evaluate the same (hash-consed) gate DDs.  Keyed
+        # by the node itself (nodes hash by identity), which the entry
+        # pins, so a model reused across packages never meets a dead
+        # node's recycled id.
+        self._cache: dict[DDNode, GateCost] = {}
 
     def evaluate(self, pkg: DDPackage, m: Edge) -> GateCost:
-        cached = self._cache.get(id(m.n))
+        cached = self._cache.get(m.n)
         if cached is not None:
             return cached
         cost = self._from_assignment(
             pkg, m, assign_cache_tasks(pkg, m, self.threads)
         )
-        self._cache[id(m.n)] = cost
+        self._cache[m.n] = cost
         return cost
 
     def evaluate_assignment(
@@ -248,11 +251,11 @@ class CostModel:
         while producing the identical verdict (same H/K2/b inputs, same
         formulas, same per-root memoization).
         """
-        cached = self._cache.get(id(m.n))
+        cached = self._cache.get(m.n)
         if cached is not None:
             return cached
         cost = self._from_assignment(pkg, m, assignment)
-        self._cache[id(m.n)] = cost
+        self._cache[m.n] = cost
         return cost
 
     def evaluate_tile_local(self, num_qubits: int, gate) -> GateCost:

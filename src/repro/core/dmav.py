@@ -30,12 +30,13 @@ that the kernel applies to each diagonal block of its tile.
 One kernel and one border-task runner (:func:`run_border_task_batch`)
 serve every caller.  They work on ``rows`` state vectors at once, each
 row with its own gate DD, and ``run()`` is the one-row case.  The planned
-forms of both algorithms take one compiled plan per row over tile-major
-``(threads, rows, 2**n // threads)`` buffers: ``run()`` passes its flat
-state as a ``(threads, 1, h)`` view, a parameter sweep
-(:mod:`repro.core.sweep`) a block of rows.  A row's result never depends
-on the other rows, so sweep rows stay bit-identical to ``run()``.  The
-listing forms (no plans, a flat state) are the per-gate reference.
+forms take compiled plans over tile-major ``(threads, rows, 2**n //
+threads)`` buffers: ``run()`` passes its flat state as a ``(threads, 1,
+h)`` view, a parameter sweep (:mod:`repro.core.sweep`) a block of rows
+with one plan per row to Algorithm 1, and one row at a time to
+Algorithm 2.  A row's result never depends on the other rows, so sweep
+rows stay bit-identical to ``run()``.  The listing forms (no plans, a
+flat state) are the per-gate reference.
 
 A gate whose highest qubit sits below the border level needs no DD at
 all: the planned :func:`dmav_nocache` takes its
@@ -63,7 +64,6 @@ from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.parallel.simd import simd_add, simd_mul_into
 
 __all__ = [
-    "DIAGONAL_GATES",
     "DMAVStats",
     "apply_tile_local",
     "assign_tasks",
@@ -598,14 +598,13 @@ def dmav_cached(
     partition).
 
     The *planned* form takes one compiled :class:`~repro.core.plan.GatePlan`
-    per batch row in ``plans`` (``m`` and ``assignment`` are unused) over
-    tile-major ``(threads, rows, 2**n // threads)`` batches ``v`` and
-    ``out`` and at least ``plans[0].assignment.num_buffers`` partial
-    ``buffers`` of that shape (from a
-    :class:`~repro.parallel.arena.BufferArena`).  The rows' plans are
-    congruent: their column tasks differ only in nodes and coefficients,
-    and row 0's buffer sharing, writer lists and direct-write flags serve
-    every row.  Partial buffers arrive dirty and are never pre-zeroed --
+    (``plans`` holds exactly one; ``m`` and ``assignment`` are unused) over
+    tile-major ``(threads, 1, 2**n // threads)`` views ``v`` and ``out``
+    and at least ``plans[0].assignment.num_buffers`` partial ``buffers``
+    of that shape (from a :class:`~repro.parallel.arena.BufferArena`): a
+    sweep column with an Algorithm-2 verdict replays row by row
+    (:func:`repro.core.simulator.dmav_phase`).  Partial buffers arrive
+    dirty and are never pre-zeroed --
     each buffer tile is written (assigned) by exactly one task, and the
     summation reads only each output tile's writer list instead of
     scanning every buffer.  ``out`` is likewise not pre-zeroed; writerless
@@ -620,6 +619,11 @@ def dmav_cached(
     h = (1 << n) // threads
     if planned:
         _check_batch(v, out, n, threads)
+        if len(plans) != 1 or v.shape[1] != 1:
+            raise ValueError(
+                f"planned dmav_cached applies one row's plan, got "
+                f"{len(plans)} plans for {v.shape[1]} rows"
+            )
         p0 = plans[0]
         assignment = p0.assignment
         if len(buffers) < assignment.num_buffers:
@@ -627,22 +631,19 @@ def dmav_cached(
                 f"{len(buffers)} buffers passed, assignment needs "
                 f"{assignment.num_buffers}"
             )
-        row_tasks = [p.assignment.tasks for p in plans]
         w, v3, w3 = None, v, out
     else:
         if assignment is None:
             assignment = assign_cache_tasks(pkg, m, threads)
-        row_tasks = [assignment.tasks]
         w, v3, w3 = _flat_tiles(v, out, n, threads)
         buffers = [
             np.zeros((threads, 1, h), dtype=np.complex128)
             for _ in range(assignment.num_buffers)
         ]
     hits = [0] * threads
-    one_row = len(row_tasks) == 1
 
     def work(u: int) -> None:
-        tasks = row_tasks[0][u]
+        tasks = assignment.tasks[u]
         buf = buffers[assignment.buffer_of[u]] if tasks else None
         direct = p0.direct[u] if planned else None
         # Per-thread result cache: border node -> task index.
@@ -651,26 +652,15 @@ def dmav_cached(
             to_w = planned and direct[k]
             src = cache.get(id(node))
             if src is not None:
-                # Scale the earlier result.  Ratios divide per row in
-                # scalar arithmetic: scalar and vectorized complex
-                # division round differently.
-                if one_row:
-                    ratio = coeff / tasks[src][2]
-                else:
-                    ratio = np.array(
-                        [t[u][k][2] / t[u][src][2] for t in row_tasks],
-                        dtype=np.complex128,
-                    )[:, None]
+                # Scale the earlier result.
                 simd_mul_into(
                     (w3 if to_w else buf)[i_p // h],
                     buf[tasks[src][1] // h],
-                    ratio,
+                    coeff / tasks[src][2],
                 )
                 hits[u] += 1
                 continue
-            nodes, coeffs = (
-                ((node,), (coeff,)) if one_row else _column(row_tasks, u, k)
-            )
+            nodes, coeffs = (node,), (coeff,)
             vin = _tile(v3, u * h, h, node)
             if to_w:
                 # Sole producer of output tile i_p // h, never a hit
@@ -722,12 +712,6 @@ def dmav_cached(
 # ---------------------------------------------------------------------------
 # Tile-local gates: applied from the gate matrix, no gate DD.
 
-#: Base gates whose matrix is diagonal for every parameter value; a
-#: controlled alias resolves to its base (cz, cp, cu1, crz, ccz).
-DIAGONAL_GATES = frozenset(
-    {"id", "z", "s", "sdg", "t", "tdg", "rz", "p", "u1", "rzz"}
-)
-
 
 def tile_local(
     gate, num_qubits: int, threads: int, dense_level: int = DENSE_BLOCK_LEVEL
@@ -745,9 +729,7 @@ def tile_local(
     """
     top = max(gate.qubits)
     return top < border_level(num_qubits, threads) and (
-        len(gate.targets) == 1
-        or gate.base_name in DIAGONAL_GATES
-        or top <= dense_level
+        len(gate.targets) == 1 or gate.is_diagonal or top <= dense_level
     )
 
 
@@ -773,10 +755,11 @@ def apply_tile_local(
     parameter values, and takes the DMAV kernel's shapes
     (:func:`_apply_lockstep`), ``top`` being the highest qubit:
 
-    * a diagonal kind (:data:`DIAGONAL_GATES`) is one elementwise scale by
-      its diagonal, tiled to ``2**(dense_level+1)`` over a window that
-      reaches below the dense level, else broadcast over the untouched
-      bits under its lowest qubit (the ``diagonal`` and ``scale`` shapes);
+    * a diagonal kind (:attr:`~repro.circuits.gates.Gate.is_diagonal`) is
+      one elementwise scale by its diagonal, tiled to
+      ``2**(dense_level+1)`` over a window that reaches below the dense
+      level, else broadcast over the untouched bits under its lowest
+      qubit (the ``diagonal`` and ``scale`` shapes);
     * a window at or below ``dense_level`` is one GEMM with the gate's
       window matrix, ``2**(top+1)`` wide (``DENSE_WINDOW_WIDTH`` for a
       one-qubit window), the ``dense`` width of
@@ -817,7 +800,7 @@ def _tile_local(gates: list, v, out, dense_level: int) -> None:
     g0 = gates[0]
     targets, controls = g0.targets, g0.controls
     qubits = sorted((*targets, *controls), reverse=True)
-    if g0.base_name in DIAGONAL_GATES:
+    if g0.is_diagonal:
         _tile_diagonal(gates, qubits, v, out, dense_level)
     elif qubits[0] <= dense_level:
         _tile_gemm(gates, targets, controls, v, out)

@@ -24,7 +24,17 @@ from repro.dd.operations import mm_multiply
 from repro.dd.package import DDPackage
 from repro.core.cost_model import CostModel
 
-__all__ = ["FusionResult", "fuse_cost_aware", "fuse_k_operations", "identity_levels"]
+__all__ = [
+    "K_OPERATIONS",
+    "FusionResult",
+    "fuse_cost_aware",
+    "fuse_k_operations",
+    "identity_levels",
+]
+
+#: Group size of the k-operations baseline in the simulator's
+#: ``fusion="koperations"`` mode (Table 2).
+K_OPERATIONS = 4
 
 
 @dataclass

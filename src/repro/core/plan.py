@@ -8,9 +8,9 @@ it again for the uncached variant.  A :class:`GatePlan` captures all of
 it -- the cost-model verdict, Algorithm 1's row-major task lists,
 Algorithm 2's column-major :class:`~repro.core.cost_model.CacheAssignment`
 plus the derived per-slice writer lists -- compiled once per unique
-``(gate-DD root, root weight)`` for a fixed ``(threads,
-dense_block_level)`` (one :class:`PlanCache` instance serves exactly one
-such configuration, the one the simulator runs).
+``(gate-DD root, root weight)`` for a fixed thread count (one
+:class:`PlanCache` instance serves exactly one package and thread count,
+the ones the simulator runs).
 
 Gate DDs arrive *windowed*: the root sits at the gate's highest qubit
 ``top`` and the levels above it are implicit identity.  Those levels add
@@ -131,27 +131,6 @@ class TileLocalPlan:
     cost: GateCost
 
 
-def _hit_pattern(tasks) -> tuple:
-    """Per-thread first-miss-occurrence pattern of ``id(node)`` reuse.
-
-    Mirrors ``dmav_cached``'s per-thread result cache: entry ``k`` is the
-    index of the task that would serve task ``k``'s cache hit (or None
-    for a miss).  Congruent batching requires every row to hit and miss
-    at the same task indices.
-    """
-    pats = []
-    for tlist in tasks:
-        seen: dict[int, int] = {}
-        pat = []
-        for k, (node, _ip, _c) in enumerate(tlist):
-            prev = seen.get(id(node))
-            pat.append(prev)
-            if prev is None:
-                seen[id(node)] = k
-        pats.append(tuple(pat))
-    return tuple(pats)
-
-
 def _tasks_congruent(tasks0, tasks) -> bool:
     """Same shape: per-thread counts, offsets, and terminality classes."""
     for t0, t in zip(tasks0, tasks):
@@ -163,13 +142,14 @@ def _tasks_congruent(tasks0, tasks) -> bool:
     return True
 
 
-def plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
-    """Whether one batched replay can serve every row's plan.
+def plans_congruent(plans: list[GatePlan | TileLocalPlan]) -> bool:
+    """Whether one batched Algorithm-1 replay can serve every row's plan.
 
     Rows of a sweep share gate *structure* but not weights, so their
     plans normally agree in everything but coefficients; anything else
     (pathological cancellation producing a zero edge in one row only,
-    say) is handled by falling back to per-row execution.
+    say) is handled by falling back to per-row execution, as is a column
+    whose verdict is Algorithm 2.
     """
     p0 = plans[0]
     if all(p is p0 for p in plans):
@@ -178,50 +158,26 @@ def plans_congruent(plans: list[GatePlan], use_cache: bool) -> bool:
     if any(local):
         # One kernel call takes every row's gate matrix, or none can.
         return all(local)
-    if not use_cache:
-        return all(
-            _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
-        )
-    a0 = p0.assignment
-    pat0 = _hit_pattern(a0.tasks)
-    for p in plans[1:]:
-        a = p.assignment
-        if (
-            a.num_buffers != a0.num_buffers
-            or a.buffer_of != a0.buffer_of
-            or p.writers != p0.writers
-            or p.direct != p0.direct
-            or p.direct_out != p0.direct_out
-            or not _tasks_congruent(a0.tasks, a.tasks)
-            or _hit_pattern(a.tasks) != pat0
-        ):
-            return False
-    return True
+    return all(
+        _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
+    )
 
 
 class PlanCache:
     """Compile-once cache of :class:`GatePlan` per unique gate-DD root,
     and of :class:`TileLocalPlan` per tile-local gate.
 
-    One instance serves one ``(package, threads, dense_block_level)``
-    configuration -- the simulator builds it next to the ``CostModel`` it
-    shares.  ``dense_block_level`` does not shape the task lists (it is a
-    kernel bottom-out detail), but it is part of the configuration
-    identity, so it is carried for the counters/introspection.
+    One instance serves one ``(package, threads)`` configuration -- the
+    simulator builds it next to the ``CostModel`` it shares.  The task
+    lists do not depend on ``dense_block_level``, a kernel bottom-out
+    detail.
     """
 
-    def __init__(
-        self,
-        pkg: DDPackage,
-        threads: int,
-        model: CostModel,
-        dense_level: int,
-    ) -> None:
+    def __init__(self, pkg: DDPackage, threads: int, model: CostModel) -> None:
         validate_thread_count(threads, pkg.num_qubits)
         self.pkg = pkg
         self.threads = threads
         self.model = model
-        self.dense_level = dense_level
         self.border = border_level(pkg.num_qubits, threads)
         #: Root plans, keyed by ``(id(root node), root weight)`` -- the
         #: same node can in principle arrive under different root weights.

@@ -49,7 +49,12 @@ from repro.core.plan import (
     TileLocalPlan,
     plans_congruent,
 )
-from repro.core.fusion import FusionResult, fuse_cost_aware, fuse_k_operations
+from repro.core.fusion import (
+    K_OPERATIONS,
+    FusionResult,
+    fuse_cost_aware,
+    fuse_k_operations,
+)
 from repro.core.reorder import (
     permute_circuit,
     plan_qubit_order,
@@ -83,7 +88,6 @@ __all__ = [
     "dd_phase",
     "dmav_phase",
     "dmav_steps",
-    "plan_uses_cache",
     "release_dd_phase",
 ]
 
@@ -243,21 +247,9 @@ def release_dd_phase(
         pkg.collect_garbage(gates.roots())
 
 
-def plan_uses_cache(policy: str, plan: GatePlan | TileLocalPlan) -> bool:
-    """Whether ``cache_policy`` runs ``plan``'s gate with Algorithm 2.
-
-    "always"/"never" force one DMAV variant (the Figure 14 ablation);
-    "auto" takes the plan's compiled cost-model verdict (Section 3.2.3).
-    """
-    if policy == "auto":
-        return plan.cost.use_cache
-    return policy == "always"
-
-
 def apply_plan(
     pkg: DDPackage,
     plans: list[GatePlan | TileLocalPlan],
-    use_cache: bool,
     v,
     out,
     threads: int,
@@ -273,15 +265,16 @@ def apply_plan(
     ``v`` and ``out`` are tile-major ``(threads, rows, 2**n // threads)``
     batches: ``run()`` passes its flat state as a zero-copy ``(threads,
     1, h)`` view with its one plan, a sweep a block of rows with their
-    congruent per-row plans.  ``use_cache`` selects Algorithm 2 (the
-    plans' cache assignment, writer lists and direct-write flags, over
-    ``buffers``: at least ``plans[0].assignment.num_buffers`` partials of
-    ``v``'s shape and any contents) or Algorithm 1 (the plans' row-major
-    tasks; a :class:`~repro.core.plan.TileLocalPlan` row batch is applied
-    from its gates' matrices).  ``out_dirty`` says whether ``out`` may
-    hold stale data.  Returns ``(out, stats)``.
+    congruent per-row plans.  The plans' Eq. 5-6 verdict (Section 3.2.3)
+    picks the kernel: Algorithm 2 for one row's plan (its cache
+    assignment, writer lists and direct-write flags, over ``buffers``: at
+    least ``plans[0].assignment.num_buffers`` partials of ``v``'s shape
+    and any contents), else Algorithm 1 (the plans' row-major tasks; a
+    :class:`~repro.core.plan.TileLocalPlan` row batch is applied from its
+    gates' matrices).  ``out_dirty`` says whether ``out`` may hold stale
+    data.  Returns ``(out, stats)``.
     """
-    if use_cache:
+    if plans[0].cost.use_cache:
         return dmav_cached(
             pkg, None, v, threads, runner, dense_level, out=out,
             plans=plans, buffers=buffers, out_dirty=out_dirty,
@@ -300,14 +293,13 @@ def dmav_steps(
     A gate whose highest qubit sits below the border level
     (:func:`~repro.core.dmav.tile_local`) is its own step, applied from
     its matrix, unless ``cfg.fusion`` fuses the tail (fusion multiplies
-    gate DDs) or ``cfg.cache_policy`` is "always" (which would cache a
-    gate Eq. 6 never caches).  Every other gate is its windowed gate DD,
-    built (or found) in ``gates``.  The choice reads only the config and
-    the gate's kind and qubits, so ``run()``, its resume and every sweep
-    row build the same gate DDs in the same order.
+    gate DDs).  Every other gate is its windowed gate DD, built (or
+    found) in ``gates``.  The choice reads only the config and the gate's
+    kind and qubits, so ``run()``, its resume and every sweep row build
+    the same gate DDs in the same order.
     """
     n = gates.pkg.num_qubits
-    local = cfg.fusion == "none" and cfg.cache_policy != "always"
+    local = cfg.fusion == "none"
     return [
         g if local and tile_local(g, n, cfg.threads, cfg.dense_block_level)
         else gates.get(g, windowed=True)
@@ -358,8 +350,9 @@ def dmav_phase(
     :class:`~repro.core.plan.TileLocalPlan` priced in closed form and
     applied from its matrix) through :func:`apply_plan` between recycled
     :class:`~repro.parallel.arena.BufferArena` buffers, in
-    ``ROW_BLOCK_BYTES`` row blocks when the rows' verdicts and plans agree
-    (:func:`~repro.core.plan.plans_congruent`), else row by row.
+    ``ROW_BLOCK_BYTES`` row blocks when every row's verdict is Algorithm 1
+    and the plans agree (:func:`~repro.core.plan.plans_congruent`), else
+    row by row.
 
     After every column the memory guard may raise (labelled ``phase``),
     checkpointing through ``write_checkpoint(batch, cursor)`` first; every
@@ -376,10 +369,9 @@ def dmav_phase(
     tracing = tracer.enabled
     threads = cfg.threads
     dense = cfg.dense_block_level
-    policy = cfg.cache_policy
     rows = state.shape[1]
     d0 = time.perf_counter()
-    plans = PlanCache(pkg, threads, CostModel(threads, cfg.simd_width), dense)
+    plans = PlanCache(pkg, threads, CostModel(threads))
     arena = BufferArena(1 << pkg.num_qubits, rows=rows, tiles=threads)
     block = max(1, min(rows, ROW_BLOCK_BYTES // (state.shape[2] * 16)))
     columns = len(steps_rows[0])
@@ -391,24 +383,23 @@ def dmav_phase(
         w_buf, w_dirty = arena.output()
         if rows == 1:
             plan = plans.get(steps_rows[0][j])
-            use_cache = plan_uses_cache(policy, plan)
+            use_cache = plan.cost.use_cache
             row_plans, verdicts = (plan,), (use_cache,)
             _, stats = apply_plan(
-                pkg, row_plans, use_cache, state, w_buf, threads, runner,
-                dense, out_dirty=w_dirty, buffers=arena.partials(
+                pkg, row_plans, state, w_buf, threads, runner, dense,
+                out_dirty=w_dirty, buffers=arena.partials(
                     plan.assignment.num_buffers if use_cache else 0
                 ),
             )
             hits = stats.cache_hits
         else:
             row_plans = [plans.get(sr[j]) for sr in steps_rows]
-            verdicts = [plan_uses_cache(policy, p) for p in row_plans]
+            verdicts = [p.cost.use_cache for p in row_plans]
             plan, use_cache = row_plans[0], verdicts[0]
             size = block
-            if verdicts.count(use_cache) < rows or not plans_congruent(
-                row_plans, use_cache
-            ):
-                # Exact per-row replay: each row with its own plan.
+            if any(verdicts) or not plans_congruent(row_plans):
+                # Exact per-row replay: each row with its own plan
+                # (Algorithm 2 applies one row's plan).
                 size = 1
                 rowloop += 1
             bufs = arena.partials(max(
@@ -419,12 +410,11 @@ def dmav_phase(
             for b0 in range(0, rows, size):
                 b1 = min(b0 + size, rows)
                 _, stats = apply_plan(
-                    pkg, row_plans[b0:b1], verdicts[b0], state[:, b0:b1],
+                    pkg, row_plans[b0:b1], state[:, b0:b1],
                     w_buf[:, b0:b1], threads, runner, dense,
                     buffers=[bf[:, b0:b1] for bf in bufs], out_dirty=w_dirty,
                 )
-                # A block's rows share one hit pattern.
-                hits += stats.cache_hits * (b1 - b0)
+                hits += stats.cache_hits
             # Per-row rotation roots each cache full diagonals/dense
             # blocks; over a big batch that accumulates to hundreds of MB
             # of dead entries.  Recomputation is deterministic, so drop
@@ -617,7 +607,6 @@ class FlatDDSimulator(Simulator):
             "beta": cfg.beta,
             "epsilon": cfg.epsilon,
             "fusion": cfg.fusion,
-            "cache_policy": cfg.cache_policy,
             "converted": False,
             "conversion_gate_index": None,
             "forced_conversion": cfg.force_convert_at is not None,
@@ -746,12 +735,12 @@ class FlatDDSimulator(Simulator):
                 steps = dmav_steps(cfg, gates, tail)
                 labels = [g.name for g in tail]
                 if cfg.fusion != "none" and steps:
-                    model = CostModel(cfg.threads, cfg.simd_width)
+                    model = CostModel(cfg.threads)
                     fused = (
                         fuse_cost_aware(pkg, steps, model)
                         if cfg.fusion == "cost"
                         else fuse_k_operations(
-                            pkg, steps, cfg.k_operations, model
+                            pkg, steps, K_OPERATIONS, model
                         )
                     )
                     steps = fused.gates

@@ -187,7 +187,6 @@ def run_sweep(
     cfg_digest = config_digest(cfg)
     metadata: dict = {
         "threads": cfg.threads,
-        "cache_policy": cfg.cache_policy,
         "fusion": cfg.fusion,
         "rows": num_rows,
         "unique_rows": len(uniq),

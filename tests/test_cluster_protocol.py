@@ -238,7 +238,7 @@ class TestJobWire:
         job = Job(
             get_circuit("qft", 4),
             backend="flatdd",
-            config=FlatDDConfig(threads=2, k_operations=8),
+            config=FlatDDConfig(threads=2, fusion="koperations"),
             shots=50,
             sample_seed=7,
             priority=3,

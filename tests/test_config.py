@@ -8,7 +8,6 @@ from repro.common.config import (
     DEFAULT_BETA,
     DEFAULT_EPSILON,
     MNODE_BYTES,
-    SIMD_WIDTH,
     TOLERANCE,
     VNODE_BYTES,
     FlatDDConfig,
@@ -28,8 +27,6 @@ class TestFlatDDConfig:
         cfg = FlatDDConfig()
         assert cfg.beta == DEFAULT_BETA == 0.9
         assert cfg.epsilon == DEFAULT_EPSILON == 2.0
-        assert cfg.simd_width == SIMD_WIDTH == 2
-        assert cfg.cache_policy == "auto"
         assert cfg.fusion == "none"
 
     def test_frozen(self):
@@ -41,8 +38,8 @@ class TestFlatDDConfig:
         "kwargs",
         [
             {"beta": -0.1}, {"beta": 1.0}, {"epsilon": 0.0},
-            {"cache_policy": "sometimes"}, {"fusion": "maybe"},
-            {"k_operations": 1},
+            {"qubit_order": "random"}, {"fusion": "maybe"},
+            {"force_convert_at": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -52,10 +49,10 @@ class TestFlatDDConfig:
     def test_valid_customization(self):
         cfg = FlatDDConfig(
             beta=0.5, epsilon=3.0, threads=8, fusion="cost",
-            cache_policy="always", k_operations=6,
+            qubit_order="sift", force_convert_at=6,
         )
         assert cfg.threads == 8
-        assert cfg.k_operations == 6
+        assert cfg.force_convert_at == 6
 
 
 class TestMemoryConstants:

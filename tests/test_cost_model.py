@@ -1,5 +1,6 @@
 """Unit tests for the MAC-count cost model (Section 3.2.3)."""
 
+import gc
 import math
 
 import numpy as np
@@ -151,6 +152,26 @@ class TestEquationSix:
         m = single_qubit_gate(pkg, H, 5)
         cost = CostModel(2).evaluate(pkg, m)
         assert cost.cost == min(cost.cost_nocache, cost.cost_cache)
+
+
+class TestVerdictMemo:
+    def test_model_reused_across_packages(self):
+        """Each package dies before the next is built, so Python may hand
+        its nodes' ids to the next package's nodes: a memo keyed by id
+        would answer for a dead node."""
+        by_edge, by_assignment = CostModel(2), CostModel(2)
+        for i in range(300):
+            pkg = DDPackage(5)
+            gate = Gate("h", (2,)) if i % 2 else Gate("cx", (2,), (0,))
+            m = build_gate_dd(pkg, gate)
+            fresh = CostModel(2).evaluate(pkg, m)
+            assert by_edge.evaluate(pkg, m) == fresh, (i, gate)
+            assignment = assign_cache_tasks(pkg, m, 2)
+            assert by_assignment.evaluate_assignment(
+                pkg, m, assignment
+            ) == fresh, (i, gate)
+            del pkg, m, assignment
+            gc.collect()
 
 
 class TestExecutionConsistency:

@@ -124,6 +124,9 @@ class TestGateRecord:
         assert Gate("rz", (0,), params=(0.4,)).is_diagonal
         assert Gate("cz", (1,), (0,)).is_diagonal
         assert not Gate("h", (0,)).is_diagonal
+        # By kind, never by parameter value: rx(0) is the identity, but
+        # an rx sweep row at 0 routes like the others.
+        assert not Gate("rx", (0,), params=(0.0,)).is_diagonal
 
     def test_str_rendering(self):
         g = Gate("cp", targets=(2,), controls=(0,), params=(0.5,))

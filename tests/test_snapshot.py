@@ -269,13 +269,12 @@ class TestPlanCacheInvalidation:
     def test_barrier_invalidates_compiled_plans(self):
         from repro.backends.gatecache import build_gate_dd
         from repro.circuits import Gate
-        from repro.common.config import DENSE_BLOCK_LEVEL
         from repro.core.cost_model import CostModel
         from repro.core.dmav import assign_tasks
         from repro.core.plan import PlanCache
 
         pkg = DDPackage(5)
-        plans = PlanCache(pkg, 2, CostModel(2), DENSE_BLOCK_LEVEL)
+        plans = PlanCache(pkg, 2, CostModel(2))
         m = build_gate_dd(pkg, Gate("h", (0,)))
         plans.get(m)
         pkg.checkpoint_barrier([m])

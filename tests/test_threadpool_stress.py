@@ -39,12 +39,13 @@ class TestPooledFlatDD:
         c = get_circuit("dnn", 8, layers=5)
         ref = StatevectorSimulator().run(c).state
         r = FlatDDSimulator(
-            threads=4, use_thread_pool=True, fusion="cost",
-            cache_policy="always",
+            threads=4, use_thread_pool=True, fusion="cost"
         ).run(c)
         assert abs(np.vdot(r.state, ref)) ** 2 == pytest.approx(
             1.0, abs=1e-8
         )
+        # Eq. 6 runs fused gates with Algorithm 2.
+        assert r.metadata["obs"]["counters"]["dmav.gates_cached"] > 0
 
     def test_repeated_pooled_runs_on_one_instance(self):
         sim = FlatDDSimulator(threads=4, use_thread_pool=True)
