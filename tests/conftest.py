@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.backends import StatevectorSimulator
 from repro.circuits import Circuit, get_circuit
+from repro.core.cost_model import CostModel, GateCost
 from repro.dd import DDPackage
 
 
@@ -70,6 +73,38 @@ def reference_state(circuit: Circuit) -> np.ndarray:
 def assert_states_close(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> None:
     """Exact (not global-phase-free) state comparison."""
     np.testing.assert_allclose(a, b, atol=atol, rtol=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ForcedVerdict(GateCost):
+    """A gate DD's Eq. 5-6 prices with its DMAV variant fixed."""
+
+    forced: bool = False
+
+    @property
+    def use_cache(self) -> bool:
+        return self.forced
+
+
+def force_dmav_verdict(monkeypatch, policy: str) -> None:
+    """Fix the simulator's DMAV variant for every gate DD: Algorithm 2
+    ("always"), Algorithm 1 ("never"), or Eq. 6's own pick ("auto").
+
+    Patches the plans' cost model only: the C1/C2 prices, fusion and the
+    recorded ``dmav_gate_costs`` figures stay the model's, and tile-local
+    gates (no gate DD) keep Algorithm 1.  Eq. 6 almost never caches an
+    unfused gate DD, so "always" is how a test drives Algorithm 2 there.
+    """
+    if policy == "auto":
+        return
+    forced = policy == "always"
+
+    class Forced(CostModel):
+        def evaluate_assignment(self, pkg, m, assignment):
+            cost = super().evaluate_assignment(pkg, m, assignment)
+            return _ForcedVerdict(**dataclasses.asdict(cost), forced=forced)
+
+    monkeypatch.setattr("repro.core.simulator.CostModel", Forced)
 
 
 def assert_same_quantum_state(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> None:
