@@ -4,8 +4,9 @@ Not a paper artifact; these watch the building blocks the experiments rest
 on: DD gate application, DMAV, conversion, array-backend gate application,
 and DD construction (``kernel-gate-build`` times one cold gate-DD build per
 branch of the direct builder in :mod:`repro.dd.matrix`).
-``kernel-tile-local`` times a tile-local gate applied from its matrix,
-beside the same gates' warm planned DMAV steps in ``kernel-dmav-planned``.
+``kernel-tile-local`` times an unfused gate applied from its matrix by
+the array kernel, within a tile and across the border level, beside the
+same gates' warm planned DMAV steps in ``kernel-dmav-planned``.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from repro.core.cost_model import CostModel
 from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
 from repro.core.plan import PlanCache
 from repro.core.simulator import FlatDDSimulator, apply_plan, dmav_phase
-from repro.dd import (
-    DDPackage,
-    controlled_gate,
-    mv_multiply,
-    vector_from_array,
-    vector_to_array,
-    zero_state,
-)
+from repro.dd import DDPackage, controlled_gate, mv_multiply, vector_from_array
 from repro.metrics.memory import MemoryMeter
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.arena import BufferArena
@@ -108,15 +102,18 @@ def test_dmav_cached_kernel(benchmark, dmav_setup, gate):
 
 
 def _tile_local_gates(n: int) -> dict[str, Gate]:
-    """The tile-local shapes of perfbench's workloads (4 threads, border
-    level n - 3), plus a two-target gate.
+    """The array kernel's shapes on perfbench's workloads (4 threads,
+    border level n - 3), plus a two-target gate.
 
     ``sx`` and ``ry`` act on a low qubit (a dense window GEMM) and on the
     qubit under the border (a 2x2 pair), ``rz`` is a diagonal scale,
     ``cx`` and ``cz`` put the control under the target as dnn's and
     supremacy's do (slice views; a diagonal scale), and ``swap`` is a
-    two-target dense window GEMM.  A swap above the dense window stays
-    on DMAV (:func:`~repro.core.dmav.tile_local`).
+    two-target dense window GEMM.  Across the border: ``h_above`` has its
+    target above it (the 2x2 combination of tile pairs), ``cx_above`` its
+    control (tiles with the control at 0 are copied), ``rz_above`` is a
+    diagonal scale per tile, and ``cswap_across`` swaps a qubit within
+    the tile with one above it, as knn's cswaps do (permutation copies).
     """
     return {
         "sx_low": Gate("sx", (0,)),
@@ -127,6 +124,10 @@ def _tile_local_gates(n: int) -> dict[str, Gate]:
         "cx": Gate("cx", (n // 2,), (n // 2 - 1,)),
         "cz": Gate("cz", (n // 2,), (n // 2 - 1,)),
         "swap": Gate("swap", (2, 1)),
+        "h_above": Gate("h", (n - 1,)),
+        "cx_above": Gate("cx", (n // 2,), (n - 1,)),
+        "rz_above": Gate("rz", (n - 2,), params=(0.4,)),
+        "cswap_across": Gate("cswap", (n // 2, n - 1), (0,)),
     }
 
 
@@ -147,10 +148,10 @@ def _row_gates(proto: Gate, rows: int) -> list[Gate]:
     "gate", list(_dmav_gates(N)) + [f"tl_{g}" for g in _tile_local_gates(N)]
 )
 def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
-    """One ``apply_plan`` step, as ``run()`` (one row) and a sweep row
-    block (eight rows, a distinct angle per row for the rotations) take
-    it: compiled plans, the cost model's cache verdict, arena buffers.
-    ``tl_*`` fixtures are the ``kernel-tile-local`` shapes."""
+    """One warm ``apply_plan`` step on a gate DD: its compiled plan, the
+    cost model's cache verdict, arena buffers.  DMAV applies one gate
+    DD's plan, so eight rows share it.  ``tl_*`` fixtures are the
+    ``kernel-tile-local`` shapes, as gate DDs."""
     pkg, arr, _ = dmav_setup
     n = pkg.num_qubits
     threads = 4
@@ -159,10 +160,7 @@ def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
         else _dmav_gates(n)[gate]
     )
     plans = PlanCache(pkg, threads, CostModel(threads))
-    row_plans = [
-        plans.get(build_gate_dd(pkg, g, windowed=True))
-        for g in _row_gates(proto, rows)
-    ]
+    row_plans = [plans.get(build_gate_dd(pkg, proto, windowed=True))]
     arena = BufferArena(1 << n, rows=rows, tiles=threads)
     v = np.repeat(arr.reshape(threads, 1, -1), rows, axis=1)
     out, _ = arena.output()
@@ -177,8 +175,9 @@ def test_dmav_planned_step(benchmark, dmav_setup, gate, rows):
 @pytest.mark.parametrize("rows", [1, 8], ids=lambda r: f"rows{r}")
 @pytest.mark.parametrize("gate", list(_tile_local_gates(N)))
 def test_tile_local_step(benchmark, dmav_setup, gate, rows):
-    """One tile-local step as ``dmav_phase`` takes it: the gate applied
-    from its matrix over the tile-major batch, no gate DD or plan."""
+    """One unfused step as ``dmav_phase`` takes it: the gate applied from
+    its matrix over the tile-major batch (a distinct angle per row for
+    the rotations), no gate DD or plan."""
     pkg, arr, _ = dmav_setup
     n = pkg.num_qubits
     threads = 4
@@ -191,8 +190,8 @@ def test_tile_local_step(benchmark, dmav_setup, gate, rows):
 @pytest.fixture(scope="module", params=["supremacy", "dnn"])
 def phase_setup(request):
     """A 12-qubit circuit run with conversion at gate 0: its config,
-    package, DMAV steps as the run applied them (gate DDs, and tile-local
-    gates as themselves) and final state."""
+    package, DMAV steps as the run applied them (unfused, every gate as
+    itself) and final state."""
     cfg = FlatDDConfig(threads=4, force_convert_at=0)
     result = FlatDDSimulator(cfg).run(
         get_circuit(request.param, N), keep_internals=True

@@ -4,18 +4,18 @@ The plan compiler (``repro.core.plan``) lifts the array-phase bookkeeping
 -- cost-model verdicts, Algorithm 1/2 task partitions, writer lists --
 out of the hot loop, and the buffer arena (``repro.parallel.arena``)
 replaces the per-gate output/partial allocations with recycled dirty
-buffers.  This experiment measures what that saves: array-phase seconds
-of the pipeline (the sum of per-gate ``dmav`` trace records) against the
-same emitted gates replayed here through the paper's listing -- per gate
-the cost model, the Assign descent, and the unplanned ``dmav_cached`` /
-``dmav_nocache`` kernels with their own buffers -- on the two workload
-shapes the plans target: QFT (no repeated gate roots: amortization comes
-from the structural memo sharing border tasks across distinct roots) and
-supremacy (repeated roots: whole plans are served from cache).  The
-replay must land on the pipeline's bits, so both sides do the same work.
-A tile-local step (a gate below the border level, applied from its
-matrix) has no plan: both sides apply it with the same kernel, and
-neither side times it, so the ratio covers the steps plans serve.
+buffers.  This experiment measures what that saves.  An unfused run
+applies every tail gate with the array kernel and compiles no plan, so
+its tail is replayed as gate DDs (``metadata["dmav_edges"]``) twice from
+the converted array: through the DMAV phase (array-phase seconds are the
+sum of its per-gate ``dmav`` trace records), and through the paper's
+listing -- per gate the cost model, the Assign descent, and the unplanned
+``dmav_cached`` / ``dmav_nocache`` kernels with their own buffers -- on
+the two workload shapes the plans target: QFT (no repeated gate roots:
+amortization comes from the structural memo sharing border tasks across
+distinct roots) and supremacy (repeated roots: whole plans are served
+from cache).  The listing must land on the DMAV phase's bits, so both
+sides do the same work.
 
 Runs interleave the two variants and take per-variant minima so slow
 drifting machine load cancels out of the ratio.
@@ -33,11 +33,15 @@ import numpy as np
 import pytest
 
 from repro.bench.tables import render_table
-from repro.circuits import Gate, get_circuit
+from repro.circuits import get_circuit
 from repro.common.config import DENSE_BLOCK_LEVEL, FlatDDConfig
 from repro.core import FlatDDSimulator
 from repro.core.cost_model import CostModel, assign_cache_tasks
-from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
+from repro.core.dmav import dmav_cached, dmav_nocache
+from repro.core.simulator import dmav_phase
+from repro.metrics.memory import MemoryMeter
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.guard import MemoryGuard
 
 from conftest import emit, record
 
@@ -50,27 +54,38 @@ MIN_SPEEDUP = 1.3
 
 
 def _planned_run(circuit, threads):
-    """Array-phase seconds of the pipeline's gate-DD steps (conversion
-    after gate 0)."""
+    """Array-phase seconds of a run's tail replayed as gate DDs through
+    the DMAV phase (conversion after gate 0).
+
+    Returns ``(seconds, state, obs, result)``: the replay's final array
+    and its counters and gauges, and the run (whose package holds the
+    gate DDs).
+    """
     cfg = FlatDDConfig(threads=threads, force_convert_at=0)
     result = FlatDDSimulator(cfg).run(circuit, keep_internals=True)
-    records = [g for g in result.gate_trace if g.phase == "dmav"]
-    seconds = sum(
-        g.seconds
-        for g, step in zip(records, result.metadata["dmav_steps"])
-        if not isinstance(step, Gate)
+    edges = result.metadata["dmav_edges"]
+    start = FlatDDSimulator(cfg).run(circuit[:1]).state
+    registry = MetricsRegistry()
+    trace = []
+    state, _, _ = dmav_phase(
+        cfg, result.metadata["package"], None,
+        start.reshape(threads, 1, -1), [edges], 0, 0, MemoryGuard(None),
+        MemoryMeter(), registry, {}, None,
+        labels=[g.name for g in result.metadata["dmav_steps"]], trace=trace,
     )
-    return seconds, result
+    seconds = sum(g.seconds for g in trace)
+    return seconds, state.reshape(-1), registry.snapshot(), result
 
 
-def _listing_replay(circuit, threads, result):
-    """Array-phase seconds of ``result``'s gate DDs through the listing
-    kernels, its tile-local steps applied untimed as the run applied them.
+def _listing_replay(circuit, threads, result, planned):
+    """Array-phase seconds of ``result``'s tail gate DDs through the
+    listing kernels, which must land on ``planned``, the DMAV phase's
+    final array.
 
     Starts from the same converted array (a run of gate 0 alone) in the
-    run's own package.  The run warmed that package's per-node analysis
-    caches, so they are dropped first: the listing starts as cold as the
-    pipeline's array phase did (recomputing them is deterministic).
+    run's own package.  The DMAV phase warmed that package's per-node
+    analysis caches, so they are dropped first: the listing starts as
+    cold as the phase did (recomputing them is deterministic).
     """
     cfg = FlatDDConfig(threads=threads, force_convert_at=0)
     state = FlatDDSimulator(cfg).run(circuit[:1]).state
@@ -82,14 +97,7 @@ def _listing_replay(circuit, threads, result):
     model = CostModel(threads)
     out = np.zeros_like(state)
     seconds = 0.0
-    for edge in result.metadata["dmav_steps"]:
-        if isinstance(edge, Gate):
-            apply_tile_local(
-                [edge], state.reshape(threads, 1, -1),
-                out.reshape(threads, 1, -1),
-            )
-            state, out = out, state
-            continue
+    for edge in result.metadata["dmav_edges"]:
         g0 = time.perf_counter()
         if model.evaluate(pkg, edge).use_cache:
             out, _ = dmav_cached(
@@ -102,7 +110,7 @@ def _listing_replay(circuit, threads, result):
             )
         state, out = out, state
         seconds += time.perf_counter() - g0
-    assert np.array_equal(state, result.state), circuit.name
+    assert np.array_equal(state, planned), circuit.name
     return seconds
 
 
@@ -114,10 +122,11 @@ def run_experiment(threads: int = 4):
         on_times, off_times = [], []
         counters = gauges = None
         for _ in range(REPEATS):
-            on_s, result = _planned_run(circuit, threads)
-            off_times.append(_listing_replay(circuit, threads, result))
+            on_s, planned, obs, result = _planned_run(circuit, threads)
+            off_times.append(
+                _listing_replay(circuit, threads, result, planned)
+            )
             on_times.append(on_s)
-            obs = result.metadata["obs"]
             counters, gauges = obs["counters"], obs["gauges"]
         speedup = min(off_times) / min(on_times)
         hit_rate = gauges["dmav.plan.hit_rate"]["value"]

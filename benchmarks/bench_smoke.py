@@ -1,18 +1,20 @@
 """Plan-cache and sweep smoke records: DMAV amortization counters.
 
-Runs two CLI invocations, asserts the counters they print, and writes
-``BENCH_plan_cache_smoke.json`` and ``BENCH_sweep_smoke.json`` to OUTDIR
-for ``repro bench-compare`` against ``benchmarks/baselines``::
+Asserts two smokes' counters and writes ``BENCH_plan_cache_smoke.json``
+and ``BENCH_sweep_smoke.json`` to OUTDIR for ``repro bench-compare``
+against ``benchmarks/baselines``::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py /tmp/bench
 
-* ``repro simulate --family qft --qubits 16 --threads 4
-  --force-convert-at 0 --json``: the plan cache serves at least half of
-  the planned border tasks, and the arena allocates one output buffer.
+* qft-16 at 4 threads with conversion after gate 0: an unfused run
+  compiles no plan, so its tail is replayed as gate DDs
+  (``metadata["dmav_edges"]``) through the DMAV phase.  The plan cache
+  serves at least half of the planned border tasks, and the arena
+  allocates one output buffer.
 * ``repro sweep --family qft --qubits 10 --points 16 --threads 4
   --force-convert-at 0 --sweep-seed 1 --json``: one prefix group, every
-  gate column batched, one package rewind per unique row, and one DMAV
-  gate per unique row and gate column.
+  gate column batched, no plan compiled, and one DMAV gate per unique row
+  and gate column.
 
 A failed assert exits non-zero; the recorded counters are
 deterministic, so a baseline mismatch is a behaviour change.
@@ -25,13 +27,16 @@ import io
 import json
 import sys
 
+import numpy as np
+
+from repro import FlatDDConfig, FlatDDSimulator, get_circuit
 from repro.bench.registry import write_bench_record
 from repro.cli import main as repro_main
+from repro.core.simulator import dmav_phase
+from repro.metrics.memory import MemoryMeter
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.guard import MemoryGuard
 
-PLAN_ARGS = [
-    "simulate", "--family", "qft", "--qubits", "16", "--threads", "4",
-    "--force-convert-at", "0", "--json",
-]
 SWEEP_ARGS = [
     "sweep", "--family", "qft", "--qubits", "10", "--points", "16",
     "--threads", "4", "--force-convert-at", "0", "--sweep-seed", "1",
@@ -49,9 +54,28 @@ def _cli_json(argv: list[str]) -> dict:
     return json.loads(out.getvalue())
 
 
+def _replayed_tail_counters(circuit, cfg) -> dict:
+    """The ``dmav.*`` counters of ``circuit``'s tail replayed as gate DDs
+    through the DMAV phase (counters only: any start state will do)."""
+    meta = FlatDDSimulator(cfg).run(circuit, keep_internals=True).metadata
+    registry = MetricsRegistry()
+    state = np.zeros(
+        (cfg.threads, 1, (1 << circuit.num_qubits) // cfg.threads),
+        dtype=np.complex128,
+    )
+    dmav_phase(
+        cfg, meta["package"], None, state, [meta["dmav_edges"]],
+        meta["conversion_gate_index"], 0, MemoryGuard(None), MemoryMeter(),
+        registry, {}, None,
+    )
+    return registry.snapshot()["counters"]
+
+
 def plan_cache_smoke(directory: str) -> str:
     """Assert and record the plan-cache smoke; returns the record path."""
-    counters = _cli_json(PLAN_ARGS)["obs"]["counters"]
+    counters = _replayed_tail_counters(
+        get_circuit("qft", 16), FlatDDConfig(threads=4, force_convert_at=0)
+    )
     hits = counters["dmav.plan.hits"]
     misses = counters["dmav.plan.misses"]
     rate = hits / (hits + misses)
@@ -85,16 +109,17 @@ def sweep_smoke(directory: str) -> str:
     assert counters["dmav.sweep.groups"] == 1, counters
     assert counters["dmav.sweep.gates_batched"] > 0, counters
     assert counters["dmav.sweep.gates_rowloop"] == 0, counters
-    assert (
-        counters["dmav.sweep.row_rewinds"] == payload["unique_rows"]
+    # Every tail column runs batched, and none holds a gate DD to plan.
+    assert counters["dmav.sweep.gates_batched"] == (
+        len(get_circuit("qft", 10).gates) - 1
     ), counters
+    assert counters["dmav.plan.compiles"] == 0, counters
     assert counters["dmav.gates"] == payload["unique_rows"] * (
         counters["dmav.sweep.gates_batched"]
         + counters["dmav.sweep.gates_rowloop"]
     ), counters
     print(f"sweep smoke: {payload['rows']} rows, "
-          f"{counters['dmav.sweep.gates_batched']} batched gate "
-          f"columns, {counters['dmav.sweep.row_rewinds']} row rewinds")
+          f"{counters['dmav.sweep.gates_batched']} batched gate columns")
     return write_bench_record(
         "sweep_smoke",
         {
@@ -103,7 +128,6 @@ def sweep_smoke(directory: str) -> str:
             "groups": counters["dmav.sweep.groups"],
             "gates_batched": counters["dmav.sweep.gates_batched"],
             "gates_rowloop": counters["dmav.sweep.gates_rowloop"],
-            "row_rewinds": counters["dmav.sweep.row_rewinds"],
             "plan_compiles": counters["dmav.plan.compiles"],
         },
         directory=directory,

@@ -65,24 +65,5 @@ class GateDDCache:
         """Drop all cached gate DDs (checkpoint barrier support)."""
         self._cache.clear()
 
-    def mark(self) -> int:
-        """Rewind point for :meth:`rewind` (the cache is insert-only)."""
-        return len(self._cache)
-
-    def rewind(self, mark: int) -> None:
-        """Drop every entry added since ``mark`` (counters kept).
-
-        Paired with :meth:`mark` and
-        :meth:`repro.dd.package.DDPackage.rewind_to_mark`, this lets the
-        sweep executor rewind the cache before building each row's gate
-        DDs, so every row's builds see exactly the state a single-shot
-        run would (a row's own gates must not serve a later row's
-        lookups, and parameter-independent gates must be *rebuilt* per
-        row so their nodes get the creation indices the row's own run
-        would have assigned).
-        """
-        while len(self._cache) > mark:
-            self._cache.popitem()
-
     def __len__(self) -> int:
         return len(self._cache)

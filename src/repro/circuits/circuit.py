@@ -13,8 +13,10 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.common.errors import CircuitError
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, UnitaryGate
 
 __all__ = ["Circuit"]
 
@@ -23,6 +25,14 @@ __all__ = ["Circuit"]
 #: below the complex-table tolerance (1e-10), so they are the same gate
 #: for every consumer of the fingerprint.
 FINGERPRINT_DECIMALS = 12
+
+
+def _matrix_entries(g: Gate) -> list[float]:
+    """An explicit-matrix gate's entries, real and imaginary parts
+    interleaved row by row; none for a library gate."""
+    if not isinstance(g, UnitaryGate):
+        return []
+    return g.matrix().view(np.float64).reshape(-1).tolist()
 
 
 def _canonical_param(value: float) -> str:
@@ -226,9 +236,11 @@ class Circuit:
     def to_wire(self) -> dict:
         """JSON-serializable form of the circuit (see :meth:`from_wire`).
 
-        Gates are ``[name, targets, controls, params]`` rows; parameters
-        survive exactly (JSON doubles round-trip bit-for-bit), so the
-        rebuilt circuit has an identical :meth:`fingerprint`.  This is
+        Gates are ``[name, targets, controls, params]`` rows; a
+        :class:`~repro.circuits.gates.UnitaryGate` row adds its matrix
+        entries (real and imaginary parts interleaved row by row).
+        Floats survive exactly (JSON doubles round-trip bit-for-bit), so
+        the rebuilt circuit has an identical :meth:`fingerprint`.  This is
         the job payload the cluster wire protocol ships to worker
         processes.
         """
@@ -241,6 +253,7 @@ class Circuit:
                     list(g.targets),
                     list(g.controls),
                     [float(p) for p in g.params],
+                    *([entries] if (entries := _matrix_entries(g)) else []),
                 ]
                 for g in self.gates
             ],
@@ -263,18 +276,33 @@ class Circuit:
             raise CircuitError(f"bad wire circuit {data!r}: {exc}") from exc
         for row in rows:
             try:
-                name, targets, controls, params = row
-                fields = dict(
-                    name=str(name),
-                    targets=tuple(int(q) for q in targets),
-                    controls=tuple(int(q) for q in controls),
-                    params=tuple(float(p) for p in params),
-                )
+                name, targets, controls, params, *matrix = row
+                name = str(name)
+                targets = tuple(int(q) for q in targets)
+                controls = tuple(int(q) for q in controls)
+                params = tuple(float(p) for p in params)
+                if (name == "unitary") != (len(matrix) == 1) or (
+                    name == "unitary" and (controls or params)
+                ):
+                    raise ValueError("a matrix belongs to a bare unitary row")
+                if matrix:
+                    dim = 1 << len(targets)
+                    entries = np.array(matrix[0], dtype=np.float64)
+                    if entries.shape != (2 * dim * dim,):
+                        raise ValueError(
+                            f"{entries.size} matrix entries for {dim}x{dim}"
+                        )
+                    gate = UnitaryGate(
+                        entries.view(np.complex128).reshape(dim, dim),
+                        targets,
+                    )
+                else:
+                    gate = Gate(name, targets, controls, params)
             except (TypeError, ValueError) as exc:
                 raise CircuitError(
                     f"bad wire gate row {row!r}: {exc}"
                 ) from exc
-            circuit.append(Gate(**fields))
+            circuit.append(gate)
         return circuit
 
     def fingerprint(self, params=None) -> str:
@@ -282,8 +310,9 @@ class Circuit:
 
         The digest covers the qubit count and, per gate in sequence, the
         *base* gate name (so aliases like ``cx``/``cnot`` hash alike),
-        target and control qubit tuples, and parameters rounded to
-        :data:`FINGERPRINT_DECIMALS` decimals via :func:`_canonical_param`.
+        target and control qubit tuples, and parameters (and an explicit
+        matrix's entries) rounded to :data:`FINGERPRINT_DECIMALS` decimals
+        via :func:`_canonical_param`.
         The circuit ``name`` is deliberately excluded: two circuits with
         the same gates are the same workload.
 
@@ -302,12 +331,15 @@ class Circuit:
         h = hashlib.sha256()
         h.update(f"v1;n={self.num_qubits}".encode("ascii"))
         for g in self.gates:
+            entries = _matrix_entries(g)
             h.update(
-                ";{}|t{}|c{}|p{}".format(
+                ";{}|t{}|c{}|p{}{}".format(
                     g.base_name,
                     ",".join(map(str, g.targets)),
                     ",".join(map(str, g.controls)),
                     ",".join(_canonical_param(p) for p in g.params),
+                    "|m" + ",".join(map(_canonical_param, entries))
+                    if entries else "",
                 ).encode("ascii")
             )
         return h.hexdigest()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,7 @@ from repro.common.errors import CircuitError
 __all__ = [
     "DIAGONAL_GATES",
     "Gate",
+    "UnitaryGate",
     "gate_matrix",
     "known_gates",
     "GATE_BUILDERS",
@@ -248,6 +249,17 @@ class Gate:
         return (self.base_name, self.targets, self.controls, self.params)
 
     @property
+    def key(self) -> tuple:
+        """Exact identity of this bound gate: kind, qubits and ``float.hex``
+        parameters (so ``-0.0`` and ``0.0`` differ)."""
+        return (
+            self.base_name,
+            self.targets,
+            self.controls,
+            tuple(float(p).hex() for p in self.params),
+        )
+
+    @property
     def is_diagonal(self) -> bool:
         """True when the gate's kind is diagonal for every parameter value
         (:data:`DIAGONAL_GATES`).
@@ -264,3 +276,63 @@ class Gate:
             parts.append("(" + ", ".join(f"{p:g}" for p in self.params) + ")")
         qubits = ", ".join(map(str, self.qubits))
         return f"{''.join(parts)} {qubits}"
+
+
+class UnitaryGate(Gate):
+    """A gate given by an explicit unitary on its targets (quantum-volume
+    circuits' random SU(4) blocks).
+
+    It has no parameter slot (:meth:`~repro.circuits.circuit.Circuit.bind`
+    leaves it alone), and its matrix is part of its equality, hash,
+    :attr:`signature` and :attr:`key`, so two unitaries on the same
+    qubits are two gates to every cache.
+    """
+
+    def __new__(cls, u: np.ndarray, targets: tuple[int, ...]):
+        targets = tuple(int(q) for q in targets)
+        matrix = np.array(u, dtype=np.complex128)
+        dim = 1 << len(targets)
+        if matrix.shape != (dim, dim) or not 1 <= len(targets) <= 2:
+            raise CircuitError(
+                f"unitary on {targets} needs a {dim}x{dim} matrix, "
+                f"got shape {matrix.shape}"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise CircuitError("unitary gate has a non-finite entry")
+        if len(set(targets)) != len(targets) or min(targets) < 0:
+            raise CircuitError(f"unitary gate has bad targets {targets}")
+        matrix.setflags(write=False)
+        self = Gate.__new__(cls)
+        object.__setattr__(self, "name", "unitary")
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", ())
+        object.__setattr__(self, "params", ())
+        object.__setattr__(self, "_matrix", matrix)
+        return self
+
+    def __init__(self, *args, **kwargs):  # fields are set by __new__
+        pass
+
+    @property
+    def base_name(self) -> str:
+        return "unitary"
+
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def signature(self) -> tuple:
+        return ("unitary", self.targets, self._matrix.tobytes())
+
+    @property
+    def key(self) -> tuple:
+        return self.signature
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, UnitaryGate)
+            and self.signature == other.signature
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.signature)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.common.errors import CircuitError
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, UnitaryGate
 
 __all__ = [
     "grover",
@@ -185,43 +185,6 @@ def quantum_volume(n: int, depth: int | None = None, seed: int = 23) -> Circuit:
             q = q / np.linalg.det(q) ** 0.25
             c.append(UnitaryGate(q, (a, b)))
     return c
-
-
-class UnitaryGate(Gate):
-    """A Gate subclass carrying an explicit matrix (for QV circuits)."""
-
-    _MATRICES: dict[int, np.ndarray] = {}
-    _counter = [0]
-
-    def __new__(cls, u: np.ndarray, targets: tuple[int, ...]):
-        # Gate is a frozen dataclass; stash the matrix out of band keyed by
-        # a unique parameter so signatures stay hashable and distinct.
-        key = cls._counter[0]
-        cls._counter[0] += 1
-        cls._MATRICES[key] = np.asarray(u, dtype=np.complex128)
-        self = Gate.__new__(cls)
-        object.__setattr__(self, "name", "unitary")
-        object.__setattr__(self, "targets", tuple(targets))
-        object.__setattr__(self, "controls", ())
-        object.__setattr__(self, "params", (float(key),))
-        return self
-
-    def __init__(self, *args, **kwargs):  # dataclass __init__ bypassed
-        pass
-
-    def __post_init__(self):  # pragma: no cover - not called
-        pass
-
-    @property
-    def base_name(self) -> str:
-        return "unitary"
-
-    def matrix(self) -> np.ndarray:
-        return self._MATRICES[int(self.params[0])]
-
-    @property
-    def signature(self) -> tuple:
-        return ("unitary", self.targets, self.controls, self.params)
 
 
 def hidden_shift(n: int, shift: int | None = None) -> Circuit:

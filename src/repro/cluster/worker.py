@@ -61,6 +61,18 @@ def _result_frame(job: Job, slot: int) -> tuple[dict, bytes]:
     return header, b""
 
 
+def _decode_failure(wire: dict, slot: int, exc: Exception) -> dict:
+    """The FAILED result frame of a job whose wire form does not decode."""
+    return {
+        "type": protocol.MSG_RESULT,
+        "slot": slot,
+        "job_id": wire.get("job_id", ""),
+        "state": JobState.FAILED.value,
+        "attempts": 1,
+        "error": f"permanent: {type(exc).__name__}: {exc}",
+    }
+
+
 def worker_main(spec: dict) -> None:
     """Run one fleet worker to completion (the spawned process target)."""
     slot = int(spec["slot"])
@@ -146,7 +158,18 @@ def worker_main(spec: dict) -> None:
                 return
             if header["type"] != protocol.MSG_JOB:
                 continue
-            job = Job.from_wire(header["job"])
+            try:
+                job = Job.from_wire(header["job"])
+            except Exception as exc:
+                # The payload itself is bad (e.g. a CircuitError):
+                # retrying or respawning cannot help, so the job fails
+                # once and the worker lives on.
+                _log.warning("job does not decode: %r", exc)
+                try:
+                    conn.send(_decode_failure(header["job"], slot, exc))
+                except (OSError, ProtocolError):
+                    return
+                continue
             if journal is not None:
                 journal.observe(job)
             internal = False

@@ -19,9 +19,10 @@ node sits below the border level (a window that fits inside one
 thread's diagonal block) costs its count times ``2**(border - level)``.
 The verdicts therefore equal those of the full-height form.
 
-A gate whose whole window sits below the border level is priced without
-its DD (:meth:`CostModel.evaluate_tile_local`): one task per thread, so
-H = 0, b = 1 and K2 = K1, with K1 counted from the gate matrix.
+An unfused gate is priced without its DD
+(:meth:`CostModel.evaluate_tile_local`), from the structure its build
+would have: within the border level one task per thread (H = 0, b = 1,
+K2 = K1); across it, one column of h x h blocks per thread.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import SIMD_WIDTH
-from repro.dd.matrix import kept_entries
+from repro.dd.matrix import IDENTITY_BLOCK, gate_blocks
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
@@ -259,22 +260,62 @@ class CostModel:
         return cost
 
     def evaluate_tile_local(self, num_qubits: int, gate) -> GateCost:
-        """Equations 5-6 of a tile-local gate in closed form, from its matrix.
+        """Equations 5-6 of an unfused gate, from its matrix.
 
-        A gate whose highest qubit sits below the border level is one task
-        per thread over that thread's own tile (H = 0, b = 1, K2 = K1), and
-        its DD has one path per non-zero entry: ``K1 = 2**(n-k-c) * ((2**c
-        - 1) * 2**k + nnz(U))`` for ``k`` targets, ``c`` controls and
-        target matrix ``U``.  ``nnz`` counts the entries the gate DD keeps
-        (:func:`~repro.dd.matrix.kept_entries`), so the verdict equals
-        :meth:`evaluate`'s on the built windowed DD without building it,
-        unless an entry of ``U`` sits within about ``TOLERANCE`` of the
-        DD's zero rule, where the package's complex table decides.
+        The verdict equals :meth:`evaluate`'s on the gate's built windowed
+        DD without building it: :func:`~repro.dd.matrix.gate_blocks`
+        replays the build's structure (K1, and the nodes at the border
+        level ``n - log2 t - 1``), unless a value sits within about
+        ``TOLERANCE`` of another or of the zero rule, where the package's
+        complex table decides.  A gate within the border is one task per
+        thread over its own tile (H = 0, b = 1, K2 = K1).  Above it, a
+        qubit is a bit of the tile index, and thread ``u``'s column holds
+        the gate's non-zero h x h blocks in column tile ``u``: the
+        identity where a control above the border is 0, else one block
+        per row pattern of the targets above it.  Blocks that are scalar
+        multiples share one border node, so H counts repeats within a
+        column, K2 sums each column's distinct nodes' MACs, and b comes
+        from :func:`assign_buffers`.
         """
-        k, c = len(gate.targets), len(gate.controls)
-        nnz = kept_entries(gate.matrix(), gate.targets)
-        k1 = ((((1 << c) - 1) << k) + nnz) << (num_qubits - k - c)
-        return self._price(num_qubits, k1, k1, 0, 1)
+        n, t = num_qubits, self.threads
+        border = border_level(n, t)
+        top = max(gate.qubits)
+        macs, blocks = gate_blocks(
+            gate.matrix(), gate.targets, gate.controls, border
+        )
+        k1 = macs << (n - 1 - top)
+        if top <= border:
+            return self._price(n, k1, k1, 0, 1)
+        h = (1 << n) // t
+        tile = {q: 1 << (q - border - 1) for q in gate.qubits if q > border}
+        on = sum(tile[c] for c in gate.controls if c in tile)
+        high = [tile[q] for q in gate.targets if q in tile]
+        width = len(high)
+        # The tile-index bits of each row (or column) pattern of the
+        # targets above the border, the first target most significant.
+        spread = [
+            sum(m for i, m in enumerate(high) if bits >> (width - 1 - i) & 1)
+            for bits in range(1 << width)
+        ]
+        mask = sum(high)
+        columns = []
+        for col in range(t):
+            if col & on != on:
+                columns.append([(IDENTITY_BLOCK, col * h, h)])
+                continue
+            c_bits = spread.index(col & mask)
+            rest = col & ~mask
+            columns.append([
+                (block[0], (rest | spread[r_bits]) * h, block[1])
+                for r_bits in range(1 << width)
+                if (block := blocks.get((r_bits, c_bits))) is not None
+            ])
+        hits = k2 = 0
+        for column in columns:
+            distinct = {key: m for key, _, m in column}
+            hits += len(column) - len(distinct)
+            k2 += sum(distinct.values())
+        return self._price(n, k1, k2, hits, assign_buffers(columns)[1])
 
     def _from_assignment(
         self, pkg: DDPackage, m: Edge, assignment: CacheAssignment

@@ -27,22 +27,18 @@ above it implicit identity).  Both descents walk those levels on the
 diagonal only, and a root below the border level is one task per thread
 that the kernel applies to each diagonal block of its tile.
 
-One kernel and one border-task runner (:func:`run_border_task_batch`)
-serve every caller.  They work on ``rows`` state vectors at once, each
-row with its own gate DD, and ``run()`` is the one-row case.  The planned
-forms take compiled plans over tile-major ``(threads, rows, 2**n //
-threads)`` buffers: ``run()`` passes its flat state as a ``(threads, 1,
-h)`` view, a parameter sweep (:mod:`repro.core.sweep`) a block of rows
-with one plan per row to Algorithm 1, and one row at a time to
-Algorithm 2.  A row's result never depends on the other rows, so sweep
-rows stay bit-identical to ``run()``.  The listing forms (no plans, a
-flat state) are the per-gate reference.
+The pipeline applies DMAV to fused gates only: the kernel and the
+border-task runner (:func:`run_border_task_batch`) apply one gate DD's
+plan, and ``run()`` passes its flat state as a tile-major ``(threads, 1,
+2**n // threads)`` view.  The listing forms (no plans, a flat state) are
+the per-gate reference.
 
-A gate whose highest qubit sits below the border level needs no DD at
-all: the planned :func:`dmav_nocache` takes its
-:class:`~repro.core.plan.TileLocalPlan` and :func:`apply_tile_local`
-applies it from its matrix to every tile, with the same kernel shapes.
-:func:`tile_local` says which gates the pipeline sends there
+An unfused gate needs no DD at all: the planned :func:`dmav_nocache`
+takes its :class:`~repro.core.plan.TileLocalPlan` and
+:func:`apply_tile_local` applies it from its matrix, at any placement,
+with the same kernel shapes.  A qubit above the border level is a bit of
+the tile index, so a gate on it combines tiles; rows of a parameter
+sweep (:mod:`repro.core.sweep`) stack their matrices on the batch axis
 (docs/PERFORMANCE.md, "Tile-local gates").
 """
 
@@ -54,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import DENSE_BLOCK_LEVEL
-from repro.dd.analysis import DENSE_WINDOW_WIDTH, BottomOut, bottom_out
+from repro.dd.analysis import DENSE_WINDOW_WIDTH, bottom_out
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.core.cost_model import CacheAssignment, assign_cache_tasks
@@ -70,7 +66,6 @@ __all__ = [
     "dmav_nocache",
     "dmav_cached",
     "run_border_task_batch",
-    "tile_local",
 ]
 
 
@@ -143,14 +138,6 @@ def _tile(t3: np.ndarray, off: int, h: int, node: DDNode) -> np.ndarray:
     return t3[off // h][:, off % h:off % h + 1]
 
 
-def _column(row_tasks: list, u: int, k: int) -> tuple[list, list]:
-    """Every row's node and coefficient of thread ``u``'s ``k``-th task."""
-    return (
-        [tasks[u][k][0] for tasks in row_tasks],
-        [tasks[u][k][2] for tasks in row_tasks],
-    )
-
-
 def _for_each_thread(runner: TaskRunner | None, threads: int, work) -> None:
     """``work(u)`` for every thread ``u``, on the pool when it has one."""
     if runner is not None and runner.use_pool:
@@ -160,70 +147,31 @@ def _for_each_thread(runner: TaskRunner | None, threads: int, work) -> None:
             work(u)
 
 
-def _rows_agree(shapes: list[BottomOut]) -> bool:
-    """Whether one batched branch serves every row's bottom-out shape.
-
-    Rows at one recursion point share their level by construction; they
-    must also share the kind, whether ``d`` is skipped, and the kind's
-    operand sizes: the ``d`` length of a scale, the base block size of a
-    diagonal or dense base, the child grouping of a descend.
-    """
-    s0 = shapes[0]
-    kind = s0.kind
-    unit = s0.d is None
-    for s in shapes[1:]:
-        if s.kind != kind or (s.d is None) != unit:
-            return False
-        if kind == "scale" and s.d.size != s0.d.size:
-            return False
-        if kind in ("diagonal", "dense") and s.data.shape != s0.data.shape:
-            return False
-        if kind == "descend" and s.data != s0.data:
-            return False
-    return True
-
-
-def _row_scales(shapes: list[BottomOut]) -> np.ndarray:
-    """Per-row ``d`` scales, broadcastable over ``(rows, m, len(d), bs)``."""
-    return np.stack([s.d for s in shapes])[:, None, :, None]
-
-
 def _apply_lockstep(
     pkg: DDPackage,
-    nodes: list[DDNode],
+    node: DDNode,
     vten: np.ndarray,
     dense_level: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply gate sub-DDs to a batch of vector blocks, all rows in lockstep.
+    """Apply a gate sub-DD to a batch of vector blocks, every row alike.
 
     ``vten`` has shape ``(rows, m, 2**(level+1))``: row ``b`` stacks the
-    ``m`` vector blocks its sub-DD applies to (a windowed root below the
-    dense level may arrive in wider blocks of ``I (x) W``, see
-    :func:`run_border_task_batch`).  ``nodes`` holds either one
-    node shared by every row (``run()``'s one-row case, or rows whose
-    sub-DDs are the same object) or one node per row (rows of a parameter
-    sweep share structure but differ in edge weights, so the node
-    *objects* usually differ).  Recursion groups the four 2x2-block
-    children by child node, stacking their input halves into one call, so
-    the call count is proportional to the gate DD's edge count, not to
-    its root-to-terminal paths (the pure-Python analogue of the paper's
-    constant-average-indexing claim for DMAV, Section 3.2.1).
+    ``m`` vector blocks the sub-DD under ``node`` applies to (a windowed
+    root below the dense level may arrive in wider blocks of ``I (x) W``,
+    see :func:`run_border_task_batch`).  Recursion groups the four
+    2x2-block children by child node, stacking their input halves into
+    one call, so the call count is proportional to the gate DD's edge
+    count, not to its root-to-terminal paths (the pure-Python analogue of
+    the paper's constant-average-indexing claim for DMAV, Section 3.2.1).
 
     The branch taken is the node's cached :func:`bottom_out` shape, so a
     subtree costs what its structure needs (Fig. 8): an identity base is
     one ``d`` scale, a diagonal base one elementwise scale (plus ``d``
     unless it is all ones), only a genuinely dense base runs a block
     matmul, and a dense level over one identity subtree runs as one 2x2
-    matmul.  A shared node applies with scalar weights and its own
-    operands; per-row nodes stack theirs along a leading batch axis, so
-    each gemm becomes a broadcast matmul whose trailing two dimensions
-    equal the one-row gemm (numpy evaluates broadcast matmuls
-    slice-by-slice with the same kernel) and every scale or accumulate
-    stays elementwise with the same operand order: each row's result is
-    bit-identical to its one-row run.  Whenever per-row nodes disagree
-    structurally (:func:`_rows_agree`) the level replays one row at a
-    time, exact by construction, just not batched.
+    matmul.  Every operation is elementwise or a matmul over the trailing
+    two axes, so each row's result is bit-identical to its one-row run.
 
     ``out`` is a best-effort, C-contiguous result destination of
     ``vten``'s shape that must not overlap it.  Branches whose final
@@ -232,31 +180,13 @@ def _apply_lockstep(
     ``vten`` itself -- ignore it.  Callers must therefore always use the
     *returned* array; the values written are the same bits either way.
     """
-    n0 = nodes[0]
-    s0 = bottom_out(pkg, n0, dense_level)
-    shapes = None
-    if len(nodes) > 1:
-        if all(nd is n0 for nd in nodes):
-            nodes = [n0]
-        else:
-            shapes = [bottom_out(pkg, nd, dense_level) for nd in nodes]
-            if not _rows_agree(shapes):
-                if out is None:
-                    out = np.empty(vten.shape, dtype=np.complex128)
-                for b, node in enumerate(nodes):
-                    out[b:b + 1] = _apply_lockstep(
-                        pkg, [node], vten[b:b + 1], dense_level
-                    )
-                return out
+    s0 = bottom_out(pkg, node, dense_level)
     kind = s0.kind
     if kind == "identity":
         return vten
     rows, m, size = vten.shape
-    if kind == "dense" and n0.level <= dense_level:
-        if shapes is None:
-            block_t = s0.data.T
-        else:
-            block_t = np.stack([s.data for s in shapes]).transpose(0, 2, 1)
+    if kind == "dense" and node.level <= dense_level:
+        block_t = s0.data.T
         bs = block_t.shape[-1]
         if bs != size:
             # A window root below the dense level: its block
@@ -280,16 +210,13 @@ def _apply_lockstep(
         dsize = s0.d.size
         shape4 = (rows, m, dsize, size // dsize)
         dst = None if out is None else out.reshape(shape4)
-        d = s0.d[:, None] if shapes is None else _row_scales(shapes)
-        return np.multiply(vten.reshape(shape4), d, out=dst).reshape(
-            rows, m, size
-        )
+        return np.multiply(
+            vten.reshape(shape4), s0.d[:, None], out=dst
+        ).reshape(rows, m, size)
     if kind == "diagonal" or kind == "dense":
         # diag(d) (x) M_base over (m, len(d), bs) blocks; d is None when
         # it is all ones.
-        data = s0.data if shapes is None else np.stack(
-            [s.data for s in shapes]
-        )
+        data = s0.data
         bs = data.shape[-1]
         if bs > size:
             # A window root's diagonal (analysis._window) over a tile
@@ -298,38 +225,25 @@ def _apply_lockstep(
         shape4 = (rows, m, size // bs, bs)
         dst = None if out is None else out.reshape(shape4)
         if kind == "diagonal":
-            diag = data if shapes is None else data[:, None, None, :]
-            folded = np.multiply(vten.reshape(shape4), diag, out=dst)
+            folded = np.multiply(vten.reshape(shape4), data, out=dst)
         else:
-            block_t = (
-                data.T if shapes is None else data.transpose(0, 2, 1)[:, None]
-            )
-            folded = np.matmul(vten.reshape(shape4), block_t, out=dst)
+            folded = np.matmul(vten.reshape(shape4), data.T, out=dst)
         if s0.d is not None:
-            folded *= s0.d[:, None] if shapes is None else _row_scales(shapes)
+            folded *= s0.d[:, None]
         return folded.reshape(rows, m, size)
     half = size // 2
     if kind == "pair":
-        u = (
-            s0.data
-            if shapes is None
-            else np.stack([s.data for s in shapes])[:, None]
-        )
         dst = None if out is None else out.reshape(rows, m, 2, half)
         return np.matmul(
-            u, vten.reshape(rows, m, 2, half), out=dst
+            s0.data, vten.reshape(rows, m, 2, half), out=dst
         ).reshape(rows, m, size)
     if kind == "passthrough":
         # Pass-through level (diag block, shared child): fold the halves
         # into the batch axis as a *view* and recurse once -- zero copies
         # until a non-trivial level is reached.
-        children = (
-            [n0.edges[0].n] if shapes is None
-            else [nd.edges[0].n for nd in nodes]
-        )
         folded = _apply_lockstep(
             pkg,
-            children,
+            node.edges[0].n,
             vten.reshape(rows, 2 * m, half),
             dense_level,
             None if out is None or s0.d is not None
@@ -338,10 +252,9 @@ def _apply_lockstep(
         if s0.d is None:
             return folded.reshape(rows, m, size)
         f4 = folded.reshape(rows, m, 2, half)
-        d = s0.d[:, None] if shapes is None else _row_scales(shapes)
         if out is None:
-            return (f4 * d).reshape(rows, m, size)
-        np.multiply(f4, d, out=out.reshape(rows, m, 2, half))
+            return (f4 * s0.d[:, None]).reshape(rows, m, size)
+        np.multiply(f4, s0.d[:, None], out=out.reshape(rows, m, 2, half))
         return out
     halves = (vten[:, :, :half], vten[:, :, half:])
     # Assign on first write per output half instead of accumulating onto a
@@ -361,19 +274,12 @@ def _apply_lockstep(
                 stacked = halves[columns[0]]
             else:
                 stacked = np.concatenate(halves, axis=1)
-            children = (
-                [n0.edges[first].n] if shapes is None
-                else [nd.edges[first].n for nd in nodes]
+            res = _apply_lockstep(
+                pkg, node.edges[first].n, stacked, dense_level
             )
-            res = _apply_lockstep(pkg, children, stacked, dense_level)
             parts = (res,) if len(columns) == 1 else (res[:, :m], res[:, m:])
         for k, i, part in uses:
-            if shapes is None:
-                weight = n0.edges[k].w
-            else:
-                weight = np.array(
-                    [nd.edges[k].w for nd in nodes], dtype=np.complex128
-                )[:, None, None]
+            weight = node.edges[k].w
             dst = out[:, :, i * half:(i + 1) * half]
             if written[i]:
                 dst += weight * parts[part]
@@ -388,53 +294,50 @@ def _apply_lockstep(
 
 def run_border_task_batch(
     pkg: DDPackage,
-    nodes: list[DDNode],
-    coeffs,
+    node: DDNode,
+    coeff: complex,
     vin: np.ndarray,
     wout: np.ndarray,
     dense_level: int = DENSE_BLOCK_LEVEL,
     accumulate: bool = True,
 ) -> None:
-    """Algorithm 1's Run on one border task of every batch row.
+    """Algorithm 1's Run on one border task, for every batch row.
 
-    Row ``b`` computes ``wout[b] += coeffs[b] * M_b vin[b]``, ``M_b``
-    being the border sub-matrix under ``nodes[b]``; the scalar-MAC
-    recursion of the paper's C++ is replaced by the vectorized kernel
-    (DESIGN.md substitution 2).  ``vin``/``wout`` are the task's input and
-    output column ranges as ``(rows, size)`` views (``(rows, 1)`` for
-    terminal tasks), sliced out of tile-major batch buffers so that they
-    arrive C-contiguous and need no gather copy; ``run()`` is the
-    one-row case.  Each row's result is bit-identical (``np.array_equal``,
-    the repo-wide replay guarantee) to a one-row call on that row alone.
+    Row ``b`` computes ``wout[b] += coeff * M vin[b]``, ``M`` being the
+    border sub-matrix under ``node``; the scalar-MAC recursion of the
+    paper's C++ is replaced by the vectorized kernel (DESIGN.md
+    substitution 2).  ``vin``/``wout`` are the task's input and output
+    column ranges as ``(rows, size)`` views (``(rows, 1)`` for terminal
+    tasks), sliced out of tile-major buffers so that they arrive
+    C-contiguous and need no gather copy; ``run()`` passes one row.  Each
+    row's result is bit-identical (``np.array_equal``, the repo-wide
+    replay guarantee) to a one-row call on that row alone.
 
     A node at the border level spans its slice.  A windowed root below
     the border (levels above it implicit identity) applies ``I (x) W``:
     the kernel sees the slice as ``(rows, size >> (level + 1),
-    2**(level + 1))`` blocks, for one row and a batch alike.  Below
-    ``dense_level`` the blocks are ``2**(dense_level + 1)`` wide (at most
-    ``size``): such a root is diagonal or dense, and its bottom-out base
-    repeats over them (:func:`repro.dd.analysis.bottom_out`).
+    2**(level + 1))`` blocks.  Below ``dense_level`` the blocks are
+    ``2**(dense_level + 1)`` wide (at most ``size``): such a root is
+    diagonal or dense, and its bottom-out base repeats over them
+    (:func:`repro.dd.analysis.bottom_out`).
 
     With ``accumulate=False`` the block is *assigned* instead of
     accumulated, which lets planned runs write into recycled (dirty,
     never-zeroed) buffers; the values only differ from ``0 + x`` in
-    signed zeros.  The caller guarantees structural congruence of the
-    rows' tasks: all rows' nodes are terminal together or not.  Terminal
-    tasks touch single elements and stay scalar Python complex arithmetic
-    (vectorized complex ops round differently).
+    signed zeros.  Terminal tasks touch single elements and stay scalar
+    Python complex arithmetic (vectorized complex ops round differently).
     """
-    if nodes[0] is TERMINAL:
-        if accumulate:
-            for b, c in enumerate(coeffs):
-                wout[b, 0] += c * vin[b, 0]
-        else:
-            for b, c in enumerate(coeffs):
-                wout[b, 0] = c * vin[b, 0]
+    if node is TERMINAL:
+        for b in range(len(vin)):
+            if accumulate:
+                wout[b, 0] += coeff * vin[b, 0]
+            else:
+                wout[b, 0] = coeff * vin[b, 0]
         return
     rows, size = vin.shape
     if not vin.flags.c_contiguous:
         vin = np.ascontiguousarray(vin)
-    level = nodes[0].level
+    level = node.level
     width = 2 << level
     if width < size and level < dense_level:
         width = min(size, 2 << dense_level)
@@ -443,14 +346,8 @@ def run_border_task_batch(
     # Operand order matters bit-for-bit: numpy's FMA-based complex
     # multiply rounds differently per order, so every path computes
     # ``coeff * res``.
-    if rows == 1:
-        coeff = coeffs[0]
-        unit = coeff == 1.0 + 0j
-    else:
-        coeff = np.asarray(coeffs, dtype=np.complex128)[:, None]
-        unit = all(c == 1.0 + 0j for c in coeffs)
     if accumulate:
-        res = _apply_lockstep(pkg, nodes, v3, dense_level)
+        res = _apply_lockstep(pkg, node, v3, dense_level)
         wout += coeff * res.reshape(rows, size)
         return
     # Assigning tasks hand the kernel their output slice as the result
@@ -459,8 +356,8 @@ def run_border_task_batch(
     # aliased multiply is well-defined) or an input view the kernel
     # passed through untouched.
     fwd = wout.reshape(shape3) if wout.flags.c_contiguous else None
-    res = _apply_lockstep(pkg, nodes, v3, dense_level, fwd).reshape(rows, size)
-    if unit:
+    res = _apply_lockstep(pkg, node, v3, dense_level, fwd).reshape(rows, size)
+    if coeff == 1.0 + 0j:
         # Unit coefficients: ``1 * res`` differs from ``res`` only in
         # signed zeros, and assignment (unlike accumulation, which still
         # owes an add) needs no pass at all when the kernel already
@@ -510,7 +407,7 @@ def dmav_nocache(
     dense_level: int = DENSE_BLOCK_LEVEL,
     out: np.ndarray | None = None,
     *,
-    plans: list[GatePlan] | None = None,
+    plans: list[GatePlan | TileLocalPlan] | None = None,
     out_dirty: bool = True,
 ) -> tuple[np.ndarray, DMAVStats]:
     """DMAV without caching (Algorithm 1): returns (w, stats).
@@ -520,16 +417,15 @@ def dmav_nocache(
     ``out`` -- the paper's per-gate procedure, kept as the reference the
     pipeline is tested and benchmarked against.
 
-    The *planned* form takes one compiled :class:`~repro.core.plan.GatePlan`
-    per batch row in ``plans`` (``m`` is unused): the rows' ``row_tasks``,
-    congruent in task counts, offsets and terminal classes, over
-    tile-major ``(threads, rows, 2**n // threads)`` batches ``v`` and
-    ``out``.  ``out`` is not pre-zeroed: each thread's first task assigns
-    its output tile and the rest accumulate, so a dirty recycled buffer
-    only needs filling (governed by ``out_dirty``) for threads with no
-    tasks.  Rows with :class:`~repro.core.plan.TileLocalPlan` plans are
-    one task per thread on its own tile, applied from the gates' matrices
-    by :func:`apply_tile_local`.
+    The *planned* form (``m`` is unused) works on tile-major ``(threads,
+    rows, 2**n // threads)`` batches ``v`` and ``out``.  ``plans`` holds
+    one :class:`~repro.core.plan.TileLocalPlan` per batch row, whose gates
+    :func:`apply_tile_local` applies from their matrices, or exactly one
+    compiled :class:`~repro.core.plan.GatePlan`, whose row-major tasks
+    every row takes alike.  ``out`` is not pre-zeroed: each thread's first
+    task assigns its output tile and the rest accumulate, so a dirty
+    recycled buffer only needs filling (governed by ``out_dirty``) for
+    threads with no tasks.
     """
     n = pkg.num_qubits
     planned = plans is not None
@@ -540,39 +436,40 @@ def dmav_nocache(
                 [p.gate for p in plans], v, out, dense_level, runner
             )
             return out, DMAVStats(threads=threads, tasks=threads)
-        row_tasks = [p.row_tasks for p in plans]
+        if len(plans) != 1:
+            raise ValueError(
+                f"planned dmav_nocache applies one gate DD's plan, got "
+                f"{len(plans)}"
+            )
+        row_tasks = plans[0].row_tasks
         w, v3, w3 = None, v, out
     else:
-        row_tasks = [assign_tasks(pkg, m, threads)]
+        row_tasks = assign_tasks(pkg, m, threads)
         w, v3, w3 = _flat_tiles(v, out, n, threads)
     h = (1 << n) // threads
-    one_row = len(row_tasks) == 1
 
     def work(u: int) -> None:
-        tasks = row_tasks[0][u]
+        tasks = row_tasks[u]
         if not tasks:
             if planned and out_dirty:
                 w3[u].fill(0)
             return
         first = planned
-        for k, (node, i_v, coeff) in enumerate(tasks):
+        for node, i_v, coeff in tasks:
             if first and node is TERMINAL:
                 # A terminal border task writes a single element, not the
                 # whole tile -- fall back to zero-fill + add.
                 w3[u].fill(0)
                 first = False
-            nodes, coeffs = (
-                ((node,), (coeff,)) if one_row else _column(row_tasks, u, k)
-            )
             run_border_task_batch(
-                pkg, nodes, coeffs, _tile(v3, i_v, h, node),
+                pkg, node, coeff, _tile(v3, i_v, h, node),
                 _tile(w3, u * h, h, node), dense_level,
                 accumulate=not first,
             )
             first = False
 
     _for_each_thread(runner, threads, work)
-    stats = DMAVStats(threads=threads, tasks=sum(map(len, row_tasks[0])))
+    stats = DMAVStats(threads=threads, tasks=sum(map(len, row_tasks)))
     return (w3 if planned else w), stats
 
 
@@ -601,10 +498,9 @@ def dmav_cached(
     (``plans`` holds exactly one; ``m`` and ``assignment`` are unused) over
     tile-major ``(threads, 1, 2**n // threads)`` views ``v`` and ``out``
     and at least ``plans[0].assignment.num_buffers`` partial ``buffers``
-    of that shape (from a :class:`~repro.parallel.arena.BufferArena`): a
-    sweep column with an Algorithm-2 verdict replays row by row
-    (:func:`repro.core.simulator.dmav_phase`).  Partial buffers arrive
-    dirty and are never pre-zeroed --
+    of that shape (from a :class:`~repro.parallel.arena.BufferArena`):
+    only fused gate DDs, which ``run()`` applies to its one row, take
+    Algorithm 2.  Partial buffers arrive dirty and are never pre-zeroed --
     each buffer tile is written (assigned) by exactly one task, and the
     summation reads only each output tile's writer list instead of
     scanning every buffer.  ``out`` is likewise not pre-zeroed; writerless
@@ -660,13 +556,12 @@ def dmav_cached(
                 )
                 hits[u] += 1
                 continue
-            nodes, coeffs = (node,), (coeff,)
             vin = _tile(v3, u * h, h, node)
             if to_w:
                 # Sole producer of output tile i_p // h, never a hit
                 # source: write W in place; sum_block skips this tile.
                 run_border_task_batch(
-                    pkg, nodes, coeffs, vin, _tile(w3, i_p, h, node),
+                    pkg, node, coeff, vin, _tile(w3, i_p, h, node),
                     dense_level, accumulate=False,
                 )
                 continue
@@ -675,7 +570,7 @@ def dmav_cached(
                 # tile -- zero it so stale data can't leak.
                 buf[i_p // h].fill(0)
             run_border_task_batch(
-                pkg, nodes, coeffs, vin, _tile(buf, i_p, h, node),
+                pkg, node, coeff, vin, _tile(buf, i_p, h, node),
                 dense_level, accumulate=not planned or node is TERMINAL,
             )
             cache[id(node)] = k
@@ -710,27 +605,7 @@ def dmav_cached(
 
 
 # ---------------------------------------------------------------------------
-# Tile-local gates: applied from the gate matrix, no gate DD.
-
-
-def tile_local(
-    gate, num_qubits: int, threads: int, dense_level: int = DENSE_BLOCK_LEVEL
-) -> bool:
-    """Whether :func:`apply_tile_local` takes ``gate`` instead of DMAV.
-
-    The gate's highest qubit sits below the border level ``n - log2 t -
-    1``, so Algorithm 1 makes it one identical task per thread, on that
-    thread's own tile, and Eq. 6 never picks caching for it (H = 0, b =
-    1).  One shape stays on DMAV: two targets that neither are diagonal
-    nor fit the dense window.  An elementwise 4x4 combination for it
-    measured slower than the warm DMAV step at n = 16
-    (docs/PERFORMANCE.md, "Tile-local gates"), so the kernel has no
-    branch for it.
-    """
-    top = max(gate.qubits)
-    return top < border_level(num_qubits, threads) and (
-        len(gate.targets) == 1 or gate.is_diagonal or top <= dense_level
-    )
+# Unfused gates: applied from the gate matrix, no gate DD.
 
 
 def apply_tile_local(
@@ -740,7 +615,7 @@ def apply_tile_local(
     dense_level: int = DENSE_BLOCK_LEVEL,
     runner: TaskRunner | None = None,
 ) -> np.ndarray:
-    """Write ``G v`` into ``out`` for a tile-local gate, from its matrix.
+    """Write ``G v`` into ``out`` for one gate, from its matrix.
 
     ``gates`` holds one bound gate per row of the tile-major ``(threads,
     rows, h)`` batches ``v`` and ``out``, or one gate for every row.  The
@@ -748,64 +623,76 @@ def apply_tile_local(
     each row's matrix comes from its own ``gate.matrix()``, and rows whose
     parameters agree share one operand.  No gate DD, plan or bottom-out
     classification is made.  ``out`` must not overlap ``v`` and may arrive
-    dirty: every element is written.  A gate :func:`tile_local` does not
-    route here raises :class:`ValueError`.
+    dirty: every element is written.
 
-    The branch is picked from the gate's kind and qubits, never from its
+    Qubits up to the border level ``n - log2 t - 1`` index amplitudes
+    within a tile; a qubit above it is a bit of the tile index.  The
+    branch is picked from the gate's kind and qubits, never from its
     parameter values, and takes the DMAV kernel's shapes
-    (:func:`_apply_lockstep`), ``top`` being the highest qubit:
+    (:func:`_apply_lockstep`), ``top`` being the highest qubit within a
+    tile:
 
     * a diagonal kind (:attr:`~repro.circuits.gates.Gate.is_diagonal`) is
       one elementwise scale by its diagonal, tiled to
       ``2**(dense_level+1)`` over a window that reaches below the dense
       level, else broadcast over the untouched bits under its lowest
-      qubit (the ``diagonal`` and ``scale`` shapes);
+      qubit (the ``diagonal`` and ``scale`` shapes); its tile-index bits
+      pick each tile's diagonal;
     * a window at or below ``dense_level`` is one GEMM with the gate's
       window matrix, ``2**(top+1)`` wide (``DENSE_WINDOW_WIDTH`` for a
       one-qubit window), the ``dense`` width of
       :func:`~repro.dd.analysis.bottom_out`;
-    * otherwise the gate has one target (:func:`tile_local`), a 2x2
+    * one target above it, with no control below the target, is a 2x2
       ``pair`` matmul over ``(2, 2**target)`` runs;
-    * controls are slice views: every slice with a control at 0 is
-      copied.  When every control sits above the target, the all-ones
-      slice is a run of contiguous chunks and takes the uncontrolled
-      gate's GEMM or pair; otherwise its target halves combine
-      elementwise, ``out_i = x_0 * U[i, 0] + x_1 * U[i, 1]``.
+    * controls are slice views on either axis: a tile whose control bit
+      is 0 is copied, and within a tile every slice with a control at 0
+      is copied;
+    * swap kinds are permutation copies, and every other gate is the sum
+      ``out_i = sum_j x_j * U[i, j]`` over its target patterns, one
+      elementwise term at a time, with ``x_j`` read from the partner
+      tile when a target is a tile-index bit (the 2x2 combination of
+      tile pairs for one target).
 
     Every GEMM runs per tile and per row (``M = h // width``): per-row
     matrices stack on the batch axis and tiles are never merged, so a
     batch row is bit-identical to a one-row call, and ``runner``'s pool,
-    which takes one tile per thread, changes no bits.
+    on which each thread writes one output tile reading its partner
+    tiles, changes no bits.
     """
     threads, _, h = v.shape
-    n = (threads * h).bit_length() - 1
-    if not tile_local(gates[0], n, threads, dense_level):
-        raise ValueError(
-            f"{gates[0]} is not tile-local at n={n}, threads={threads}"
+    border = h.bit_length() - 2
+    g0 = gates[0]
+    if max(g0.qubits) > border:
+        _for_each_thread(
+            runner, threads, _cross_tile(gates, border, v, out, dense_level)
         )
-    if runner is not None and runner.use_pool:
+    elif runner is not None and runner.use_pool:
         runner.run([
             lambda u=u: _tile_local(
-                gates, v[u:u + 1], out[u:u + 1], dense_level
+                gates, g0.targets, g0.controls, v[u:u + 1], out[u:u + 1],
+                dense_level,
             )
             for u in range(threads)
         ])
     else:
-        _tile_local(gates, v, out, dense_level)
+        _tile_local(gates, g0.targets, g0.controls, v, out, dense_level)
     return out
 
 
-def _tile_local(gates: list, v, out, dense_level: int) -> None:
-    """:func:`apply_tile_local`'s branch choice, on one call's tiles."""
+def _tile_local(gates: list, targets, controls, v, out, dense_level) -> None:
+    """The branch for ``gates`` on ``targets`` and ``controls``, every
+    one a qubit within each tile of ``v``."""
     g0 = gates[0]
-    targets, controls = g0.targets, g0.controls
     qubits = sorted((*targets, *controls), reverse=True)
     if g0.is_diagonal:
-        _tile_diagonal(gates, qubits, v, out, dense_level)
+        _tile_diagonal(
+            _row_operand(gates, _entries, 1), targets, controls, v, out,
+            dense_level,
+        )
     elif qubits[0] <= dense_level:
         _tile_gemm(gates, targets, controls, v, out)
-    elif controls and min(controls) < targets[0]:
-        _tile_combine(gates, targets[0], controls, v, out)
+    elif len(targets) > 1 or (controls and min(controls) < targets[0]):
+        _tile_sum(gates, controls, v, out)(None)
     elif controls:
         vs, os_ = _split(v, qubits), _split(out, qubits)
         _copy_control_off(vs, os_, qubits, controls)
@@ -819,6 +706,118 @@ def _tile_local(gates: list, v, out, dense_level: int) -> None:
         )
     else:
         _tile_uncontrolled(gates, targets[0], v, out, dense_level)
+
+
+def _cross_tile(gates: list, border: int, v, out, dense_level):
+    """The work on output tile ``u`` of a gate with a qubit above
+    ``border``: qubit ``q`` above it is bit ``q - border - 1`` of the tile
+    index.  A tile with a control bit at 0 is copied; otherwise a gate
+    whose targets all lie within the tile applies to it alone, a
+    diagonal scales it by its own diagonal, and any other gate sums over
+    its partner tiles (:func:`_tile_sum`)."""
+    g0 = gates[0]
+    high = {q: 1 << (q - border - 1) for q in g0.qubits if q > border}
+    controls = tuple(c for c in g0.controls if c not in high)
+    on = sum(high[c] for c in g0.controls if c in high)
+    targets = {t: high[t] for t in g0.targets if t in high}
+    if not targets:
+        def tile(u):
+            _tile_local(
+                gates, g0.targets, controls, v[u:u + 1], out[u:u + 1],
+                dense_level,
+            )
+    elif g0.is_diagonal:
+        entries = _row_operand(gates, _entries, 1)
+
+        def tile(u):
+            _tile_diagonal(
+                entries, g0.targets, controls, v[u:u + 1], out[u:u + 1],
+                dense_level, base=u << (border + 1),
+            )
+    else:
+        tile = _tile_sum(gates, controls, v, out, targets)
+
+    def work(u: int) -> None:
+        if u & on == on:
+            tile(u)
+        else:
+            np.copyto(out[u], v[u])
+
+    return work
+
+
+def _tile_sum(gates: list, controls, v, out, high=None):
+    """``out_i = sum_j x_j * U[i, j]`` over the gate's target patterns.
+
+    ``x_j`` is the slice with target pattern ``j`` and every control in
+    ``controls`` at 1; every slice with one of them at 0 is copied.
+    Swap kinds copy the one ``x_j`` of their permutation.  Returns the
+    work on one output tile: ``u``, whose partner tiles -- ``u`` with
+    the bits of the targets in ``high`` (target -> tile-index bit) set
+    to ``j``'s -- hold the ``x_j``; or, for ``None``, every tile of
+    ``v`` at once, each its own partner.
+    """
+    g0 = gates[0]
+    targets, high = g0.targets, high or {}
+    k = len(targets)
+    qubits = sorted(
+        (*(t for t in targets if t not in high), *controls), reverse=True
+    )
+    on = dict.fromkeys(controls, 1)
+    mask = sum(high.values())
+
+    def place(i: int) -> tuple:
+        """Pattern ``i``'s tile-index bits and its slice within a tile of
+        a :func:`_split` ``(tiles, rows, h)`` view."""
+        bits = {t: (i >> (k - 1 - m)) & 1 for m, t in enumerate(targets)}
+        low = {t: b for t, b in bits.items() if t not in high}
+        return (
+            sum(m for t, m in high.items() if bits[t]),
+            _select(3 + 2 * len(qubits), qubits, {**on, **low}),
+        )
+
+    places = [place(i) for i in range(1 << k)]
+    if g0.base_name == "swap":
+        terms = [(i, [(((i & 1) << 1) | (i >> 1), None)]) for i in range(4)]
+    else:
+        # Coefficients broadcast like a slice with every split qubit
+        # fixed: (tiles, rows) and the untouched bits' axes.
+        coef = _row_operand(gates, lambda g: g.matrix(), 2 + len(qubits))
+        terms = [
+            (i, [(j, coef[..., i, j]) for j in range(1 << k)])
+            for i in range(1 << k)
+        ]
+
+    def work(u: int | None) -> None:
+        rest, mine = (0, 0) if u is None else (u & ~mask, u & mask)
+        views: dict = {}
+
+        def source(bits: int) -> np.ndarray:
+            view = views.get(bits)
+            if view is None:
+                tile = rest | bits
+                view = views[bits] = _split(
+                    v if u is None else v[tile:tile + 1], qubits
+                )
+            return view
+
+        dst = _split(out if u is None else out[u:u + 1], qubits)
+        _copy_control_off(source(mine), dst, qubits, controls)
+        for i, sums in terms:
+            bits, index = places[i]
+            if bits != mine:
+                continue
+            o = dst[index]
+            for n, (j, c) in enumerate(sums):
+                x = source(places[j][0])[places[j][1]]
+                if c is None:
+                    np.copyto(o, x)
+                elif n == 0:
+                    np.multiply(x, c, out=o)
+                else:
+                    o += x * c
+
+    return work
 
 
 def _tile_uncontrolled(gates, target, v, out, dense_level: int) -> None:
@@ -890,25 +889,39 @@ def _copy_control_off(vs, os_, qubits, controls) -> None:
         np.copyto(os_[off], vs[off])
 
 
-def _tile_diagonal(gates, qubits, v, out, dense_level: int) -> None:
+def _tile_diagonal(
+    entries, targets, controls, v, out, dense_level: int, base: int = 0
+) -> None:
     """Diagonal kinds: ``out = v * diag`` in one elementwise pass.
 
-    The diagonal spans bits ``lo .. top``.  When every active qubit sits
-    above ``dense_level``, ``lo`` is the lowest of them and the scale
-    broadcasts over runs of ``2**lo`` (the DMAV ``scale`` shape);
-    otherwise ``lo = 0`` and a window narrower than ``2**(dense_level+1)``
-    is tiled to that width (the ``diagonal`` shape).
+    ``entries`` is the gate's :func:`_entries`, or one row of them per
+    batch row.  The diagonal spans bits ``lo .. top`` of the qubits
+    within a tile.  When every one of them sits above ``dense_level``,
+    ``lo`` is the lowest and the scale broadcasts over runs of ``2**lo``
+    (the DMAV ``scale`` shape); otherwise ``lo = 0`` and a window
+    narrower than ``2**(dense_level+1)`` is tiled to that width (the
+    ``diagonal`` shape).  A target above the tile is read from ``base``,
+    the tile's first amplitude; with no qubit within the tile the
+    diagonal is one scalar per tile.
     """
     tiles, rows, h = v.shape
-    g0 = gates[0]
-    if qubits[-1] > dense_level:
+    qubits = sorted(
+        (*(t for t in targets if 1 << t < h), *controls), reverse=True
+    )
+    if not qubits:
+        lo, width = h.bit_length() - 1, 1
+    elif qubits[-1] > dense_level:
         lo = qubits[-1]
         width = 2 << qubits[0] >> lo
     else:
         lo = 0
         width = max(2 << qubits[0], min(h, 2 << dense_level))
-    index = _gather_index(g0.targets, g0.controls, width, lo, True)
-    diag = _row_operand(gates, lambda g: _entries(g)[index], 2)
+    index = _gather_index(
+        tuple(targets), tuple(controls), width, lo, True, base
+    )
+    diag = entries[..., index]
+    if diag.ndim == 2:
+        diag = diag[:, None]  # per row: broadcast over (tiles, rows, ...)
     shape = (tiles, rows, h // (width << lo), width)
     if lo:
         shape += (1 << lo,)
@@ -927,7 +940,7 @@ def _tile_gemm(gates, targets, controls, v, out) -> None:
         min(DENSE_WINDOW_WIDTH, v.shape[-1]),
     )
     # Gathered transposed, so the GEMM's right operand is contiguous.
-    index = _gather_index(targets, controls, width, 0, False).T
+    index = _gather_index(tuple(targets), tuple(controls), width, 0, False).T
     block_t = _row_operand(gates, lambda g: _entries(g)[index], v.ndim - 2)
     np.matmul(
         v.reshape(*v.shape[:-1], -1, width),
@@ -946,11 +959,13 @@ def _entries(gate) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _gather_index(targets, controls, width: int, lo: int, diagonal: bool):
+def _gather_index(
+    targets, controls, width: int, lo: int, diagonal: bool, base: int = 0
+):
     """Where each entry of a gate's window operand comes from.
 
     The operand covers ``width`` amplitudes from bit ``lo`` (its position
-    ``r`` is amplitude ``r << lo``): the window matrix (``width``
+    ``r`` is amplitude ``base | r << lo``): the window matrix (``width``
     square), or with ``diagonal`` only its diagonal.  Entry ``(r, c)``
     is ``U[p(r), p(c)]`` where every control bit is 1 and the untouched
     bits agree, ``p`` being the target-bit pattern (``targets[0]`` most
@@ -959,7 +974,7 @@ def _gather_index(targets, controls, width: int, lo: int, diagonal: bool):
     and ``4**k + 1`` for 1.  Structure only, so cached.
     """
     k = len(targets)
-    pos = np.arange(width) << lo
+    pos = base | (np.arange(width) << lo)
     pattern = sum(
         ((pos >> t) & 1) << (k - 1 - i) for i, t in enumerate(targets)
     )
@@ -979,28 +994,3 @@ def _gather_index(targets, controls, width: int, lo: int, diagonal: bool):
         )
     index.setflags(write=False)
     return index
-
-
-def _tile_combine(gates, target, controls, v, out) -> None:
-    """Controls as slice views, the one target as a 2x2 elementwise
-    combination.
-
-    Every slice with a control at 0 is copied; on the all-ones slice, the
-    target's halves ``x_0``, ``x_1`` give ``out_i = x_0 * U[i, 0] + x_1 *
-    U[i, 1]``.
-    """
-    qubits = sorted((target, *controls), reverse=True)
-    vs, os_ = _split(v, qubits), _split(out, qubits)
-    _copy_control_off(vs, os_, qubits, controls)
-    # Coefficients broadcast like a slice with every active qubit fixed.
-    u = _row_operand(
-        gates, lambda g: g.matrix(), vs.ndim - len(qubits) - 1
-    )
-    on = dict.fromkeys(controls, 1)
-    x0, x1 = (
-        vs[_select(vs.ndim, qubits, {**on, target: b})] for b in (0, 1)
-    )
-    for i in (0, 1):
-        o = os_[_select(vs.ndim, qubits, {**on, target: i})]
-        np.multiply(x0, u[..., i, 0], out=o)
-        o += x1 * u[..., i, 1]

@@ -17,7 +17,7 @@ last gate (or last fused group) of every circuit would be dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dd.node import Edge
 from repro.dd.operations import mm_multiply
@@ -100,7 +100,6 @@ def identity_levels(pkg: DDPackage, e: Edge) -> set[int]:
     A level counts as *active* when some node on it deviates from the
     identity pattern.  Used by the k-operations grouping rule.
     """
-    from repro.dd.analysis import is_identity
     from repro.dd.node import TERMINAL
 
     active: set[int] = set()

@@ -55,15 +55,14 @@ Both a checkpoint writer's continuation and a resumed process then evolve
 from an identically cold plan state, preserving the bit-identical-resume
 guarantee of docs/RESILIENCE.md.
 
-**Tile-local gates.**  A gate whose highest qubit sits below the border
-level arrives as itself, not as a DD (``dmav_steps`` in
-:mod:`repro.core.simulator`).  Algorithm 1 makes it one identical task
-per thread over that thread's own tile, and Eq. 6 never picks caching
-for it, so there is nothing to compile: its :class:`TileLocalPlan` holds
-the gate and its closed-form cost
+**Unfused gates.**  Without fusion every tail gate arrives as itself,
+not as a DD (``dmav_steps`` in :mod:`repro.core.simulator`), and the
+array kernel applies it from its matrix, so there is nothing to compile:
+its :class:`TileLocalPlan` holds the gate and its Eq. 5-6 price
 (:meth:`~repro.core.cost_model.CostModel.evaluate_tile_local`), keyed by
-the gate's kind, qubits and exact parameters.  Such lookups are no memo
-traffic and no compiles.
+the gate's exact identity (:attr:`~repro.circuits.gates.Gate.key`).
+Such lookups are no memo traffic and no compiles: the compiler serves
+fused gate DDs only.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
 from repro.parallel.pool import validate_thread_count
 
-__all__ = ["GatePlan", "PlanCache", "TileLocalPlan", "plans_congruent"]
+__all__ = ["GatePlan", "PlanCache", "TileLocalPlan"]
 
 
 @dataclass
@@ -120,7 +119,7 @@ class GatePlan:
 
 @dataclass(frozen=True)
 class TileLocalPlan:
-    """A tile-local gate's plan: the gate itself and its Eq. 5-6 entry.
+    """An unfused gate's plan: the gate itself and its Eq. 5-6 entry.
 
     :func:`~repro.core.dmav.dmav_nocache` applies it from the gate's
     matrix (:func:`~repro.core.dmav.apply_tile_local`); the verdict is
@@ -131,41 +130,9 @@ class TileLocalPlan:
     cost: GateCost
 
 
-def _tasks_congruent(tasks0, tasks) -> bool:
-    """Same shape: per-thread counts, offsets, and terminality classes."""
-    for t0, t in zip(tasks0, tasks):
-        if len(t0) != len(t):
-            return False
-        for (n0, i0, _c0), (n1, i1, _c1) in zip(t0, t):
-            if i0 != i1 or ((n0 is TERMINAL) != (n1 is TERMINAL)):
-                return False
-    return True
-
-
-def plans_congruent(plans: list[GatePlan | TileLocalPlan]) -> bool:
-    """Whether one batched Algorithm-1 replay can serve every row's plan.
-
-    Rows of a sweep share gate *structure* but not weights, so their
-    plans normally agree in everything but coefficients; anything else
-    (pathological cancellation producing a zero edge in one row only,
-    say) is handled by falling back to per-row execution, as is a column
-    whose verdict is Algorithm 2.
-    """
-    p0 = plans[0]
-    if all(p is p0 for p in plans):
-        return True
-    local = [isinstance(p, TileLocalPlan) for p in plans]
-    if any(local):
-        # One kernel call takes every row's gate matrix, or none can.
-        return all(local)
-    return all(
-        _tasks_congruent(p0.row_tasks, p.row_tasks) for p in plans[1:]
-    )
-
-
 class PlanCache:
     """Compile-once cache of :class:`GatePlan` per unique gate-DD root,
-    and of :class:`TileLocalPlan` per tile-local gate.
+    and of :class:`TileLocalPlan` per unfused gate.
 
     One instance serves one ``(package, threads)`` configuration -- the
     simulator builds it next to the ``CostModel`` it shares.  The task
@@ -184,7 +151,7 @@ class PlanCache:
         self._plans: dict[tuple[int, complex], GatePlan] = {}
         #: Per-node relative path lists (the structural memo).
         self._memo: dict[int, list] = {}
-        #: Tile-local plans, keyed by kind, qubits and ``float.hex`` params.
+        #: Unfused gates' plans, keyed by :attr:`Gate.key`.
         self._local: dict[tuple, TileLocalPlan] = {}
         self._epoch = pkg.gc_epoch
         #: Task-weighted memo service: cached border tasks served.
@@ -204,17 +171,13 @@ class PlanCache:
     def get(self, m: Edge | Gate) -> GatePlan | TileLocalPlan:
         """The plan for gate matrix ``m``, compiling it on first sight.
 
-        A tile-local gate (``m`` a :class:`~repro.circuits.gates.Gate`)
+        An unfused gate (``m`` a :class:`~repro.circuits.gates.Gate`)
         gets its :class:`TileLocalPlan`, priced on first sight.
         """
         if isinstance(m, Gate):
-            key = (
-                m.base_name, m.targets, m.controls,
-                tuple(float(p).hex() for p in m.params),
-            )
-            local = self._local.get(key)
+            local = self._local.get(m.key)
             if local is None:
-                local = self._local[key] = TileLocalPlan(
+                local = self._local[m.key] = TileLocalPlan(
                     m, self.model.evaluate_tile_local(self.pkg.num_qubits, m)
                 )
             return local

@@ -19,13 +19,12 @@ Each phase is one plain function that every entry point composes:
 once per :func:`repro.core.sweep.run_sweep` group), :func:`release_dd_phase`
 after conversion, and :func:`dmav_phase`, which applies emitted gate
 columns to a tile-major row batch: ``run()`` and its array-phase resume
-pass their flat state as one row, each sweep group its rows with their
-own gate DDs.  ``run()`` emits its gate DDs (and fuses them) before
-calling it; a sweep builds each row's on the group's package.  Both
-emit a tile-local gate as itself (:func:`dmav_steps`), which the plan
-cache prices and ``dmav_nocache`` applies from its matrix, without a gate
-DD.  The phases reach the DD-package and kernel entry points through this
-module's namespace, so patching one name here (as
+pass their flat state as one row, each sweep group its rows.  Unfused,
+every step is the gate itself (:func:`dmav_steps`), which the plan cache
+prices and ``dmav_nocache`` applies from its matrix, without a gate DD;
+with fusion on, ``run()`` builds and fuses gate DDs for DMAV before
+calling it.  The phases reach the DD-package and kernel entry points
+through this module's namespace, so patching one name here (as
 ``perfbench/layers.py`` does for per-layer attribution) sees every call.
 """
 
@@ -41,14 +40,9 @@ from repro.circuits.gates import Gate
 from repro.common.config import FlatDDConfig, config_digest
 from repro.core.conversion import convert_parallel
 from repro.core.cost_model import CostModel
-from repro.core.dmav import dmav_cached, dmav_nocache, tile_local
+from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
-from repro.core.plan import (
-    GatePlan,
-    PlanCache,
-    TileLocalPlan,
-    plans_congruent,
-)
+from repro.core.plan import GatePlan, PlanCache, TileLocalPlan
 from repro.core.fusion import (
     K_OPERATIONS,
     FusionResult,
@@ -264,15 +258,15 @@ def apply_plan(
 
     ``v`` and ``out`` are tile-major ``(threads, rows, 2**n // threads)``
     batches: ``run()`` passes its flat state as a zero-copy ``(threads,
-    1, h)`` view with its one plan, a sweep a block of rows with their
-    congruent per-row plans.  The plans' Eq. 5-6 verdict (Section 3.2.3)
-    picks the kernel: Algorithm 2 for one row's plan (its cache
-    assignment, writer lists and direct-write flags, over ``buffers``: at
-    least ``plans[0].assignment.num_buffers`` partials of ``v``'s shape
-    and any contents), else Algorithm 1 (the plans' row-major tasks; a
-    :class:`~repro.core.plan.TileLocalPlan` row batch is applied from its
-    gates' matrices).  ``out_dirty`` says whether ``out`` may hold stale
-    data.  Returns ``(out, stats)``.
+    1, h)`` view, a sweep a block of rows.  A
+    :class:`~repro.core.plan.TileLocalPlan` per row (an unfused gate) is
+    applied from the rows' gate matrices.  A fused gate DD's one
+    :class:`~repro.core.plan.GatePlan` takes the kernel of its Eq. 5-6
+    verdict (Section 3.2.3): Algorithm 2 (its cache assignment, writer
+    lists and direct-write flags, over ``buffers``: at least
+    ``plans[0].assignment.num_buffers`` partials of ``v``'s shape and any
+    contents), else Algorithm 1 (its row-major tasks).  ``out_dirty``
+    says whether ``out`` may hold stale data.  Returns ``(out, stats)``.
     """
     if plans[0].cost.use_cache:
         return dmav_cached(
@@ -290,21 +284,16 @@ def dmav_steps(
 ) -> list:
     """The DMAV phase's step for each gate of ``tail``.
 
-    A gate whose highest qubit sits below the border level
-    (:func:`~repro.core.dmav.tile_local`) is its own step, applied from
-    its matrix, unless ``cfg.fusion`` fuses the tail (fusion multiplies
-    gate DDs).  Every other gate is its windowed gate DD, built (or
-    found) in ``gates``.  The choice reads only the config and the gate's
-    kind and qubits, so ``run()``, its resume and every sweep row build
-    the same gate DDs in the same order.
+    Unfused (``cfg.fusion == "none"``), every gate is its own step,
+    applied from its matrix by the array kernel
+    (:func:`~repro.core.dmav.apply_tile_local`).  Fusion multiplies gate
+    DDs, so under it every gate is its windowed gate DD, built (or found)
+    in ``gates``, in tail order: ``run()`` and its resume build the same
+    gate DDs.
     """
-    n = gates.pkg.num_qubits
-    local = cfg.fusion == "none"
-    return [
-        g if local and tile_local(g, n, cfg.threads, cfg.dense_block_level)
-        else gates.get(g, windowed=True)
-        for g in tail
-    ]
+    if cfg.fusion == "none":
+        return list(tail)
+    return [gates.get(g, windowed=True) for g in tail]
 
 
 #: Target bytes of one task slice per kernel call.  The kernels make
@@ -343,16 +332,14 @@ def dmav_phase(
     ``state`` is tile-major ``(threads, rows, 2**n // threads)`` and row
     ``b`` applies ``steps_rows[b]``, whose entry ``j`` is emitted gate
     ``j`` after ``convert_at``: ``run()`` passes its flat state as one row,
-    a sweep group its repeated conversion.  A step is a gate DD or, for a
-    tile-local gate (:func:`dmav_steps`), the :class:`Gate` itself, the
-    same kind in every row.  Every column runs its rows' plans
-    (:class:`~repro.core.plan.GatePlan`, or for a tile-local gate a
-    :class:`~repro.core.plan.TileLocalPlan` priced in closed form and
-    applied from its matrix) through :func:`apply_plan` between recycled
-    :class:`~repro.parallel.arena.BufferArena` buffers, in
-    ``ROW_BLOCK_BYTES`` row blocks when every row's verdict is Algorithm 1
-    and the plans agree (:func:`~repro.core.plan.plans_congruent`), else
-    row by row.
+    a sweep group its repeated conversion.  A step is an unfused
+    :class:`Gate` (:func:`dmav_steps`), the same kind and qubits in every
+    row, or, in a one-row batch, a fused gate DD.  Every column runs its
+    rows' plans (a :class:`~repro.core.plan.TileLocalPlan` priced in
+    closed form and applied from its matrix, or a gate DD's
+    :class:`~repro.core.plan.GatePlan`) through :func:`apply_plan`
+    between recycled :class:`~repro.parallel.arena.BufferArena` buffers,
+    in ``ROW_BLOCK_BYTES`` row blocks.
 
     After every column the memory guard may raise (labelled ``phase``),
     checkpointing through ``write_checkpoint(batch, cursor)`` first; every
@@ -361,10 +348,10 @@ def dmav_phase(
     ``tracer`` get one record per column, named by ``labels``, for row 0's
     step; the ``dmav.*`` counters land in ``registry``.
 
-    Returns ``(state, gate_costs, rowloop, timed_out)``: the final batch,
-    a ``(macs, cost_nocache, cost_cache, cached)`` tuple per row and
-    column, the columns replayed row by row, and whether ``deadline`` (a
-    ``time.perf_counter()`` value) passed.
+    Returns ``(state, gate_costs, timed_out)``: the final batch, a
+    ``(macs, cost_nocache, cost_cache, cached)`` tuple per row and
+    column, and whether ``deadline`` (a ``time.perf_counter()`` value)
+    passed.
     """
     tracing = tracer.enabled
     threads = cfg.threads
@@ -376,58 +363,35 @@ def dmav_phase(
     block = max(1, min(rows, ROW_BLOCK_BYTES // (state.shape[2] * 16)))
     columns = len(steps_rows[0])
     gate_costs: list[tuple[int, float, float, bool]] = []
-    cache_hits = rowloop = tile_steps = 0
+    cache_hits = tile_steps = 0
     timed_out = False
     for j in range(start, columns):
         g0 = time.perf_counter()
         w_buf, w_dirty = arena.output()
-        if rows == 1:
-            plan = plans.get(steps_rows[0][j])
-            use_cache = plan.cost.use_cache
-            row_plans, verdicts = (plan,), (use_cache,)
+        row_plans = [plans.get(sr[j]) for sr in steps_rows]
+        plan = row_plans[0]
+        use_cache = plan.cost.use_cache
+        bufs = arena.partials(
+            plan.assignment.num_buffers if use_cache else 0
+        )
+        hits = 0
+        for b0 in range(0, rows, block):
+            b1 = min(b0 + block, rows)
             _, stats = apply_plan(
-                pkg, row_plans, state, w_buf, threads, runner, dense,
-                out_dirty=w_dirty, buffers=arena.partials(
-                    plan.assignment.num_buffers if use_cache else 0
-                ),
+                pkg, row_plans[b0:b1], state[:, b0:b1], w_buf[:, b0:b1],
+                threads, runner, dense,
+                buffers=[bf[:, b0:b1] for bf in bufs], out_dirty=w_dirty,
             )
-            hits = stats.cache_hits
-        else:
-            row_plans = [plans.get(sr[j]) for sr in steps_rows]
-            verdicts = [p.cost.use_cache for p in row_plans]
-            plan, use_cache = row_plans[0], verdicts[0]
-            size = block
-            if any(verdicts) or not plans_congruent(row_plans):
-                # Exact per-row replay: each row with its own plan
-                # (Algorithm 2 applies one row's plan).
-                size = 1
-                rowloop += 1
-            bufs = arena.partials(max(
-                p.assignment.num_buffers if v else 0
-                for p, v in zip(row_plans, verdicts)
-            ))
-            hits = 0
-            for b0 in range(0, rows, size):
-                b1 = min(b0 + size, rows)
-                _, stats = apply_plan(
-                    pkg, row_plans[b0:b1], state[:, b0:b1],
-                    w_buf[:, b0:b1], threads, runner, dense,
-                    buffers=[bf[:, b0:b1] for bf in bufs], out_dirty=w_dirty,
-                )
-                hits += stats.cache_hits
-            # Per-row rotation roots each cache full diagonals/dense
-            # blocks; over a big batch that accumulates to hundreds of MB
-            # of dead entries.  Recomputation is deterministic, so drop
-            # them every gate column (identity flags stay).
-            pkg.kron_cache.clear()
-            pkg.dense_cache.clear()
+            hits += stats.cache_hits
         tile_steps += sum(isinstance(p, TileLocalPlan) for p in row_plans)
         arena.retire(state)
         state = w_buf
         cache_hits += hits
-        for p, v in zip(row_plans, verdicts):
+        for p in row_plans:
             c = p.cost
-            gate_costs.append((c.macs_total, c.cost_nocache, c.cost_cache, v))
+            gate_costs.append(
+                (c.macs_total, c.cost_nocache, c.cost_cache, c.use_cache)
+            )
         cost = plan.cost
         g1 = time.perf_counter()
         index = convert_at + 1 + j
@@ -490,7 +454,7 @@ def dmav_phase(
     registry.gauge("dmav.plan.hit_rate").set(
         plan_hits / total if total else 0.0
     )
-    return state, gate_costs, rowloop, timed_out
+    return state, gate_costs, timed_out
 
 
 class FlatDDSimulator(Simulator):
@@ -524,10 +488,10 @@ class FlatDDSimulator(Simulator):
         steps in the result metadata, so benches can replay the tail or
         re-evaluate the cost model at other thread counts without
         re-simulating; the run itself is the same either way.
-        ``metadata["dmav_steps"]`` holds each step as applied (a tile-local
+        ``metadata["dmav_steps"]`` holds each step as applied (an unfused
         gate is its :class:`~repro.circuits.gates.Gate`, see
         :func:`dmav_steps`), and ``metadata["dmav_edges"]`` each step as a
-        gate DD, tile-local gates' windowed DDs built after the run.
+        gate DD, unfused gates' windowed DDs built after the run.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans
         ("dd_phase", "conversion", "fusion", "dmav_phase"), per-gate
@@ -753,7 +717,7 @@ class FlatDDSimulator(Simulator):
                         "fusion", "phase", f0, f1,
                         mode=cfg.fusion, emitted=len(steps),
                     )
-                state, gate_costs, _, timed_out = dmav_phase(
+                state, gate_costs, timed_out = dmav_phase(
                     cfg, pkg, runner, state.reshape(cfg.threads, 1, -1),
                     [steps], convert_at, dmav_start, guard, meter, registry,
                     metadata, write_array_checkpoint, labels=labels,

@@ -16,34 +16,25 @@ it three ways:
    identical conversion point -- the group shares ONE DD phase (the same
    :func:`~repro.core.simulator.dd_phase` ``run()`` calls), ONE
    conversion, and ONE leader :class:`~repro.dd.package.DDPackage`.
-2. **Plan compile-once.**  Each group's DMAV phase compiles each gate
-   root once; rows of a sweep share whole plans for parameterless gates
-   and share the structural border-path memo for per-row rotation roots.
+2. **Price once.**  Each group's DMAV phase prices each distinct bound
+   gate once (:class:`~repro.core.plan.PlanCache`); rows share the
+   prices of their parameterless gates.
 3. **Batched replay.**  Each group's rows replay their remaining gates
    through :func:`~repro.core.simulator.dmav_phase`, the DMAV phase
    ``run()`` calls with one row, over a *tile-major* ``(threads, rows,
-   2**n / threads)`` batch: DMAV task slices are chunk-aligned, so each
-   becomes one C-contiguous ``(rows, chunk)`` block, and every
-   bottom-out shape of the :mod:`repro.core.dmav` kernel runs as a
-   broadcast op whose per-row slices are bit-identical to the one-row
-   op.  A tile-local gate is applied from each row's matrix instead,
-   the rows' matrices stacked on the batch axis the same way.  The
-   array phase becomes batched matrix x matrix work.
+   2**n / threads)`` batch.  Unfused, every remaining gate is one call of
+   the array kernel (:func:`~repro.core.dmav.apply_tile_local`) on the
+   whole batch, the rows' matrices stacked on its batch axis, whose
+   per-row slices are bit-identical to the one-row call.  The array
+   phase becomes batched matrix x matrix work.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of
 ``FlatDDSimulator.run`` on the equivalently bound circuit with the same
 config -- enforced by the ``sweep_consistency`` fuzz oracle and
-``tests/test_sweep.py``.  Gate-DD weight arithmetic is history-dependent
-(add-memo hits and creation-index tie-breaks), so each row's tail gate
-DDs are built where its own run builds them: on the group leader's
-package right after conversion and
-:func:`~repro.core.simulator.release_dd_phase`, rewound to a
-:meth:`~repro.dd.package.DDPackage.build_mark` between rows so no row
-sees another's entries or creation indices.  Any structural incongruence
-between per-row plans drops that gate to an exact per-row replay (each
-row's own plan on its one-row view of the batch), and between per-row
-sub-DDs drops that kernel recursion level to one.
+``tests/test_sweep.py``.  The shared prefix makes the DD phase and the
+conversion the row's own; the tail builds no gate DD, and the kernel's
+arithmetic on a row never reads another row.
 
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata),
@@ -60,7 +51,6 @@ import numpy as np
 
 from repro.backends.gatecache import GateDDCache
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate
 from repro.common.config import config_digest
 from repro.common.errors import SimulationError
 from repro.core.conversion import convert_parallel
@@ -114,16 +104,6 @@ class SweepResult:
     runtime_seconds: float
     peak_memory_bytes: int
     metadata: dict = field(default_factory=dict)
-
-
-def _gate_key(g: Gate) -> tuple:
-    """Exact (float.hex) identity of one bound gate for prefix grouping."""
-    return (
-        g.base_name,
-        g.targets,
-        g.controls,
-        tuple(float(p).hex() for p in g.params),
-    )
 
 
 def _untile(t3):
@@ -233,7 +213,7 @@ def run_sweep(
             ca = g["convert_at"]
             if ca is None:
                 continue
-            if g["prefix"] == [_gate_key(x) for x in bc.gates[:ca + 1]]:
+            if g["prefix"] == [x.key for x in bc.gates[:ca + 1]]:
                 g["members"].append(ui)
                 placed = True
                 break
@@ -255,7 +235,7 @@ def run_sweep(
                 "state_dd": state_dd,
                 "convert_at": convert_at,
                 "prefix": (
-                    [_gate_key(x) for x in bc.gates[:convert_at + 1]]
+                    [x.key for x in bc.gates[:convert_at + 1]]
                     if convert_at is not None
                     else None
                 ),
@@ -263,7 +243,7 @@ def run_sweep(
             })
     registry.counter("dmav.sweep.groups").inc(len(groups))
 
-    gates_batched = gates_rowloop = row_rewinds = 0
+    gates_batched = 0
     ustates: list[np.ndarray | None] = [None] * len(uniq)
     conversions = []
 
@@ -287,21 +267,10 @@ def run_sweep(
                 ustates[members[0]] = conv
                 continue
             release_dd_phase(pkg, gates, guard, barrier=False)
-            # Per-row tail gate DDs on the leader package, rewound after
-            # each row (O(row's own nodes)).  Evicted nodes stay alive,
-            # and structurally valid, through the kept edges, so the
-            # batch below sees every row's DD at once and the per-node
-            # DMAV caches never see colliding ids.
-            build_mark = pkg.build_mark()
-            gate_mark = gates.mark()
-            steps_rows = []
-            for ui in members:
-                steps_rows.append(dmav_steps(
-                    cfg, gates, uniq[ui].gates[convert_at + 1:]
-                ))
-                pkg.rewind_to_mark(build_mark)
-                gates.rewind(gate_mark)
-                row_rewinds += 1
+            steps_rows = [
+                dmav_steps(cfg, gates, uniq[ui].gates[convert_at + 1:])
+                for ui in members
+            ]
             write_checkpoint = partial(
                 _write_sweep_checkpoint, checkpoint_path, pkg, convert_at,
                 circuit, cfg_digest,
@@ -314,12 +283,11 @@ def run_sweep(
                 meter.last_bytes, convert_at,
                 checkpoint=lambda: write_checkpoint(v3, 0), phase="sweep",
             )
-            v3, _, rowloop, _ = dmav_phase(
+            v3, _, _ = dmav_phase(
                 cfg, pkg, runner, v3, steps_rows, convert_at, 0, guard,
                 meter, registry, metadata, write_checkpoint, phase="sweep",
             )
-            gates_rowloop += rowloop
-            gates_batched += len(steps_rows[0]) - rowloop
+            gates_batched += len(steps_rows[0])
             final = _untile(v3)
             for pos, ui in enumerate(members):
                 ustates[ui] = final[pos]
@@ -329,8 +297,8 @@ def run_sweep(
         states[i] = ustates[first_of[fp]]
 
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
-    registry.counter("dmav.sweep.gates_rowloop").inc(gates_rowloop)
-    registry.counter("dmav.sweep.row_rewinds").inc(row_rewinds)
+    # Every column runs batched; the counter stays for record continuity.
+    registry.counter("dmav.sweep.gates_rowloop").inc(0)
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
     metadata["conversion_seconds"] = sum(conversions)
     snap = registry.snapshot()

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.dd.node import TERMINAL, DDNode, Edge
+from repro.dd.node import TERMINAL, DDNode
 from repro.dd.package import DDPackage
 
 __all__ = [
@@ -179,8 +179,8 @@ def bottom_out(pkg: DDPackage, node: DDNode, dense_level: int) -> BottomOut:
     """Classify the subtree under ``node`` for the DMAV kernel.
 
     Cached per ``(node, dense_level)`` in ``pkg.kron_cache``, so garbage
-    collection, build-mark rewinds and the sweep's per-column cache
-    clears drop it together with the Kronecker collapses it is built on.
+    collection drops it together with the Kronecker collapses it is built
+    on.
     """
     if node is TERMINAL:
         return _IDENTITY

@@ -84,36 +84,6 @@ class ComplexTable:
         return c
 
     # ------------------------------------------------------------------
-    # Transactional rewind (repro.core.sweep row replay)
-    # ------------------------------------------------------------------
-
-    def mark(self) -> tuple[int, int, int, int]:
-        """Opaque rewind point for :meth:`rewind`.
-
-        ``lookup`` only ever *adds* buckets (aliases included -- an alias
-        is a new key bound to an existing representative; representatives
-        themselves are never rebound), so the table's state at any moment
-        is fully described by its insertion prefix.  The mark is just the
-        current length plus the counters.
-        """
-        return (len(self._table), self._distinct, self._hits, self._misses)
-
-    def rewind(self, mark: tuple[int, int, int, int]) -> None:
-        """Drop every bucket added since ``mark`` (exact rollback).
-
-        Python dicts pop in LIFO insertion order, so trimming back to the
-        marked length restores the exact canonicalization history: a
-        later ``lookup`` sees precisely the representatives and aliases
-        it would have seen had the trimmed inserts never happened.
-        """
-        size, distinct, hits, misses = mark
-        while len(self._table) > size:
-            self._table.popitem()
-        self._distinct = distinct
-        self._hits = hits
-        self._misses = misses
-
-    # ------------------------------------------------------------------
     # Snapshot support (repro.resilience)
     # ------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ Normalization rules (matching DDSIM / the paper's Figure 2):
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.common.config import TOLERANCE
 from repro.common.errors import DDError
@@ -30,12 +30,6 @@ from repro.dd.complextable import ComplexTable
 from repro.dd.node import ONE_EDGE, TERMINAL, ZERO_EDGE, DDNode, Edge
 
 __all__ = ["DDPackage", "PackageStats"]
-
-
-def _trim(d: dict, size: int) -> None:
-    """Pop a dict back to ``size`` entries (LIFO insertion order)."""
-    while len(d) > size:
-        d.popitem()
 
 
 class PackageStats:
@@ -389,90 +383,6 @@ class DDPackage:
         self.cache_mv.clear()
         self.cache_mm.clear()
         self.cache_inner.clear()
-
-    def _compute_caches(self) -> tuple[dict, ...]:
-        return (
-            self.cache_vadd, self.cache_madd, self.cache_mv,
-            self.cache_mm, self.cache_inner,
-        )
-
-    def build_mark(self) -> dict:
-        """Transactional rewind point covering everything a DD build mutates.
-
-        DD weight arithmetic is history-dependent: the add memos are
-        rescaling-invariant (keyed on node ids plus a bucketed weight
-        ratio) and a hit reconstructs its result as ``a.w * cached.w`` --
-        numerically equal to the fresh computation but not always
-        bit-equal in the last ulp -- and DD addition breaks commutative
-        ties by node *creation index*.  Replaying several rows' gate
-        builds on one package therefore needs an *exact* rollback between
-        rows, or a later row would see entries (and creation orders) an
-        earlier row left behind and round differently than it would have
-        alone.
-
-        Every structure a build touches -- unique tables, complex table,
-        compute memos, identity chains, analysis caches, the creation
-        counter -- is insert-only between garbage collections, so its
-        state is fully described by its insertion prefix and the mark is
-        a handful of lengths.  :meth:`rewind_to_mark` pops each dict back
-        down (LIFO insertion order), which costs O(entries added) rather
-        than the O(table size) of a copy-based snapshot.
-        """
-        return {
-            "gc_epoch": self.gc_epoch,
-            "vtable": len(self._vtable),
-            "mtable": len(self._mtable),
-            "next_idx": self._next_idx,
-            "nodes_created": self._nodes_created,
-            "ctable": self.ctable.mark(),
-            "caches": tuple(len(c) for c in self._compute_caches()),
-            "identity": len(self._identity),
-            "dense": len(self.dense_cache),
-            "flags": len(self.identity_flags),
-            "mac": len(self.mac_counts),
-            "kron": len(self.kron_cache),
-            "arena": len(self._arena_w0),
-        }
-
-    def rewind_to_mark(self, mark: dict) -> None:
-        """Exact rollback to a :meth:`build_mark` point.
-
-        Nodes created since the mark are evicted from the unique tables
-        (callers keep the edges they need alive; a node object stays
-        structurally valid forever) and the creation counter rewinds so
-        the next build assigns the same indices a fresh replay would.
-        Raises :class:`~repro.common.errors.DDError` if a garbage
-        collection ran since the mark: GC rebuilds tables wholesale, so
-        the insertion-prefix invariant the trim relies on no longer
-        holds.
-        """
-        if mark["gc_epoch"] != self.gc_epoch:
-            raise DDError("cannot rewind a build mark across a GC")
-        _trim(self._vtable, mark["vtable"])
-        _trim(self._mtable, mark["mtable"])
-        self._next_idx = mark["next_idx"]
-        self._nodes_created = mark["nodes_created"]
-        self.ctable.rewind(mark["ctable"])
-        for cache, size in zip(self._compute_caches(), mark["caches"]):
-            _trim(cache, size)
-        _trim(self._identity, mark["identity"])
-        _trim(self.dense_cache, mark["dense"])
-        _trim(self.identity_flags, mark["flags"])
-        _trim(self.mac_counts, mark["mac"])
-        _trim(self.kron_cache, mark["kron"])
-        arena = mark["arena"]
-        if len(self._arena_w0) > arena:
-            del self._arena_w0[arena:]
-            del self._arena_w1[arena:]
-            del self._arena_c0[arena:]
-            del self._arena_c1[arena:]
-            # vector_tables() extends incrementally and assumes growth;
-            # a cache built past the mark must be dropped, not shrunk.
-            if (
-                self._arena_cache is not None
-                and self._arena_cache[0].size > arena
-            ):
-                self._arena_cache = None
 
     def collect_garbage(self, roots: Iterable[Edge]) -> int:
         """Mark-and-sweep the unique tables, keeping only ``roots``' nodes.

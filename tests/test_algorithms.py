@@ -5,8 +5,6 @@ cross-validated between the DD and array backends (including the explicit
 SU(4) unitary gates of quantum volume).
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -130,6 +128,48 @@ class TestQuantumVolume:
         c = get_circuit("qvolume", 4, depth=2)
         mats = [g.matrix() for g in c.gates]
         assert not np.allclose(mats[0], mats[-1])
+
+    def test_same_seed_builds_share_a_fingerprint(self):
+        # The matrices, not a build counter, identify the gates, so a
+        # repeated build is one result-cache entry.
+        first, again = get_circuit("qvolume", 5), get_circuit("qvolume", 5)
+        assert first.fingerprint() == again.fingerprint()
+        assert first.fingerprint() != get_circuit(
+            "qvolume", 5, seed=24
+        ).fingerprint()
+
+    def test_template_binds_and_sweeps(self, capsys):
+        from repro import FlatDDSimulator
+        from repro.cli import main
+
+        c = get_circuit("qvolume", 6)
+        assert c.num_param_slots == 0
+        assert c.bind([]).fingerprint() == c.fingerprint()
+        sim = FlatDDSimulator(threads=2, force_convert_at=0)
+        result = sim.simulate_sweep(c, [(), ()])
+        ref = sim.run(c).state
+        assert all(np.array_equal(row, ref) for row in result.states)
+        assert main([
+            "sweep", "--family", "qvolume", "--qubits", "6", "--points", "2",
+        ]) == 0
+
+    def test_distinct_unitaries_on_one_pair_apply_their_own_matrix(self):
+        from repro import FlatDDSimulator
+        from repro.circuits import Circuit
+
+        from tests.conftest import random_unitary
+
+        c = Circuit(5)
+        for q in range(5):
+            c.h(q)
+        for seed in (1, 2):
+            c.append(UnitaryGate(random_unitary(4, seed), (4, 1)))
+        for threads in (1, 2, 4):
+            r = FlatDDSimulator(threads=threads, force_convert_at=4).run(c)
+            assert r.metadata["obs"]["counters"]["dmav.gates_tile_local"] == 2
+            np.testing.assert_allclose(
+                r.state, reference_state(c), atol=1e-12, rtol=0
+            )
 
     def test_norm_preserved(self):
         c = get_circuit("qvolume", 4, depth=4)

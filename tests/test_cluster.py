@@ -182,6 +182,57 @@ class TestClusterService:
         assert np.array_equal(job.result.state, ref.result.state)
 
 
+class TestExplicitMatrixJobs:
+    """Quantum-volume jobs carry their SU(4) matrices across the wire."""
+
+    def test_fleet_qvolume_job_matches_run(self):
+        from repro import FlatDDSimulator
+
+        circuit = get_circuit("qvolume", 6)
+        ref = FlatDDSimulator(threads=1).run(circuit).state
+        svc = ClusterService(ServeConfig(threads=1), processes=1)
+        try:
+            job_id = svc.submit(circuit)
+            report = svc.drain()
+            state = svc.result(job_id).state
+        finally:
+            svc.close()
+        assert report.states == {"DONE": 1}
+        assert report.cluster["worker_deaths"] == 0
+        assert np.array_equal(state, ref)
+
+    def test_undecodable_job_fails_once_without_killing_the_worker(
+        self, monkeypatch
+    ):
+        from repro.circuits.circuit import Circuit
+        from repro.serve.jobs import Job
+
+        to_wire = Job.to_wire
+
+        def broken(job):
+            wire = to_wire(job)
+            if job.circuit.name == "broken":
+                wire["circuit"]["gates"] = [["h", ["x"], [], []]]
+            return wire
+
+        monkeypatch.setattr(Job, "to_wire", broken)
+        svc = ClusterService(ServeConfig(threads=1), processes=1)
+        try:
+            bad = svc.submit(
+                Circuit(4, get_circuit("ghz", 4).gates, name="broken")
+            )
+            good = svc.submit(get_circuit("ghz", 5))
+            report = svc.drain()
+            failed, done = svc.poll(bad), svc.poll(good)
+        finally:
+            svc.close()
+        assert failed.state is JobState.FAILED
+        assert "CircuitError" in failed.error
+        assert done.state is JobState.DONE
+        assert report.cluster["worker_deaths"] == 0
+        assert report.cluster["dispatched"] == 2
+
+
 def _kill_every_dispatch(dispatcher, kills):
     """Make every job dispatch kill its worker before it can answer.
 

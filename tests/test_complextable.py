@@ -62,21 +62,3 @@ class TestStatistics:
         t = ComplexTable()
         t.lookup(2.5 + 0.5j)
         assert len(t) == t.entry_count
-
-
-class TestMarkRewind:
-    def test_rewind_drops_buckets_added_since_mark(self):
-        t = ComplexTable()
-        a = t.lookup(0.1234 + 0.5j)
-        mark = t.mark()
-        hits, misses = t.hits, t.misses
-        t.lookup(0.777 - 0.2j)
-        t.lookup(0.778 - 0.2j)
-        t.rewind(mark)
-        assert t.hits == hits and t.misses == misses
-        # The pre-mark representative is untouched ...
-        assert t.lookup(0.1234 + 0.5j) is a
-        # ... and a post-mark value is re-interned as if never seen.
-        entries = t.entry_count
-        t.lookup(0.777 - 0.2j)
-        assert t.entry_count == entries + 1

@@ -174,6 +174,58 @@ class TestVerdictMemo:
             gc.collect()
 
 
+class TestAcrossTheBorder:
+    """An unfused gate with a qubit above the border level, priced from
+    its matrix: each thread's column holds the gate's non-zero h x h
+    blocks, and blocks that are scalar multiples share one node."""
+
+    @staticmethod
+    def _both(n, threads, gate):
+        pkg = DDPackage(n)
+        m = build_gate_dd(pkg, gate, windowed=True)
+        model = CostModel(threads)
+        return model.evaluate_tile_local(n, gate), CostModel(
+            threads
+        ).evaluate(pkg, m)
+
+    def test_one_target_above_the_border(self):
+        # h on the top qubit at t = 2: each column holds two multiples of
+        # the identity (one node, one hit) and writes both output tiles,
+        # so the two threads need two buffers.
+        n = 6
+        closed, built = self._both(n, 2, Gate("h", (n - 1,)))
+        assert closed == built
+        assert closed.macs_total == 1 << (n + 1)
+        assert (closed.cache_hits, closed.buffers) == (2, 2)
+        assert closed.cost_cache == (1 << n) / 2 + (1 << n) / 4 * (2 / 2 + 2)
+        assert not closed.use_cache
+
+    def test_scalar_multiple_blocks_share_a_node(self):
+        # Over the target above the border, A (x) B's blocks are A[r, c]
+        # times B: one node per column.  A random 4x4 has distinct
+        # blocks, so no hit.
+        from repro.circuits.gates import UnitaryGate
+
+        from tests.conftest import random_unitary
+
+        n, threads = 6, 2
+        product = np.kron(random_unitary(2, 1), random_unitary(2, 2))
+        for u, hits in ((product, threads), (random_unitary(4, 3), 0)):
+            closed, built = self._both(
+                n, threads, UnitaryGate(u, (n - 1, 0))
+            )
+            assert closed == built
+            assert closed.cache_hits == hits
+
+    def test_control_above_the_border_copies_tiles(self):
+        # cx with its control above the border: the control-0 columns
+        # hold the identity, the others the x block, one task each.
+        n, threads = 6, 4
+        closed, built = self._both(n, threads, Gate("cx", (1,), (n - 1,)))
+        assert closed == built
+        assert closed.cache_hits == 0 and closed.buffers == 1
+
+
 class TestExecutionConsistency:
     def test_modeled_hits_match_executed_hits(self):
         from repro.core.dmav import dmav_cached

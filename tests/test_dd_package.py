@@ -156,127 +156,3 @@ class TestValidation:
 
     def test_edge_canonicalizes_zero(self, pkg3):
         assert pkg3.edge(1e-15, TERMINAL) is ZERO_EDGE
-
-
-class TestBuildMarkRewind:
-    def _dd_weights(self, e):
-        out = []
-        stack = [e]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            out.append(cur.w)
-            if cur.is_zero or id(cur.n) in seen or cur.n.is_terminal:
-                continue
-            seen.add(id(cur.n))
-            stack.extend(cur.n.edges)
-        return out
-
-    def test_rewind_restores_counters_and_tables(self):
-        pkg = DDPackage(3)
-        single_qubit_gate(pkg, H, 0)
-        mark = pkg.build_mark()
-        mnodes = pkg.matrix_node_count
-        created = pkg.nodes_created
-        ct = len(pkg.ctable)
-        u = np.array([[0.6, 0.8], [0.8, -0.6]])
-        single_qubit_gate(pkg, u, 2)
-        assert pkg.matrix_node_count > mnodes
-        pkg.rewind_to_mark(mark)
-        assert pkg.matrix_node_count == mnodes
-        assert pkg.nodes_created == created
-        assert len(pkg.ctable) == ct
-
-    def test_rebuild_after_rewind_is_bit_identical(self):
-        theta = 0.37281
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        ry = np.array([[c, -s], [s, c]])
-        other = np.array([[0.28, 0.96], [0.96, -0.28]])
-        pkg = DDPackage(3)
-        single_qubit_gate(pkg, H, 1)
-        mark = pkg.build_mark()
-        first = single_qubit_gate(pkg, ry, 0)
-        first_idx = first.n.idx
-        first_w = self._dd_weights(first)
-        pkg.rewind_to_mark(mark)
-        # An interleaved different build must leave no trace ...
-        single_qubit_gate(pkg, other, 2)
-        pkg.rewind_to_mark(mark)
-        again = single_qubit_gate(pkg, ry, 0)
-        # ... so the rebuild sees the same creation order and weights.
-        assert again.n.idx == first_idx
-        assert self._dd_weights(again) == first_w
-
-    def test_evicted_nodes_stay_valid_through_kept_edges(self):
-        pkg = DDPackage(3)
-        mark = pkg.build_mark()
-        kept = single_qubit_gate(pkg, H, 1)
-        pkg.rewind_to_mark(mark)
-        dense = matrix_to_dense(pkg, kept)
-        expect = np.kron(np.eye(2), np.kron(H, np.eye(2)))
-        np.testing.assert_allclose(dense, expect, atol=1e-12)
-
-    def test_rewind_across_gc_rejected(self):
-        pkg = DDPackage(3)
-        mark = pkg.build_mark()
-        e = single_qubit_gate(pkg, H, 0)
-        pkg.collect_garbage([e])
-        with pytest.raises(DDError):
-            pkg.rewind_to_mark(mark)
-
-    def test_gate_cache_rewind_drops_added_entries(self):
-        from repro.backends.gatecache import GateDDCache
-        from repro.circuits.gates import Gate
-
-        pkg = DDPackage(3)
-        cache = GateDDCache(pkg)
-        cache.get(Gate("h", (0,)))
-        m = cache.mark()
-        cache.get(Gate("ry", (1,), params=(0.5,)))
-        assert len(cache) == m + 1
-        cache.rewind(m)
-        assert len(cache) == m
-        # The surviving prefix entry still serves lookups.
-        hits = cache.hits
-        cache.get(Gate("h", (0,)))
-        assert cache.hits == hits + 1
-
-    def test_rewind_rolls_back_windowed_builds(self):
-        # Identity-skipped (windowed) gate DDs must rewind exactly like
-        # full-height ones: a rebuild after rewind-plus-interference sees
-        # the same creation indices and weights.
-        from repro.backends.gatecache import build_gate_dd
-        from repro.circuits.gates import Gate
-
-        pkg = DDPackage(4)
-        g = Gate("cx", (1,), (0,))
-        mark = pkg.build_mark()
-        first = build_gate_dd(pkg, g, windowed=True)
-        assert first.n.level == 1  # root at max(gate.qubits), not n-1
-        first_idx = first.n.idx
-        first_w = self._dd_weights(first)
-        pkg.rewind_to_mark(mark)
-        build_gate_dd(pkg, Gate("ry", (3,), params=(0.7,)), windowed=True)
-        pkg.rewind_to_mark(mark)
-        again = build_gate_dd(pkg, g, windowed=True)
-        assert again.n.idx == first_idx
-        assert self._dd_weights(again) == first_w
-
-    def test_gate_cache_rewind_drops_windowed_entries(self):
-        # Windowed and full-height entries for the same gate are distinct
-        # keys; rewind drops both kinds added past the mark.
-        from repro.backends.gatecache import GateDDCache
-        from repro.circuits.gates import Gate
-
-        pkg = DDPackage(3)
-        cache = GateDDCache(pkg)
-        cache.get(Gate("h", (0,)), windowed=True)
-        m = cache.mark()
-        cache.get(Gate("h", (0,)))  # full-height: its own entry
-        cache.get(Gate("ry", (1,), params=(0.5,)), windowed=True)
-        assert len(cache) == m + 2
-        cache.rewind(m)
-        assert len(cache) == m
-        hits = cache.hits
-        cache.get(Gate("h", (0,)), windowed=True)
-        assert cache.hits == hits + 1

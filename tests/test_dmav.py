@@ -8,7 +8,7 @@ import pytest
 
 from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Gate, get_circuit
-from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS
+from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS, UnitaryGate
 from repro.common.config import DENSE_BLOCK_LEVEL, TOLERANCE, FlatDDConfig
 from repro.core.cost_model import CostModel, assign_cache_tasks, mac_count
 from repro.core import dmav as dmav_module
@@ -18,13 +18,12 @@ from repro.core.dmav import (
     dmav_cached,
     dmav_nocache,
     run_border_task_batch,
-    tile_local,
 )
 from repro.core.plan import PlanCache
 from repro.core.simulator import FlatDDSimulator, dmav_phase
 from repro.dd import DDPackage, matrix_to_dense, mm_multiply, single_qubit_gate
 from repro.dd.analysis import bottom_out, dense_matrix_block, kron_collapse
-from repro.dd.matrix import controlled_gate, kept_entries, two_qubit_gate
+from repro.dd.matrix import controlled_gate, gate_blocks, two_qubit_gate
 from repro.dd.operations import identity_extend
 from repro.metrics.memory import MemoryMeter
 from repro.obs.metrics import MetricsRegistry
@@ -465,8 +464,8 @@ class TestPlannedExecution:
             )
 
     def test_planned_cached_takes_one_row(self):
-        # Algorithm 2 applies one row's plan; a sweep column with a
-        # cached verdict replays row by row.
+        # Algorithm 2 applies one row's plan: only fused gate DDs, which
+        # run() applies to its one row, reach it.
         n, threads = 4, 2
         pkg = DDPackage(n)
         plan = _plan_cache(pkg, threads).get(single_qubit_gate(pkg, H, 3))
@@ -577,8 +576,7 @@ def _kernel(pkg, node, v, dense_level):
     """The kernel on one node and one row, through the border-task runner."""
     w = np.empty((1, v.size), dtype=np.complex128)
     run_border_task_batch(
-        pkg, [node], [1.0], v.reshape(1, -1), w, dense_level,
-        accumulate=False,
+        pkg, node, 1.0, v.reshape(1, -1), w, dense_level, accumulate=False
     )
     return w[0]
 
@@ -711,7 +709,7 @@ class TestBottomOutPaths:
 
 
 #: ((gate name, targets, controls), dense level, bottom-out shape of the
-#: root); every batch row binds its own angle.  ``pair`` reaches its 2x2
+#: root); every batch row shares the gate.  ``pair`` reaches its 2x2
 #: level under pass-through levels, ``descend`` reaches one under a
 #: controlled level.
 BATCH_CASES = [
@@ -727,85 +725,52 @@ BATCH_CASES = [
 
 
 class TestBorderTaskBatch:
-    """Batched border tasks against one-row runs of each row, bit for bit."""
+    """One border task over a batch of rows, against one-row runs of each
+    row, bit for bit."""
 
     N = 6
 
-    def _batch(self, spec, angles, dense_level, accumulate, one_row_calls):
-        name, targets, controls = spec
-        pkg = DDPackage(self.N)
-        edges = [
-            build_gate_dd(pkg, Gate(name, targets, controls, params=(t,)))
-            for t in angles
-        ]
-        nodes = [e.n for e in edges]
-        coeffs = [e.w for e in edges]
-        shape = (len(angles), 1 << self.N)
-        rng = np.random.default_rng(0)
-        vin = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        refs = start.copy()
-        for b in range(len(angles)):
-            run_border_task_batch(
-                pkg, nodes[b:b + 1], coeffs[b:b + 1], vin[b:b + 1],
-                refs[b:b + 1], dense_level, accumulate=accumulate,
-            )
-        one_row_calls.clear()
-        wout = start.copy()
-        run_border_task_batch(
-            pkg, nodes, coeffs, vin, wout, dense_level, accumulate=accumulate
-        )
-        for b in range(len(angles)):
-            assert np.array_equal(wout[b], refs[b]), b
-        return pkg, nodes
-
     @pytest.fixture
     def one_row_calls(self, monkeypatch):
-        """Kernel calls on a one-row batch: per-row replays, once batched."""
+        """Kernel calls on a one-row batch."""
         calls = []
         original = dmav_module._apply_lockstep
 
-        def spy(pkg, nodes, vten, *args, **kwargs):
+        def spy(pkg, node, vten, *args, **kwargs):
             if vten.shape[0] == 1:
-                calls.append(len(nodes))
-            return original(pkg, nodes, vten, *args, **kwargs)
+                calls.append(node)
+            return original(pkg, node, vten, *args, **kwargs)
 
         monkeypatch.setattr(dmav_module, "_apply_lockstep", spy)
         return calls
-
-    @pytest.mark.parametrize("accumulate", [False, True])
-    @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
-    def test_distinct_angles_batched_bit_identical(
-        self, spec, dense_level, kind, accumulate, one_row_calls
-    ):
-        pkg, nodes = self._batch(
-            spec, [0.3, 1.1, 2.0], dense_level, accumulate, one_row_calls
-        )
-        assert len({id(nd) for nd in nodes}) == 3
-        assert bottom_out(pkg, nodes[0], dense_level).kind == kind
-        # Congruent rows never leave the batched branches.
-        assert one_row_calls == []
 
     @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
     def test_shared_node_bit_identical(
         self, spec, dense_level, kind, one_row_calls
     ):
-        _pkg, nodes = self._batch(
-            spec, [0.7] * 3, dense_level, False, one_row_calls
-        )
-        assert all(nd is nodes[0] for nd in nodes)
-        assert one_row_calls == []
-
-    def test_identity_row_falls_back_rowwise(self, one_row_calls):
-        # rz(0) is the identity: that row's node disagrees with the
-        # others' scale shape, so the level must replay per row.
-        pkg, nodes = self._batch(
-            ("rz", (4,), ()), [0.4, 0.0, 1.3], 2, False, one_row_calls
-        )
-        assert [bottom_out(pkg, nd, 2).kind for nd in nodes] == [
-            "scale", "identity", "scale",
-        ]
-        assert one_row_calls == [1, 1, 1]
+        name, targets, controls = spec
+        pkg = DDPackage(self.N)
+        m = build_gate_dd(pkg, Gate(name, targets, controls, params=(0.7,)))
+        assert bottom_out(pkg, m.n, dense_level).kind == kind
+        shape = (3, 1 << self.N)
+        rng = np.random.default_rng(0)
+        vin = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for accumulate in (False, True):
+            refs = start.copy()
+            for b in range(shape[0]):
+                run_border_task_batch(
+                    pkg, m.n, m.w, vin[b:b + 1], refs[b:b + 1],
+                    dense_level, accumulate=accumulate,
+                )
+            one_row_calls.clear()
+            wout = start.copy()
+            run_border_task_batch(
+                pkg, m.n, m.w, vin, wout, dense_level, accumulate=accumulate
+            )
+            assert np.array_equal(wout, refs), accumulate
+            # The batch never splits into one-row calls.
+            assert one_row_calls == []
 
 
 def _windowed(pkg, gate):
@@ -830,10 +795,11 @@ WINDOW_GATES = {
 
 
 def _window_reference(pkg, m, v):
-    """``matrix_to_dense(pkg, m) @ v``, applied as ``I (x) window``."""
+    """``matrix_to_dense(pkg, m) @ v`` for each state along ``v``'s last
+    axis, applied as ``I (x) window``."""
     size = 2 << m.n.level
     block = matrix_to_dense(pkg, m, num_qubits=m.n.level + 1)
-    return (v.reshape(-1, size) @ block.T).reshape(-1)
+    return (v.reshape(*v.shape[:-1], -1, size) @ block.T).reshape(v.shape)
 
 
 class TestWindowedGateDDs:
@@ -925,29 +891,37 @@ class TestWindowedGateDDs:
         assert meta["dmav_macs_total"] == sum(c[0] for c in expected)
 
 
-#: Row angles of the tile-local suite: a gate's parameters in row ``r``
+#: Row angles of the array-kernel suite: a gate's parameters in row ``r``
 #: start at ``TILE_ROW_ANGLES[r]`` (0 and pi make rotations the identity
 #: or put exact-zero-within-tolerance entries in U).
 TILE_ROW_ANGLES = (0.0, math.pi, 0.7)
 
 
-def _tile_local_rows(n, threads):
-    """Every library gate at every placement :func:`tile_local` routes
-    to the kernel, as one bound gate per row of ``TILE_ROW_ANGLES``."""
-    border = border_level(n, threads)
+def _unitaries():
+    """A random 4x4 unitary and a product form ``A (x) B``, whose blocks
+    over either target are scalar multiples of one 2x2 matrix."""
+    a, b = random_unitary(2, 1), random_unitary(2, 2)
+    return (random_unitary(4, 3), np.kron(a, b))
+
+
+def _tile_local_rows(n):
+    """Every library gate at every placement, as one bound gate per row
+    of ``TILE_ROW_ANGLES``, then both :func:`_unitaries` on every qubit
+    pair (the same matrix in every row)."""
     for name in sorted(set(GATE_BUILDERS) | set(CONTROLLED_ALIASES)):
         base, controls = CONTROLLED_ALIASES.get(name, (name, 0))
         targets, nparams, _ = GATE_BUILDERS[base]
-        for qubits in itertools.permutations(range(border), controls + targets):
-            gates = [
+        for qubits in itertools.permutations(range(n), controls + targets):
+            yield [
                 Gate(
                     name, qubits[controls:], qubits[:controls],
                     params=tuple(a + 0.3 * i for i in range(nparams)),
                 )
                 for a in TILE_ROW_ANGLES
             ]
-            if tile_local(gates[0], n, threads):
-                yield gates
+    for u in _unitaries():
+        for qubits in itertools.permutations(range(n), 2):
+            yield [UnitaryGate(u, qubits)] * len(TILE_ROW_ANGLES)
 
 
 #: Gates with an entry of about 1.2e-10 (a cosine near pi/2), just above
@@ -969,15 +943,22 @@ def _raw_nonzeros(u):
     ))
 
 
-class TestTileLocal:
-    """Tile-local gates applied from their matrix, against their gate DDs.
+def _kept_entries(u, targets):
+    """Entries of ``u`` its DD keeps on ``targets`` alone: the MAC count
+    of the same targets ranked onto the lowest levels."""
+    ranked = tuple(sorted(targets).index(t) for t in targets)
+    return gate_blocks(u, ranked, (), len(targets))[0]
 
-    A gate whose highest qubit sits below the border level is applied by
-    :func:`apply_tile_local`, never built, planned or classified.  Its
-    result must match the windowed gate DD's dense matrix, its batch
-    rows and thread-pool tiles must be exact slices of one-row, inline
-    calls, and its closed-form Eq. 5-6 entry must equal the cost model's
-    verdict on the built DD.
+
+class TestTileLocal:
+    """Every unfused gate is applied from its matrix, against its gate DD.
+
+    :func:`apply_tile_local` applies a gate at any placement, never
+    building, planning or classifying a DD.  Its result must match the
+    windowed gate DD's dense matrix, its batch rows and thread-pool tiles
+    must be exact slices of one-row, inline calls, and its Eq. 5-6 entry
+    from the matrix alone must equal the cost model's verdict on the
+    built DD.
     """
 
     @pytest.fixture
@@ -1002,71 +983,65 @@ class TestTileLocal:
         v = rng.normal(size=(threads, rows, h)) + 1j * rng.normal(
             size=(threads, rows, h)
         )
+        flat = v.transpose(1, 0, 2).reshape(rows, -1)
+        model = CostModel(threads)
         cases = 0
         with TaskRunner(threads, use_pool=True) as pool:
-            for gates in _tile_local_rows(n, threads):
+            for gates in _tile_local_rows(n):
                 cases += 1
                 out = np.full_like(v, np.nan)
                 gemm_operands.clear()
                 apply_tile_local(gates, v, out)
                 # No GEMM merges tiles or rows: the operand viewing the
-                # state keeps both leading axes, so M (or the pair's N)
-                # spans one row of one tile.
+                # state keeps the rows axis and at most one tile or all
+                # of them, so M (or the pair's N) spans one row of one
+                # tile.
                 for a, b in gemm_operands:
                     state = a if np.shares_memory(a, v) else b
                     assert np.shares_memory(state, v), gates[0]
-                    assert state.shape[:2] == (threads, rows), (
-                        gates[0], a.shape, b.shape,
-                    )
+                    assert state.shape[1] == rows, (gates[0], a.shape)
+                    assert state.shape[0] in (1, threads), gates[0]
                 pooled = np.full_like(v, np.nan)
                 apply_tile_local(gates, v, pooled, runner=pool)
                 assert np.array_equal(pooled, out), gates[0]
-                # CostModel memoizes by root id: one per package.
-                pkg, model = DDPackage(n), CostModel(threads)
                 for r, gate in enumerate(gates):
                     one = np.full((threads, 1, h), np.nan + 0j)
                     apply_tile_local(
                         [gate], np.ascontiguousarray(v[:, r:r + 1]), one
                     )
                     assert np.array_equal(one, out[:, r:r + 1]), (gate, r)
+                got = out.transpose(1, 0, 2).reshape(rows, -1)
+                pkg = DDPackage(n)
+                # Parameterless kinds bind the same gate in every row.
+                for gate in dict.fromkeys(gates):
+                    mine = [r for r, g in enumerate(gates) if g == gate]
                     m = build_gate_dd(pkg, gate, windowed=True)
                     np.testing.assert_allclose(
-                        out[:, r].reshape(-1),
-                        _window_reference(pkg, m, v[:, r].reshape(-1)),
+                        got[mine], _window_reference(pkg, m, flat[mine]),
                         atol=1e-12, rtol=0, err_msg=str(gate),
                     )
-                    assert model.evaluate_tile_local(n, gate) == (
-                        model.evaluate(pkg, m)
-                    ), gate
+                    # The model memoizes verdicts by root node, so a
+                    # fresh one prices each package's DDs.
+                    assert model.evaluate_tile_local(n, gate) == CostModel(
+                        threads
+                    ).evaluate(pkg, m), gate
         assert cases > 0
-
-    def test_two_targets_above_dense_window_stay_on_dmav(self):
-        n, threads = 12, 4
-        border = border_level(n, threads)
-        assert tile_local(Gate("cx", (border - 1,), (0,)), n, threads)
-        assert tile_local(Gate("rzz", (border - 1, 0), params=(0.3,)), n, threads)
-        assert tile_local(Gate("swap", (DENSE_BLOCK_LEVEL, 0)), n, threads)
-        assert not tile_local(Gate("swap", (DENSE_BLOCK_LEVEL + 1, 0)), n, threads)
-        assert not tile_local(Gate("h", (border,)), n, threads)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_near_tolerance_entries_priced_like_the_dd(self, threads):
-        """``NEAR_TOLERANCE_GATES`` at every tile-local placement: the
-        closed form drops the entries the DD drops."""
+        """``NEAR_TOLERANCE_GATES`` at every placement: the price from
+        the matrix drops the entries the DD drops."""
         n = 6
-        border = border_level(n, threads)
         dropped = 0
         for name, params in NEAR_TOLERANCE_GATES:
             base, controls = CONTROLLED_ALIASES.get(name, (name, 0))
             arity = controls + GATE_BUILDERS[base][0]
-            for qubits in itertools.permutations(range(border), arity):
+            for qubits in itertools.permutations(range(n), arity):
                 gate = Gate(
                     name, qubits[controls:], qubits[:controls], params
                 )
-                if not tile_local(gate, n, threads):
-                    continue
                 u = gate.matrix()
-                dropped += kept_entries(u, gate.targets) < _raw_nonzeros(u)
+                dropped += _kept_entries(u, gate.targets) < _raw_nonzeros(u)
                 # A fresh package: no earlier weight to canonicalize onto.
                 pkg, model = DDPackage(n), CostModel(threads)
                 m = build_gate_dd(pkg, gate, windowed=True)
@@ -1098,22 +1073,12 @@ class TestTileLocal:
             targets = (0,) if k == 1 else ((1, 0), (0, 1))[case % 3 % 2]
             pkg = DDPackage(2)
             m = controlled_gate(pkg, u, targets, (), top=max(targets))
-            kept = kept_entries(u, targets)
+            kept = _kept_entries(u, targets)
             assert kept == (mac_count(pkg, m) if not m.is_zero else 0), (
                 u, targets,
             )
             differs[k] += kept != _raw_nonzeros(u)
         assert all(differs.values()), differs
-
-    def test_rejects_gates_tile_local_keeps_on_dmav(self):
-        n, threads = 8, 2
-        v = np.zeros((threads, 1, (1 << n) // threads), dtype=complex)
-        for gate in (
-            Gate("swap", (DENSE_BLOCK_LEVEL + 1, 0)),
-            Gate("h", (border_level(n, threads),)),
-        ):
-            with pytest.raises(ValueError, match="not tile-local"):
-                apply_tile_local([gate], v, np.empty_like(v))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize(
@@ -1141,7 +1106,7 @@ class TestTileLocal:
         at = meta["conversion_gate_index"]
         converted = FlatDDSimulator(cfg).run(circuit[:at + 1]).state
         registry = MetricsRegistry()
-        state, costs, _, _ = dmav_phase(
+        state, costs, _ = dmav_phase(
             cfg, meta["package"], None,
             converted.reshape(threads, 1, -1), [meta["dmav_edges"]], at, 0,
             MemoryGuard(None), MemoryMeter(), registry, {}, None,

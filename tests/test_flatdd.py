@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from repro import FlatDDConfig, FlatDDSimulator
-from repro.backends import DDSimulator, GateDDCache, StatevectorSimulator
+from repro.algorithms.ansatz import HardwareEfficientAnsatz
+from repro.backends import GateDDCache
 from repro.circuits import Gate, get_circuit
 from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import ParallelError
 from repro.core.cost_model import CostModel, assign_cache_tasks
 from repro.core.dmav import apply_tile_local, dmav_cached, dmav_nocache
 from repro.core.ewma import EWMAMonitor
-from repro.core.simulator import dd_phase
+from repro.core.simulator import dd_phase, dmav_phase
 from repro.dd.package import DDPackage
 from repro.dd.vector import vector_to_array, zero_state
 from repro.metrics.memory import MemoryMeter
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.guard import MemoryGuard
 from repro.verify.fuzz import generate_circuit, spec_for_iteration
+from repro.verify.fuzz.oracles import TOLERANCE_LADDER
 
 from tests.conftest import force_dmav_verdict, reference_state
 
@@ -39,9 +42,11 @@ class TestCorrectness:
         r = FlatDDSimulator(threads=4, fusion=fusion).run(c)
         assert abs(np.vdot(r.state, ref)) ** 2 == pytest.approx(1.0, abs=1e-8)
         cached = r.metadata["obs"]["counters"]["dmav.gates_cached"]
-        if policy == "never":
+        if policy == "never" or fusion == "none":
+            # An unfused tail has no gate DD: every step is an array
+            # kernel's.
             assert cached == 0
-        elif policy == "always" or fusion != "none":
+        else:
             # Eq. 6 runs fused gates with Algorithm 2.
             assert cached > 0
 
@@ -50,6 +55,55 @@ class TestCorrectness:
         ref = reference_state(c)
         r = FlatDDSimulator(threads=4, use_thread_pool=True).run(c)
         assert abs(np.vdot(r.state, ref)) ** 2 == pytest.approx(1.0, abs=1e-8)
+
+
+#: Table 1's irregular families at n = 10-13.
+IRREGULAR_FAMILIES = [
+    ("supremacy", 10), ("dnn", 11), ("vqe", 12), ("knn", 13), ("swaptest", 13),
+]
+
+
+class TestExecutionInvariance:
+    """``use_thread_pool`` and ``dense_block_level`` change no result on
+    whole runs: the pool's one-tile-per-thread split of the array kernel
+    (partner tiles included) lands on the inline bytes, and another
+    dense block level stays on the tolerance ladder's tight rung."""
+
+    @staticmethod
+    def _states(run, threads):
+        inline = run(FlatDDSimulator(threads=threads))
+        pooled = run(FlatDDSimulator(threads=threads, use_thread_pool=True))
+        dense3 = run(FlatDDSimulator(threads=threads, dense_block_level=3))
+        return inline, pooled, dense3
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("family, n", IRREGULAR_FAMILIES)
+    def test_irregular_families(self, family, n, threads):
+        circuit = get_circuit(family, n)
+        inline, pooled, dense3 = self._states(
+            lambda sim: sim.run(circuit), threads
+        )
+        assert inline.metadata["converted"]
+        assert pooled.state.tobytes() == inline.state.tobytes()
+        tight = dict(TOLERANCE_LADDER)["tight"]
+        assert np.max(np.abs(dense3.state - inline.state)) <= tight
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_sweep(self, threads):
+        ansatz = HardwareEfficientAnsatz(10, layers=2)
+        rng = np.random.default_rng(threads)
+        template = ansatz.build(np.zeros(ansatz.num_parameters))
+        rows = [
+            tuple(rng.uniform(-np.pi, np.pi, template.num_param_slots))
+            for _ in range(4)
+        ]
+        inline, pooled, dense3 = self._states(
+            lambda sim: sim.simulate_sweep(template, rows), threads
+        )
+        assert inline.metadata["mode"] == "batched"
+        assert pooled.states.tobytes() == inline.states.tobytes()
+        tight = dict(TOLERANCE_LADDER)["tight"]
+        assert np.max(np.abs(dense3.states - inline.states)) <= tight
 
 
 class TestPhaseBehaviour:
@@ -313,9 +367,21 @@ class TestPlanCachePipeline:
                 assert counters["dmav.gates_cached"] > 0, cfg
 
     def test_plan_counters_and_hit_rate(self):
+        # An unfused run compiles no plan, so its tail is replayed as
+        # gate DDs through the DMAV phase.
         c = get_circuit("qft", 10)
-        r = FlatDDSimulator(threads=4, force_convert_at=0).run(c)
-        counters = r.metadata["obs"]["counters"]
+        cfg = FlatDDConfig(threads=4, force_convert_at=0)
+        r = FlatDDSimulator(cfg).run(c, keep_internals=True)
+        assert r.metadata["obs"]["counters"]["dmav.plan.compiles"] == 0
+        registry = MetricsRegistry()
+        dmav_phase(
+            cfg, r.metadata["package"], None,
+            np.zeros((4, 1, 1 << 8), dtype=complex),
+            [r.metadata["dmav_edges"]], 0, 0, MemoryGuard(None),
+            MemoryMeter(), registry, {}, None,
+        )
+        snap = registry.snapshot()
+        counters = snap["counters"]
         hits = counters["dmav.plan.hits"]
         misses = counters["dmav.plan.misses"]
         assert hits > 0
@@ -324,7 +390,7 @@ class TestPlanCachePipeline:
         assert hits / (hits + misses) >= 0.5
         assert counters["dmav.plan.compiles"] > 0
         assert counters["dmav.plan.invalidations"] == 0
-        assert r.metadata["obs"]["gauges"]["dmav.arena.bytes"]["value"] > 0
+        assert snap["gauges"]["dmav.arena.bytes"]["value"] > 0
 
     def test_arena_zero_allocations_after_warmup(self):
         # The pool's high-water mark is bounded by the partition width

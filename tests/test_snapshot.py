@@ -17,7 +17,6 @@ from repro.dd.vector import node_count, vector_to_array, zero_state
 from repro.resilience import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    Snapshot,
     decode_array_state,
     read_snapshot,
     snapshot_array_phase,

@@ -207,12 +207,12 @@ def test_thread_count_invariance():
 
 @pytest.mark.parametrize("dense_level", [-1, 2, DENSE_BLOCK_LEVEL])
 def test_rows_bit_identical_across_bottom_out_shapes(dense_level):
-    """Every DMAV bottom-out shape runs batched and stays exact.
+    """Every array-kernel shape runs batched and stays exact.
 
-    Eight qubits put levels above the dense block level, so the lockstep
-    kernel meets scale, diagonal, dense, 2x2, pass-through and generic
-    levels; the half-zeroed last row turns some of its rotations into
-    identities, so those levels disagree across rows and replay per row.
+    Eight qubits put qubits above the dense block level, so the kernel
+    meets its scale, diagonal, GEMM, 2x2 pair and elementwise shapes; the
+    half-zeroed last row turns some of its rotations into identities,
+    which batch with the other rows all the same.
     """
     c = _template(n=8, layers=2)
     rows = _rows(c, 4, seed=5)
@@ -228,28 +228,33 @@ def test_rows_bit_identical_across_bottom_out_shapes(dense_level):
 @pytest.mark.parametrize("policy", ["auto", "always", "never"])
 def test_cache_policies_bit_identical(monkeypatch, policy):
     """Every row stays bit-identical to run() under the same DMAV
-    verdicts.  Eq. 6 almost never caches an unfused gate DD, so "always"
-    forces Algorithm 2 on each: such a column replays row by row."""
+    verdicts.  An unfused tail holds no gate DD, so only a fused sweep,
+    which runs each unique row through run(), meets Algorithm 2:
+    "always" forces it on every fused gate DD."""
     force_dmav_verdict(monkeypatch, policy)
     c = _template(n=6, layers=2)
     rows = _rows(c, 4, seed=3)
-    for threads, use_thread_pool in itertools.product((2, 4), (False, True)):
+    for threads, use_thread_pool, fusion in itertools.product(
+        (2, 4), (False, True), ("none", "cost")
+    ):
         sim = FlatDDSimulator(
             threads=threads, force_convert_at=0,
-            use_thread_pool=use_thread_pool,
+            use_thread_pool=use_thread_pool, fusion=fusion,
         )
         result = sim.simulate_sweep(c, rows)
         _assert_rows_identical(sim, c, rows, result)
         counters = result.metadata["obs"]["counters"]
-        cached = sim.run(c.bind(rows[0])).metadata["obs"]["counters"][
-            "dmav.gates_cached"
-        ]
-        assert counters["dmav.gates_cached"] == len(rows) * cached
-        if policy == "always":
-            assert cached > 0
-            assert counters["dmav.sweep.gates_rowloop"] == cached
-        elif policy == "never":
+        cached = sum(
+            sim.run(c.bind(row)).metadata["obs"]["counters"][
+                "dmav.gates_cached"
+            ]
+            for row in rows
+        )
+        assert counters["dmav.gates_cached"] == cached
+        if policy == "never" or fusion == "none":
             assert cached == 0
+        elif policy == "always":
+            assert cached > 0
 
 
 def _rowloop_template():
@@ -260,25 +265,20 @@ def _rowloop_template():
 
 
 @pytest.mark.parametrize("use_thread_pool", [False, True])
-@pytest.mark.parametrize("policy", ["auto", "always", "never"])
-def test_incongruent_rows_replay_per_row(
-    monkeypatch, policy, use_thread_pool
-):
-    """ry(0) is the identity, so its plan has two border tasks where the
-    other rows' have four: that gate column replays each row with its
-    own plan, while the shared cx and h columns stay batched.  Algorithm
-    2 applies one row's plan, so "always" replays the h(2) gate DD's
-    column too (cx is tile-local)."""
-    force_dmav_verdict(monkeypatch, policy)
+def test_identity_rows_batched_with_the_rest(use_thread_pool):
+    """ry(0) is the identity, so its gate DD would differ in shape from
+    the other rows'.  The array kernel picks its branch from the gate's
+    kind and qubits alone: every column, that one included, runs batched
+    and every row stays bit-identical to its run()."""
     c, rows = _rowloop_template()
     sim = FlatDDSimulator(
         threads=2, force_convert_at=0, use_thread_pool=use_thread_pool
     )
     result = sim.simulate_sweep(c, rows)
     counters = result.metadata["obs"]["counters"]
-    rowloop = 2 if policy == "always" else 1
-    assert counters["dmav.sweep.gates_rowloop"] == rowloop
-    assert counters["dmav.sweep.gates_batched"] == 3 - rowloop
+    assert counters["dmav.sweep.gates_rowloop"] == 0
+    assert counters["dmav.sweep.gates_batched"] == 3
+    assert counters["dmav.plan.compiles"] == 0
     _assert_rows_identical(sim, c, rows, result)
 
 
@@ -330,30 +330,21 @@ def test_sweep_dmav_counters_equal_looped_runs(
         assert counters["dmav.sweep.groups"] == len(unique)
 
 
-def test_sweep_counters_span_every_group(monkeypatch):
-    """Two groups, each with its own plan cache: the work counters add
-    up over groups, Algorithm 2's among them, and the hit-rate gauge is
-    the rate of the summed counters, not the last group's."""
-    force_dmav_verdict(monkeypatch, "always")
+def test_sweep_counters_span_every_group():
+    """Two groups, each with its own DMAV phase: the work counters add
+    up over groups, and neither compiles a plan (an unfused tail holds
+    no gate DD)."""
     c = _template(n=4, layers=2)
     rows = _rows(c, 1, seed=3)
     rows.append(tuple(0.0 if k % 2 else 0.7 for k in range(len(rows[0]))))
     sim = FlatDDSimulator(threads=2, force_convert_at=5)
-    obs = sim.simulate_sweep(c, rows).metadata["obs"]
-    counters = obs["counters"]
+    counters = sim.simulate_sweep(c, rows).metadata["obs"]["counters"]
     assert counters["dmav.sweep.groups"] == 2
     looped = [sim.run(c.bind(row)).metadata["obs"]["counters"] for row in rows]
-    assert counters["dmav.gates_cached"] > 0
+    assert counters["dmav.gates"] > 0
     for key in DMAV_WORK:
         assert counters[key] == sum(r[key] for r in looped), key
-    hits, misses = counters["dmav.plan.hits"], counters["dmav.plan.misses"]
-    last = looped[-1]
-    last_rate = last["dmav.plan.hits"] / (
-        last["dmav.plan.hits"] + last["dmav.plan.misses"]
-    )
-    rate = obs["gauges"]["dmav.plan.hit_rate"]["value"]
-    assert rate == hits / (hits + misses)
-    assert rate != last_rate
+    assert counters["dmav.plan.compiles"] == 0
 
 
 def test_ewma_timed_sweep_matches_runs():
@@ -417,9 +408,8 @@ def test_dd_shrink_rows_bit_identical(qubit_order, extra):
 
 def test_dd_shrink_rewind_rolls_back_windowed_prefix():
     """Forced mid-prefix conversion replays the permuted, identity-skipped
-    DD prefix per group through build_mark()/rewind_to_mark(); bit-identity
-    against single-shot runs proves the rewind rolls windowed builds and
-    permuted gate DDs back exactly."""
+    DD prefix once per group; bit-identity against single-shot runs proves
+    the shared prefix is each row's own."""
     c = _template(n=4, layers=2)
     sim = FlatDDSimulator(threads=2, force_convert_at=2, qubit_order="sift")
     rows = _rows(c, 4, seed=17)

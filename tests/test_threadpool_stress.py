@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import FlatDDSimulator, StatevectorSimulator, get_circuit
-from repro.common.config import FlatDDConfig
 from repro.core.conversion import convert_parallel
 from repro.core.dmav import dmav_cached, dmav_nocache
 from repro.dd import DDPackage, matrix_to_dense, vector_from_array
