@@ -265,21 +265,45 @@ def _rowloop_template():
 
 
 @pytest.mark.parametrize("use_thread_pool", [False, True])
-def test_identity_rows_batched_with_the_rest(use_thread_pool):
-    """ry(0) is the identity, so its gate DD would differ in shape from
-    the other rows'.  The array kernel picks its branch from the gate's
-    kind and qubits alone: every column, that one included, runs batched
-    and every row stays bit-identical to its run()."""
+@pytest.mark.parametrize("policy", ["auto", "always", "never"])
+def test_incongruent_rows_replay_per_row(
+    monkeypatch, policy, use_thread_pool
+):
+    """ry(0) is the identity, so its gate DD differs in shape from the
+    other rows'.  Unfused, the array kernel picks its branch from the
+    gate's kind and qubits alone: every column, that one included, runs
+    batched under any verdict.  Fused, the sweep replays each row
+    through run(), where the verdict decides which fused gate DDs take
+    Algorithm 2.  Every row stays bit-identical to its run()."""
+    force_dmav_verdict(monkeypatch, policy)
     c, rows = _rowloop_template()
-    sim = FlatDDSimulator(
-        threads=2, force_convert_at=0, use_thread_pool=use_thread_pool
-    )
-    result = sim.simulate_sweep(c, rows)
-    counters = result.metadata["obs"]["counters"]
-    assert counters["dmav.sweep.gates_rowloop"] == 0
-    assert counters["dmav.sweep.gates_batched"] == 3
-    assert counters["dmav.plan.compiles"] == 0
-    _assert_rows_identical(sim, c, rows, result)
+    for fusion in ("none", "cost"):
+        sim = FlatDDSimulator(
+            threads=2, force_convert_at=0,
+            use_thread_pool=use_thread_pool, fusion=fusion,
+        )
+        result = sim.simulate_sweep(c, rows)
+        _assert_rows_identical(sim, c, rows, result)
+        counters = result.metadata["obs"]["counters"]
+        if fusion == "none":
+            assert counters["dmav.sweep.gates_rowloop"] == 0
+            assert counters["dmav.sweep.gates_batched"] == 3
+            assert counters["dmav.plan.compiles"] == 0
+            assert counters["dmav.gates_cached"] == 0
+            continue
+        assert result.metadata["mode"] == "fallback-fusion"
+        assert counters["dmav.sweep.groups"] == len(rows)
+        cached = [
+            sim.run(c.bind(row)).metadata["obs"]["counters"][
+                "dmav.gates_cached"
+            ]
+            for row in rows
+        ]
+        assert counters["dmav.gates_cached"] == sum(cached)
+        if policy == "always":
+            assert min(cached) > 0
+        elif policy == "never":
+            assert sum(cached) == 0
 
 
 DMAV_WORK = ("dmav.gates", "dmav.macs", "dmav.gates_cached", "dmav.cache_hits")
