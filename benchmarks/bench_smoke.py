@@ -10,7 +10,10 @@ against ``benchmarks/baselines``::
   compiles no plan, so its tail is replayed as gate DDs
   (``metadata["dmav_edges"]``) through the DMAV phase.  The plan cache
   serves at least half of the planned border tasks, and the arena
-  allocates one output buffer.
+  allocates one output buffer.  The same circuit's fused runs
+  (``fusion="cost"`` and ``"koperations"``), the traffic the plan cache
+  serves in a run, are recorded beside it, not asserted: their task hit
+  rates sit below the replay's.
 * ``repro sweep --family qft --qubits 10 --points 16 --threads 4
   --force-convert-at 0 --sweep-seed 1 --json``: one prefix group, every
   gate column batched, no plan compiled, and one DMAV gate per unique row
@@ -71,10 +74,32 @@ def _replayed_tail_counters(circuit, cfg) -> dict:
     return registry.snapshot()["counters"]
 
 
+def _fused_plan_counts(circuit) -> dict:
+    """Plan-cache counts of ``circuit``'s fused runs, by fusion mode."""
+    counts = {}
+    for fusion in ("cost", "koperations"):
+        cfg = FlatDDConfig(threads=4, force_convert_at=0, fusion=fusion)
+        counters = FlatDDSimulator(cfg).run(circuit).metadata["obs"][
+            "counters"
+        ]
+        hits = counters["dmav.plan.hits"]
+        misses = counters["dmav.plan.misses"]
+        print(f"plan smoke, fused ({fusion}): {hits} task hits, {misses} "
+              f"misses ({hits / (hits + misses):.1%}), "
+              f"compiles={counters['dmav.plan.compiles']}")
+        counts[f"fused_{fusion}_plan_hits"] = hits
+        counts[f"fused_{fusion}_plan_misses"] = misses
+        counts[f"fused_{fusion}_plan_compiles"] = (
+            counters["dmav.plan.compiles"]
+        )
+    return counts
+
+
 def plan_cache_smoke(directory: str) -> str:
     """Assert and record the plan-cache smoke; returns the record path."""
+    circuit = get_circuit("qft", 16)
     counters = _replayed_tail_counters(
-        get_circuit("qft", 16), FlatDDConfig(threads=4, force_convert_at=0)
+        circuit, FlatDDConfig(threads=4, force_convert_at=0)
     )
     hits = counters["dmav.plan.hits"]
     misses = counters["dmav.plan.misses"]
@@ -94,6 +119,7 @@ def plan_cache_smoke(directory: str) -> str:
             "arena_output_allocs": counters["dmav.arena.output_allocs"],
             "dmav_gates": counters["dmav.gates"],
             "dmav_macs": counters["dmav.macs"],
+            **_fused_plan_counts(circuit),
         },
         directory=directory,
         config_digest="qft-16;threads=4;force_convert_at=0",
@@ -108,7 +134,6 @@ def sweep_smoke(directory: str) -> str:
     assert payload["rows"] == 16, payload
     assert counters["dmav.sweep.groups"] == 1, counters
     assert counters["dmav.sweep.gates_batched"] > 0, counters
-    assert counters["dmav.sweep.gates_rowloop"] == 0, counters
     # Every tail column runs batched, and none holds a gate DD to plan.
     assert counters["dmav.sweep.gates_batched"] == (
         len(get_circuit("qft", 10).gates) - 1
@@ -116,7 +141,6 @@ def sweep_smoke(directory: str) -> str:
     assert counters["dmav.plan.compiles"] == 0, counters
     assert counters["dmav.gates"] == payload["unique_rows"] * (
         counters["dmav.sweep.gates_batched"]
-        + counters["dmav.sweep.gates_rowloop"]
     ), counters
     print(f"sweep smoke: {payload['rows']} rows, "
           f"{counters['dmav.sweep.gates_batched']} batched gate columns")
@@ -127,7 +151,6 @@ def sweep_smoke(directory: str) -> str:
             "unique_rows": payload["unique_rows"],
             "groups": counters["dmav.sweep.groups"],
             "gates_batched": counters["dmav.sweep.gates_batched"],
-            "gates_rowloop": counters["dmav.sweep.gates_rowloop"],
             "plan_compiles": counters["dmav.plan.compiles"],
         },
         directory=directory,

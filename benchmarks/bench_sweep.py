@@ -3,12 +3,12 @@
 The sweep executor (``repro.core.sweep``) amortizes everything a looped
 ``run()`` re-pays per parameter point: the DD phase and conversion run
 once per shared-prefix group (rows are greedily grouped on bit-equal
-bound gates ``[0 .. convert_at]``), per-row gate-DD builds start from a
-transactional package mark instead of replaying the prefix, and the
-array phase replays compiled DMAV plans over a tile-major row batch.
-Every row stays bit-identical to its own single-shot run -- enforced
-here against a sampled subset and continuously by the
-``sweep_consistency`` fuzz oracle.
+bound gates ``[0 .. convert_at]``), and the array phase applies every
+tail gate column from the rows' gate matrices over a tile-major row
+batch, building no per-row gate DD and compiling no plan.  Every row
+stays bit-identical to its own single-shot run -- enforced here against
+a sampled subset and continuously by the ``sweep_consistency`` fuzz
+oracle.
 
 Three 100-point, 16-qubit workloads map the amortization regimes:
 
@@ -146,6 +146,7 @@ def run_experiment(threads: int = 4):
             "loop_seconds": loop_s,
             "bit_identical": identical,
             "counters": counters,
+            "tail_columns": len(circuit.gates) - fca - 1,
         }
     text = render_table(
         f"Parameter sweeps: {POINTS}-point sweep vs looped single-shot "
@@ -171,9 +172,8 @@ def test_sweep_speedup(benchmark, threads):
                 "speedup": m["speedup"],
                 "sweep_seconds": m["sweep_seconds"],
                 "groups": m["counters"]["dmav.sweep.groups"],
-                "row_rewinds": m["counters"]["dmav.sweep.row_rewinds"],
                 "gates_batched": m["counters"]["dmav.sweep.gates_batched"],
-                "gates_rowloop": m["counters"]["dmav.sweep.gates_rowloop"],
+                "plan_compiles": m["counters"]["dmav.plan.compiles"],
             }
             for name, m in measured.items()
         },
@@ -187,11 +187,16 @@ def test_sweep_speedup(benchmark, threads):
             f"{name}: sweep rows diverged from single-shot states"
         )
         assert m["counters"]["dmav.sweep.gates_batched"] > 0, name
+        # Every tail column of every group runs batched, and none holds
+        # a gate DD to plan.
+        assert m["counters"]["dmav.sweep.gates_batched"] == (
+            m["counters"]["dmav.sweep.groups"] * m["tail_columns"]
+        ), name
+        assert m["counters"]["dmav.plan.compiles"] == 0, name
     shared = measured["hea-16-final-layer"]
     assert shared["counters"]["dmav.sweep.groups"] == 1, (
         "final-layer rows should share one prefix group"
     )
-    assert shared["counters"]["dmav.sweep.row_rewinds"] == POINTS
     assert shared["speedup"] >= MIN_SPEEDUP, (
         f"hea-16-final-layer: sweep speedup {shared['speedup']:.2f}x "
         f"below the {MIN_SPEEDUP}x floor"

@@ -19,18 +19,20 @@ node sits below the border level (a window that fits inside one
 thread's diagonal block) costs its count times ``2**(border - level)``.
 The verdicts therefore equal those of the full-height form.
 
-An unfused gate is priced without its DD
-(:meth:`CostModel.evaluate_tile_local`), from the structure its build
-would have: within the border level one task per thread (H = 0, b = 1,
-K2 = K1); across it, one column of h x h blocks per thread.
+An unfused gate, which the array kernel applies from its matrix, is
+priced by :meth:`CostModel.evaluate_tile_local`.  Within the border
+level it is one task per thread, so H = 0, b = 1 and K2 = K1, with K1
+counted from the gate matrix.  Across it, the gate's windowed DD is
+built in a scratch package and priced like any gate DD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.backends.gatecache import build_gate_dd
 from repro.common.config import SIMD_WIDTH
-from repro.dd.matrix import IDENTITY_BLOCK, gate_blocks
+from repro.dd.matrix import kept_entries
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
 from repro.parallel.partition import border_level
@@ -231,6 +233,8 @@ class CostModel:
         # pins, so a model reused across packages never meets a dead
         # node's recycled id.
         self._cache: dict[DDNode, GateCost] = {}
+        #: :meth:`evaluate_tile_local`'s package, made on first use.
+        self._scratch: DDPackage | None = None
 
     def evaluate(self, pkg: DDPackage, m: Edge) -> GateCost:
         cached = self._cache.get(m.n)
@@ -260,62 +264,34 @@ class CostModel:
         return cost
 
     def evaluate_tile_local(self, num_qubits: int, gate) -> GateCost:
-        """Equations 5-6 of an unfused gate, from its matrix.
+        """Equations 5-6 of an unfused gate, which the array kernel
+        applies from its matrix.
 
-        The verdict equals :meth:`evaluate`'s on the gate's built windowed
-        DD without building it: :func:`~repro.dd.matrix.gate_blocks`
-        replays the build's structure (K1, and the nodes at the border
-        level ``n - log2 t - 1``), unless a value sits within about
-        ``TOLERANCE`` of another or of the zero rule, where the package's
-        complex table decides.  A gate within the border is one task per
-        thread over its own tile (H = 0, b = 1, K2 = K1).  Above it, a
-        qubit is a bit of the tile index, and thread ``u``'s column holds
-        the gate's non-zero h x h blocks in column tile ``u``: the
-        identity where a control above the border is 0, else one block
-        per row pattern of the targets above it.  Blocks that are scalar
-        multiples share one border node, so H counts repeats within a
-        column, K2 sums each column's distinct nodes' MACs, and b comes
-        from :func:`assign_buffers`.
+        A gate whose highest qubit sits at or below the border level is
+        one task per thread over that thread's own tile (H = 0, b = 1,
+        K2 = K1), and its DD has one path per non-zero entry: ``K1 =
+        2**(n-k-c) * ((2**c - 1) * 2**k + nnz(U))`` for ``k`` targets,
+        ``c`` controls and target matrix ``U``.  ``nnz`` counts the
+        entries the gate DD keeps (:func:`~repro.dd.matrix.kept_entries`),
+        so the verdict equals :meth:`evaluate`'s on the built windowed DD
+        without building it, unless an entry of ``U`` sits within about
+        ``TOLERANCE`` of the DD's zero rule, where the package's complex
+        table decides.
+
+        A gate across the border is :meth:`evaluate` on its windowed DD,
+        built in this model's scratch package, which serves pricing only:
+        the simulator's package and gate-DD cache never hold it.
         """
-        n, t = num_qubits, self.threads
-        border = border_level(n, t)
-        top = max(gate.qubits)
-        macs, blocks = gate_blocks(
-            gate.matrix(), gate.targets, gate.controls, border
-        )
-        k1 = macs << (n - 1 - top)
-        if top <= border:
+        n = num_qubits
+        if max(gate.qubits) <= border_level(n, self.threads):
+            k, c = len(gate.targets), len(gate.controls)
+            nnz = kept_entries(gate.matrix(), gate.targets)
+            k1 = ((((1 << c) - 1) << k) + nnz) << (n - k - c)
             return self._price(n, k1, k1, 0, 1)
-        h = (1 << n) // t
-        tile = {q: 1 << (q - border - 1) for q in gate.qubits if q > border}
-        on = sum(tile[c] for c in gate.controls if c in tile)
-        high = [tile[q] for q in gate.targets if q in tile]
-        width = len(high)
-        # The tile-index bits of each row (or column) pattern of the
-        # targets above the border, the first target most significant.
-        spread = [
-            sum(m for i, m in enumerate(high) if bits >> (width - 1 - i) & 1)
-            for bits in range(1 << width)
-        ]
-        mask = sum(high)
-        columns = []
-        for col in range(t):
-            if col & on != on:
-                columns.append([(IDENTITY_BLOCK, col * h, h)])
-                continue
-            c_bits = spread.index(col & mask)
-            rest = col & ~mask
-            columns.append([
-                (block[0], (rest | spread[r_bits]) * h, block[1])
-                for r_bits in range(1 << width)
-                if (block := blocks.get((r_bits, c_bits))) is not None
-            ])
-        hits = k2 = 0
-        for column in columns:
-            distinct = {key: m for key, _, m in column}
-            hits += len(column) - len(distinct)
-            k2 += sum(distinct.values())
-        return self._price(n, k1, k2, hits, assign_buffers(columns)[1])
+        pkg = self._scratch
+        if pkg is None or pkg.num_qubits != n:
+            pkg = self._scratch = DDPackage(n)
+        return self.evaluate(pkg, build_gate_dd(pkg, gate, windowed=True))
 
     def _from_assignment(
         self, pkg: DDPackage, m: Edge, assignment: CacheAssignment

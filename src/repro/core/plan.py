@@ -122,8 +122,10 @@ class TileLocalPlan:
     """An unfused gate's plan: the gate itself and its Eq. 5-6 entry.
 
     :func:`~repro.core.dmav.dmav_nocache` applies it from the gate's
-    matrix (:func:`~repro.core.dmav.apply_tile_local`); the verdict is
-    always Algorithm 1.
+    matrix (:func:`~repro.core.dmav.apply_tile_local`), also where the
+    entry prices Algorithm 2 cheaper (a gate across the border whose
+    blocks repeat, such as a product-form unitary): the array kernel
+    has no cache to use.
     """
 
     gate: Gate

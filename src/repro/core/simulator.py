@@ -265,10 +265,11 @@ def apply_plan(
     verdict (Section 3.2.3): Algorithm 2 (its cache assignment, writer
     lists and direct-write flags, over ``buffers``: at least
     ``plans[0].assignment.num_buffers`` partials of ``v``'s shape and any
-    contents), else Algorithm 1 (its row-major tasks).  ``out_dirty``
+    contents), else Algorithm 1 (its row-major tasks).  A tile-local
+    step never takes Algorithm 2, whatever its verdict.  ``out_dirty``
     says whether ``out`` may hold stale data.  Returns ``(out, stats)``.
     """
-    if plans[0].cost.use_cache:
+    if isinstance(plans[0], GatePlan) and plans[0].cost.use_cache:
         return dmav_cached(
             pkg, None, v, threads, runner, dense_level, out=out,
             plans=plans, buffers=buffers, out_dirty=out_dirty,
@@ -335,8 +336,8 @@ def dmav_phase(
     a sweep group its repeated conversion.  A step is an unfused
     :class:`Gate` (:func:`dmav_steps`), the same kind and qubits in every
     row, or, in a one-row batch, a fused gate DD.  Every column runs its
-    rows' plans (a :class:`~repro.core.plan.TileLocalPlan` priced in
-    closed form and applied from its matrix, or a gate DD's
+    rows' plans (a :class:`~repro.core.plan.TileLocalPlan` priced on
+    its gate DD and applied from its matrix, or a gate DD's
     :class:`~repro.core.plan.GatePlan`) through :func:`apply_plan`
     between recycled :class:`~repro.parallel.arena.BufferArena` buffers,
     in ``ROW_BLOCK_BYTES`` row blocks.
@@ -350,8 +351,8 @@ def dmav_phase(
 
     Returns ``(state, gate_costs, timed_out)``: the final batch, a
     ``(macs, cost_nocache, cost_cache, cached)`` tuple per row and
-    column, and whether ``deadline`` (a ``time.perf_counter()`` value)
-    passed.
+    column (``cached``: the step ran Algorithm 2), and whether
+    ``deadline`` (a ``time.perf_counter()`` value) passed.
     """
     tracing = tracer.enabled
     threads = cfg.threads
@@ -370,7 +371,10 @@ def dmav_phase(
         w_buf, w_dirty = arena.output()
         row_plans = [plans.get(sr[j]) for sr in steps_rows]
         plan = row_plans[0]
-        use_cache = plan.cost.use_cache
+        # A column is all tile-local steps or one gate DD's plan.  A
+        # tile-local step takes the array kernel even where Eq. 6 prices
+        # Algorithm 2 cheaper, so it is never counted as cached.
+        use_cache = isinstance(plan, GatePlan) and plan.cost.use_cache
         bufs = arena.partials(
             plan.assignment.num_buffers if use_cache else 0
         )
@@ -390,7 +394,7 @@ def dmav_phase(
         for p in row_plans:
             c = p.cost
             gate_costs.append(
-                (c.macs_total, c.cost_nocache, c.cost_cache, c.use_cache)
+                (c.macs_total, c.cost_nocache, c.cost_cache, use_cache)
             )
         cost = plan.cost
         g1 = time.perf_counter()

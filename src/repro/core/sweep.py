@@ -297,8 +297,6 @@ def run_sweep(
         states[i] = ustates[first_of[fp]]
 
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
-    # Every column runs batched; the counter stays for record continuity.
-    registry.counter("dmav.sweep.gates_rowloop").inc(0)
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
     metadata["conversion_seconds"] = sum(conversions)
     snap = registry.snapshot()

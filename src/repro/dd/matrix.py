@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.common.config import TOLERANCE
 from repro.common.errors import DDError
-from repro.dd.complextable import ComplexTable
 from repro.dd.node import TERMINAL, ZERO_EDGE, DDNode, Edge
 from repro.dd.operations import identity_extend
 from repro.dd.package import DDPackage
@@ -33,8 +32,7 @@ __all__ = [
     "single_qubit_gate",
     "two_qubit_gate",
     "controlled_gate",
-    "gate_blocks",
-    "IDENTITY_BLOCK",
+    "kept_entries",
     "matrix_to_dense",
     "matrix_entry",
     "matrix_node_count",
@@ -195,152 +193,62 @@ def _wrap_level(
     return out
 
 
-#: :func:`gate_blocks`'s key for an identity node.
-IDENTITY_BLOCK = "I"
-_IDENTITY_KIDS = (
-    (1 + 0j, IDENTITY_BLOCK), (0j, None), (0j, None), (1 + 0j, IDENTITY_BLOCK)
-)
-_ZERO = (0j, None, 0, frozenset())
+def kept_entries(u: np.ndarray, targets: tuple[int, ...]) -> int:
+    """How many entries of ``u`` :func:`controlled_gate`'s DD keeps,
+    without building it.
 
-
-def gate_blocks(
-    u: np.ndarray,
-    targets: tuple[int, ...],
-    controls: tuple[int, ...],
-    border: int,
-) -> tuple[int, dict]:
-    """:func:`controlled_gate`'s DD structure, without building it.
-
-    Returns ``(macs, blocks)``.  ``macs`` is the Fig. 8 MAC count of the
-    windowed gate DD (``mac_count`` of its root at the highest active
-    qubit).  ``blocks`` maps each kept entry ``(r, c)`` of the grid over
-    the targets above level ``border`` (``targets`` order, the first most
-    significant index bit) to ``(key, macs)`` of its node at level
-    ``border``; equal keys are one node, :data:`IDENTITY_BLOCK` the
-    identity's.  It is empty when the whole window sits at or below
-    ``border``.
-
-    The build is replayed level by level, as the DD package runs it, on
-    ``(weight, key, macs)`` entries: each new node divides its weights by
-    its factor, the first weight of largest magnitude
-    (:meth:`~repro.dd.package.DDPackage.make_mnode`), and the package's
-    zero rule drops an entry exactly where the package drops it.  Nodes
-    are keyed by their normalized children, canonicalized by a fresh
-    complex table, so blocks that are scalar multiples share a key.
-    Untouched levels double every entry's count and change no key.  The
-    package canonicalizes against its own table's history, so only a
-    value within about ``TOLERANCE`` of another or of a threshold can
-    decide differently.
+    The construction drops an entry twice over: where the complex table
+    zeroes it (both parts below ``TOLERANCE``), and where a target fold's
+    :meth:`~repro.dd.package.DDPackage.make_mnode` divides it by its 2x2
+    sub-grid's factor (the first weight of largest magnitude) and both
+    parts of the ratio are below ``TOLERANCE``.  With two targets the
+    second fold divides the first fold's factors, so a whole sub-grid can
+    go.  Control and untouched levels drop nothing.  The package divides
+    weights already canonicalized by its complex table, which moves a
+    value by less than ``TOLERANCE``; raw values are used here, so only an
+    entry or ratio within that distance of the threshold can count
+    differently.
     """
-    active = sorted((*targets, *controls))
-    # Only nodes at or below the border are compared, and only when the
-    # window crosses it; elsewhere the zero rule alone decides.
-    keyed = ComplexTable().lookup if active[0] <= border < active[-1] else None
-    prev = active[0] - 1
-    # Entries: (weight, key, macs at level prev, border positions under
-    # it, or None below the border).  U's entries sit over the identity
-    # chain below the window.
     grid = [
-        [
-            (w, IDENTITY_BLOCK, 1 << active[0], None) if w else _ZERO
-            for w in map(_zero_rule, row)
-        ]
+        [(0j, 0) if _negligible(x) else (x, 1) for x in row]
         for row in np.asarray(u, dtype=np.complex128).tolist()
     ]
+    # Targets fold from the lowest level up, as in controlled_gate.
     pending = list(targets)
-    blocks = None
-    for level in active:
-        if blocks is None and border < level:
-            # The grid now spans the targets above the border; its
-            # entries' nodes sit at the border level.
-            grid, blocks = _border_grid(grid, border - prev)
-        if level > prev + 1:
-            grid = [
-                [
-                    (w, key, macs << (level - prev - 1), b)
-                    for w, key, macs, b in row
-                ]
-                for row in grid
+    for level in sorted(targets):
+        step = 1 << (len(pending) - 1 - pending.index(level))
+        pending.remove(level)
+        spread = [i + (i & -step) for i in range(len(grid) >> 1)]
+        grid = [
+            [
+                _fold_count((
+                    grid[r][c], grid[r][c | step],
+                    grid[r | step][c], grid[r | step][c | step],
+                ))
+                for c in spread
             ]
-        canon = keyed if keyed is not None and level <= border else _zero_rule
-        if level in pending:
-            step = 1 << (len(pending) - 1 - pending.index(level))
-            pending.remove(level)
-            spread = [i + (i & -step) for i in range(len(grid) >> 1)]
-            grid = [
-                [
-                    _node(canon, (
-                        grid[r][c], grid[r][c | step],
-                        grid[r | step][c], grid[r | step][c | step],
-                    ))
-                    for c in spread
-                ]
-                for r in spread
-            ]
-        else:
-            ident = (1 + 0j, IDENTITY_BLOCK, 1 << level, frozenset())
-            grid = [
-                [
-                    _node(canon, (ident, _ZERO, _ZERO, e)) if r == c
-                    else _node(canon, (_ZERO, _ZERO, _ZERO, e))
-                    for c, e in enumerate(row)
-                ]
-                for r, row in enumerate(grid)
-            ]
-        prev = level
-    root = grid[0][0]
-    if blocks is None:
-        return root[2], {}
-    return root[2], {pos: blocks[pos] for pos in root[3]}
+            for r in spread
+        ]
+    return grid[0][0][1]
 
 
-def _border_grid(grid, shift: int):
-    """Key every non-zero grid entry by its position and record its node
-    at the border, ``shift`` levels above the entries' (negative: the
-    identity chain below the window)."""
-    blocks = {}
-    out = []
-    for r, row in enumerate(grid):
-        out.append([])
-        for c, (w, key, macs, _) in enumerate(row):
-            if not w:
-                out[-1].append(_ZERO)
-                continue
-            blocks[(r, c)] = (
-                key, macs << shift if shift >= 0 else macs >> -shift
-            )
-            out[-1].append((w, key, macs, frozenset({(r, c)})))
-    return out, blocks
+def _negligible(w: complex) -> bool:
+    """The complex table's zero rule."""
+    return abs(w.real) < TOLERANCE and abs(w.imag) < TOLERANCE
 
 
-def _zero_rule(w: complex) -> complex:
-    """The complex table's zero rule alone: parts both below TOLERANCE
-    make an exact zero."""
-    return 0j if abs(w.real) < TOLERANCE and abs(w.imag) < TOLERANCE else w
-
-
-def _node(canon, entries) -> tuple:
-    """``make_mnode`` on four ``(weight, key, macs, blocks)`` entries,
-    ``canon`` canonicalizing each normalized weight."""
-    max_mag = max(abs(e[0]) for e in entries)
+def _fold_count(entries) -> tuple[complex, int]:
+    """``make_mnode``'s factor for four ``(weight, kept)`` entries, and
+    the kept entries whose ratio to it survives the zero rule."""
+    max_mag = max(abs(w) for w, _ in entries)
     if max_mag == 0:
-        return _ZERO
+        return 0j, 0
     factor = next(
-        e[0] for e in entries if abs(e[0]) >= max_mag * (1.0 - TOLERANCE)
+        w for w, _ in entries if abs(w) >= max_mag * (1.0 - TOLERANCE)
     )
-    kids, macs, blocks = [], 0, frozenset()
-    for w, key, m, b in entries:
-        w = canon(w / factor) if w else 0j
-        if w:
-            kids.append((w, key))
-            macs += m
-            blocks = None if b is None or blocks is None else blocks | b
-        else:
-            kids.append((0j, None))
-    key = tuple(kids)
-    if key == _IDENTITY_KIDS:
-        key = IDENTITY_BLOCK
-    return factor, key, macs, blocks
+    return factor, sum(
+        kept for w, kept in entries if not _negligible(w / factor)
+    )
 
 
 def _resolve_top(pkg: DDPackage, top: int | None, window_top: int) -> int:

@@ -94,10 +94,7 @@ class TestSweep:
         counters = payload["obs"]["counters"]
         assert counters["dmav.sweep.rows"] == 4
         assert counters["dmav.sweep.unique_rows"] == 4
-        assert (
-            counters["dmav.sweep.gates_batched"]
-            + counters["dmav.sweep.gates_rowloop"]
-        ) > 0
+        assert counters["dmav.sweep.gates_batched"] > 0
 
     def test_params_file(self, template_file, tmp_path, capsys):
         rows = tmp_path / "rows.json"

@@ -175,9 +175,10 @@ class TestVerdictMemo:
 
 
 class TestAcrossTheBorder:
-    """An unfused gate with a qubit above the border level, priced from
-    its matrix: each thread's column holds the gate's non-zero h x h
-    blocks, and blocks that are scalar multiples share one node."""
+    """An unfused gate with a qubit above the border level, priced in the
+    model's scratch package like its DD in a fresh one: each thread's
+    column holds the gate's non-zero h x h blocks, and blocks that are
+    scalar multiples share one node."""
 
     @staticmethod
     def _both(n, threads, gate):
@@ -193,12 +194,12 @@ class TestAcrossTheBorder:
         # the identity (one node, one hit) and writes both output tiles,
         # so the two threads need two buffers.
         n = 6
-        closed, built = self._both(n, 2, Gate("h", (n - 1,)))
-        assert closed == built
-        assert closed.macs_total == 1 << (n + 1)
-        assert (closed.cache_hits, closed.buffers) == (2, 2)
-        assert closed.cost_cache == (1 << n) / 2 + (1 << n) / 4 * (2 / 2 + 2)
-        assert not closed.use_cache
+        priced, built = self._both(n, 2, Gate("h", (n - 1,)))
+        assert priced == built
+        assert priced.macs_total == 1 << (n + 1)
+        assert (priced.cache_hits, priced.buffers) == (2, 2)
+        assert priced.cost_cache == (1 << n) / 2 + (1 << n) / 4 * (2 / 2 + 2)
+        assert not priced.use_cache
 
     def test_scalar_multiple_blocks_share_a_node(self):
         # Over the target above the border, A (x) B's blocks are A[r, c]
@@ -211,19 +212,19 @@ class TestAcrossTheBorder:
         n, threads = 6, 2
         product = np.kron(random_unitary(2, 1), random_unitary(2, 2))
         for u, hits in ((product, threads), (random_unitary(4, 3), 0)):
-            closed, built = self._both(
+            priced, built = self._both(
                 n, threads, UnitaryGate(u, (n - 1, 0))
             )
-            assert closed == built
-            assert closed.cache_hits == hits
+            assert priced == built
+            assert priced.cache_hits == hits
 
     def test_control_above_the_border_copies_tiles(self):
         # cx with its control above the border: the control-0 columns
         # hold the identity, the others the x block, one task each.
         n, threads = 6, 4
-        closed, built = self._both(n, threads, Gate("cx", (1,), (n - 1,)))
-        assert closed == built
-        assert closed.cache_hits == 0 and closed.buffers == 1
+        priced, built = self._both(n, threads, Gate("cx", (1,), (n - 1,)))
+        assert priced == built
+        assert priced.cache_hits == 0 and priced.buffers == 1
 
 
 class TestExecutionConsistency:

@@ -23,7 +23,7 @@ from repro.core.plan import PlanCache
 from repro.core.simulator import FlatDDSimulator, dmav_phase
 from repro.dd import DDPackage, matrix_to_dense, mm_multiply, single_qubit_gate
 from repro.dd.analysis import bottom_out, dense_matrix_block, kron_collapse
-from repro.dd.matrix import controlled_gate, gate_blocks, two_qubit_gate
+from repro.dd.matrix import controlled_gate, kept_entries, two_qubit_gate
 from repro.dd.operations import identity_extend
 from repro.metrics.memory import MemoryMeter
 from repro.obs.metrics import MetricsRegistry
@@ -943,13 +943,6 @@ def _raw_nonzeros(u):
     ))
 
 
-def _kept_entries(u, targets):
-    """Entries of ``u`` its DD keeps on ``targets`` alone: the MAC count
-    of the same targets ranked onto the lowest levels."""
-    ranked = tuple(sorted(targets).index(t) for t in targets)
-    return gate_blocks(u, ranked, (), len(targets))[0]
-
-
 class TestTileLocal:
     """Every unfused gate is applied from its matrix, against its gate DD.
 
@@ -957,8 +950,9 @@ class TestTileLocal:
     building, planning or classifying a DD.  Its result must match the
     windowed gate DD's dense matrix, its batch rows and thread-pool tiles
     must be exact slices of one-row, inline calls, and its Eq. 5-6 entry
-    from the matrix alone must equal the cost model's verdict on the
-    built DD.
+    (in closed form within the border, on one model's scratch package
+    across it, gate after gate) must equal the cost model's verdict on a
+    fresh build of its DD.
     """
 
     @pytest.fixture
@@ -1029,8 +1023,8 @@ class TestTileLocal:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_near_tolerance_entries_priced_like_the_dd(self, threads):
-        """``NEAR_TOLERANCE_GATES`` at every placement: the price from
-        the matrix drops the entries the DD drops."""
+        """``NEAR_TOLERANCE_GATES`` at every placement: the unfused
+        price drops the entries the DD drops."""
         n = 6
         dropped = 0
         for name, params in NEAR_TOLERANCE_GATES:
@@ -1041,7 +1035,7 @@ class TestTileLocal:
                     name, qubits[controls:], qubits[:controls], params
                 )
                 u = gate.matrix()
-                dropped += _kept_entries(u, gate.targets) < _raw_nonzeros(u)
+                dropped += kept_entries(u, gate.targets) < _raw_nonzeros(u)
                 # A fresh package: no earlier weight to canonicalize onto.
                 pkg, model = DDPackage(n), CostModel(threads)
                 m = build_gate_dd(pkg, gate, windowed=True)
@@ -1073,7 +1067,7 @@ class TestTileLocal:
             targets = (0,) if k == 1 else ((1, 0), (0, 1))[case % 3 % 2]
             pkg = DDPackage(2)
             m = controlled_gate(pkg, u, targets, (), top=max(targets))
-            kept = _kept_entries(u, targets)
+            kept = kept_entries(u, targets)
             assert kept == (mac_count(pkg, m) if not m.is_zero else 0), (
                 u, targets,
             )

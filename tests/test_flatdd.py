@@ -6,7 +6,8 @@ import pytest
 from repro import FlatDDConfig, FlatDDSimulator
 from repro.algorithms.ansatz import HardwareEfficientAnsatz
 from repro.backends import GateDDCache
-from repro.circuits import Gate, get_circuit
+from repro.circuits import Circuit, Gate, get_circuit
+from repro.circuits.gates import UnitaryGate
 from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.common.errors import ParallelError
 from repro.core.cost_model import CostModel, assign_cache_tasks
@@ -21,7 +22,7 @@ from repro.resilience.guard import MemoryGuard
 from repro.verify.fuzz import generate_circuit, spec_for_iteration
 from repro.verify.fuzz.oracles import TOLERANCE_LADDER
 
-from tests.conftest import force_dmav_verdict, reference_state
+from tests.conftest import force_dmav_verdict, random_unitary, reference_state
 
 
 class TestCorrectness:
@@ -104,6 +105,54 @@ class TestExecutionInvariance:
         assert pooled.states.tobytes() == inline.states.tobytes()
         tight = dict(TOLERANCE_LADDER)["tight"]
         assert np.max(np.abs(dense3.states - inline.states)) <= tight
+
+
+class TestCachedVerdictAcrossTheBorder:
+    """A product-form unitary ``A (x) B`` with a target above the border
+    prices Algorithm 2 cheaper (its blocks repeat within each column),
+    yet as an unfused step the array kernel applies it: ``run()`` and a
+    sweep land on the statevector and count it tile-local, not cached."""
+
+    @staticmethod
+    def _template(n):
+        a, b = random_unitary(2, 1), random_unitary(2, 2)
+        c = Circuit(n, name="across-the-border")
+        for q in range(n):
+            c.h(q)
+        c.ry(0.4, 1)
+        c.append(UnitaryGate(np.kron(a, b), (n - 1, 0)))
+        c.rz(0.3, n - 2)
+        c.append(UnitaryGate(np.kron(b, a), (0, n - 1)))
+        c.ry(0.2, n - 1)
+        return c
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_run_and_sweep(self, threads):
+        n = 6
+        template = self._template(n)
+        model = CostModel(threads)
+        assert all(
+            model.evaluate_tile_local(n, g).use_cache
+            for g in template.gates if isinstance(g, UnitaryGate)
+        )
+        sim = FlatDDSimulator(threads=threads, force_convert_at=0)
+        run = sim.run(template)
+        counters = run.metadata["obs"]["counters"]
+        assert counters["dmav.gates_cached"] == 0
+        assert counters["dmav.gates_tile_local"] == len(template) - 1
+        assert not any(c[3] for c in run.metadata["dmav_gate_costs"])
+        np.testing.assert_allclose(
+            run.state, reference_state(template), atol=1e-12, rtol=0
+        )
+        rows = [(0.4, 0.3, 0.2), (1.1, -0.7, 2.5), (-2.0, 0.9, -0.1)]
+        sweep = sim.simulate_sweep(template, rows)
+        assert sweep.metadata["obs"]["counters"]["dmav.gates_cached"] == 0
+        for row, state in zip(rows, sweep.states):
+            bound = template.bind(row)
+            assert np.array_equal(state, sim.run(bound).state), row
+            np.testing.assert_allclose(
+                state, reference_state(bound), atol=1e-12, rtol=0
+            )
 
 
 class TestPhaseBehaviour:

@@ -286,7 +286,6 @@ def test_incongruent_rows_replay_per_row(
         _assert_rows_identical(sim, c, rows, result)
         counters = result.metadata["obs"]["counters"]
         if fusion == "none":
-            assert counters["dmav.sweep.gates_rowloop"] == 0
             assert counters["dmav.sweep.gates_batched"] == 3
             assert counters["dmav.plan.compiles"] == 0
             assert counters["dmav.gates_cached"] == 0
@@ -348,7 +347,6 @@ def test_sweep_dmav_counters_equal_looped_runs(
     if fusion == "none":
         assert counters["dmav.gates"] == len(unique) * (
             counters["dmav.sweep.gates_batched"]
-            + counters["dmav.sweep.gates_rowloop"]
         )
     else:
         assert counters["dmav.sweep.groups"] == len(unique)
@@ -457,10 +455,7 @@ def test_sweep_metadata_counters():
     assert counters["dmav.sweep.rows"] == 4
     assert counters["dmav.sweep.unique_rows"] == 4
     assert counters["dmav.sweep.groups"] == 1
-    assert (
-        counters["dmav.sweep.gates_batched"]
-        + counters["dmav.sweep.gates_rowloop"]
-    ) > 0
+    assert counters["dmav.sweep.gates_batched"] > 0
     # The group leader packages' DD counters, as run() reports its own.
     assert counters["dd.nodes_created"] > 0
     assert counters["dd.compute_hits"] + counters["dd.compute_misses"] > 0
