@@ -11,15 +11,16 @@ the converted array: through the DMAV phase (array-phase seconds are the
 sum of its per-gate ``dmav`` trace records), and through the paper's
 listing -- per gate the cost model, the Assign descent, and the unplanned
 ``dmav_cached`` / ``dmav_nocache`` kernels with their own buffers -- on
-the two workload shapes the plans target: QFT (no repeated gate roots:
-amortization comes from the structural memo sharing border tasks across
-distinct roots) and supremacy (repeated roots: whole plans are served
-from cache).  The listing must land on the DMAV phase's bits, so both
-sides do the same work.
+two workload shapes: QFT (no repeated gate roots: every gate compiles
+its plan once, so the planned side saves the listing's second descent
+per gate, its freshly zeroed output and partial buffers and its
+every-buffer summation) and supremacy (repeated roots: whole plans are
+served from cache as well).  The listing must land on the DMAV phase's bits,
+so both sides do the same work.
 
 The same comparison on a fused run (``fusion="koperations"``), whose
 fused gate DDs are the traffic the plan cache serves in a run, is
-reported beside it and not gated: its speedup and task hit rate are
+reported beside it and not gated: its speedup and whole-plan hits are
 what the plan cache earns in practice.  (``fusion="cost"`` on qft-20
 takes minutes per run, so the k-operations grouping stands in.)
 
@@ -157,7 +158,7 @@ def run_experiment(threads: int = 4):
                 f"{m['off']:.3f}",
                 f"{m['on']:.3f}",
                 f"{m['speedup']:.2f}x",
-                f"{100.0 * m['gauges']['dmav.plan.hit_rate']['value']:.1f}%",
+                str(counters["dmav.plan.hits"]),
                 str(counters["dmav.plan.compiles"]),
                 str(counters["dmav.arena.partial_allocs"]),
             ])
@@ -166,7 +167,7 @@ def run_experiment(threads: int = 4):
         f"(min of {REPEATS} interleaved runs, {threads} threads, "
         "force_convert_at=0; fused rows reported, not gated)",
         ["workload", "no-plan s", "plan s", "speedup",
-         "task hit rate", "compiles", "partial allocs"],
+         "plan hits", "compiles", "partial allocs"],
         rows,
     )
     return text, measured, fused
@@ -187,7 +188,6 @@ def test_plan_cache_speedup(benchmark, threads):
             "arena_partial_allocs": (
                 m["counters"]["dmav.arena.partial_allocs"]
             ),
-            "plan_hit_rate": m["gauges"]["dmav.plan.hit_rate"]["value"],
         }
 
     record(
@@ -205,11 +205,9 @@ def test_plan_cache_speedup(benchmark, threads):
             f"below the {MIN_SPEEDUP}x floor"
         )
         counters = m["counters"]
-        # Amortization actually happened: tasks were served from the
-        # structural memo, and the arena stopped allocating after
-        # warm-up (one ping-pong output pair; the partial pool grows
-        # once to the widest gate's needs, bounded by the thread count).
-        assert counters["dmav.plan.hits"] > 0, name
+        # The arena stopped allocating after warm-up (one ping-pong
+        # output pair; the partial pool grows once to the widest gate's
+        # needs, bounded by the thread count).
         assert counters["dmav.arena.output_allocs"] == 1, name
         assert counters["dmav.arena.partial_allocs"] <= threads, name
         assert m["gauges"]["dmav.arena.bytes"]["value"] > 0, name

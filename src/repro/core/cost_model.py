@@ -41,8 +41,8 @@ from repro.parallel.pool import validate_thread_count
 __all__ = [
     "mac_count",
     "CacheAssignment",
-    "assign_buffers",
     "assign_cache_tasks",
+    "assign_tasks",
     "CostModel",
     "GateCost",
 ]
@@ -118,6 +118,49 @@ class CacheAssignment:
         return total
 
 
+def assign_tasks(
+    pkg: DDPackage, m: Edge, threads: int
+) -> list[list[tuple[DDNode, int, complex]]]:
+    """Algorithm 1's Assign: row-major border-level task lists per thread.
+
+    Each task is ``(border_node, v_start_index, coefficient)`` where the
+    coefficient is the weight product along the DD path *including* the
+    border edge's own weight.  The implicit identity levels above a
+    windowed root descend their diagonal only, carrying the root edge
+    without multiplying their exact 1.0 weights; a root below the border
+    level becomes one task per thread, spanning its diagonal block.
+    """
+    n = pkg.num_qubits
+    validate_thread_count(threads, n)
+    border = border_level(n, threads)
+    tasks: list[list[tuple[DDNode, int, complex]]] = [[] for _ in range(threads)]
+
+    def descend(e: Edge, f: complex, u: int, i_v: int, level: int) -> None:
+        if e.is_zero:
+            return
+        if level == border:
+            tasks[u].append((e.n, i_v, f * e.w))
+            return
+        stride = threads >> (n - level)
+        if e.n.level < level:
+            for i in (0, 1):
+                descend(e, f, u + i * stride, i_v + (1 << level) * i, level - 1)
+            return
+        for i in (0, 1):
+            for j in (0, 1):
+                descend(
+                    e.n.edges[2 * i + j],
+                    f * e.w,
+                    u + i * stride,
+                    i_v + (1 << level) * j,
+                    level - 1,
+                )
+
+    if not m.is_zero:
+        descend(m, 1.0 + 0j, 0, 0, n - 1)
+    return tasks
+
+
 def assign_cache_tasks(pkg: DDPackage, m: Edge, threads: int) -> CacheAssignment:
     """Simulate Algorithm 2's AssignCache partition (column-major descent).
 
@@ -157,42 +200,29 @@ def assign_cache_tasks(pkg: DDPackage, m: Edge, threads: int) -> CacheAssignment
     if not m.is_zero:
         descend(m, 1.0 + 0j, 0, 0, n - 1)
 
-    buffer_of, num_buffers = assign_buffers(tasks)
+    # Algorithm 2 lines 22-25: first-fit threads into shared buffers.  Two
+    # threads share a partial output buffer iff their occupied output
+    # slices don't overlap; all slices have length h = 2**n / t, so
+    # comparing start offsets is an exact overlap test.
+    buffer_slots: list[set[int]] = []
+    buffer_of: list[int] = []
+    for thread_tasks in tasks:
+        offsets = {i_p for _, i_p, _ in thread_tasks}
+        for bi, occupied in enumerate(buffer_slots):
+            if not (occupied & offsets):
+                occupied.update(offsets)
+                buffer_of.append(bi)
+                break
+        else:
+            buffer_slots.append(offsets)
+            buffer_of.append(len(buffer_slots) - 1)
     return CacheAssignment(
         num_qubits=n,
         threads=threads,
         tasks=tasks,
         buffer_of=buffer_of,
-        num_buffers=num_buffers,
+        num_buffers=len(buffer_slots),
     )
-
-
-def assign_buffers(
-    tasks: list[list[tuple[DDNode, int, complex]]],
-) -> tuple[list[int], int]:
-    """Algorithm 2 lines 22-25: first-fit threads into shared buffers.
-
-    Two threads share a partial output buffer iff their occupied output
-    slices don't overlap.  All slices have length h = 2**n / t, so
-    comparing start offsets is an exact overlap test.  Shared between
-    :func:`assign_cache_tasks` and the plan compiler
-    (:mod:`repro.core.plan`) so both produce the identical partition.
-    """
-    buffer_slots: list[set[int]] = []
-    buffer_of: list[int] = []
-    for thread_tasks in tasks:
-        offsets = {i_p for _, i_p, _ in thread_tasks}
-        placed = -1
-        for bi, occupied in enumerate(buffer_slots):
-            if not (occupied & offsets):
-                placed = bi
-                occupied.update(offsets)
-                break
-        if placed < 0:
-            buffer_slots.append(set(offsets))
-            placed = len(buffer_slots) - 1
-        buffer_of.append(placed)
-    return buffer_of, len(buffer_slots)
 
 
 @dataclass(frozen=True)
@@ -251,10 +281,10 @@ class CostModel:
     ) -> GateCost:
         """Like :meth:`evaluate`, from an already-built AssignCache partition.
 
-        The plan compiler (:mod:`repro.core.plan`) derives the partition
-        during its own descent; passing it here skips the second DD walk
-        while producing the identical verdict (same H/K2/b inputs, same
-        formulas, same per-root memoization).
+        The plan compiler (:mod:`repro.core.plan`) keeps the partition
+        :func:`assign_cache_tasks` built for it; passing it here skips a
+        second descent while producing the identical verdict (same H/K2/b
+        inputs, same formulas, same per-root memoization).
         """
         cached = self._cache.get(m.n)
         if cached is not None:

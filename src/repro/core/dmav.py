@@ -8,6 +8,8 @@ flat array (no irregularity blow-up).
   splits the t threads in half at each DD level down to the border level
   ``n - log2 t - 1`` (row-major: each thread owns a row block of the output
   and reads all of V), then ``Run`` evaluates each border sub-matrix.
+  Both descents live beside the cost model that prices them
+  (:mod:`repro.core.cost_model`); ``assign_tasks`` is re-exported here.
 * :func:`dmav_cached` -- Algorithm 2.  Column-major assignment: each thread
   owns a column block (a fixed slice of V), writes into shared partial
   output buffers, and caches per-thread results so repeated border nodes
@@ -53,10 +55,13 @@ from repro.common.config import DENSE_BLOCK_LEVEL
 from repro.dd.analysis import DENSE_WINDOW_WIDTH, bottom_out
 from repro.dd.node import TERMINAL, DDNode, Edge
 from repro.dd.package import DDPackage
-from repro.core.cost_model import CacheAssignment, assign_cache_tasks
+from repro.core.cost_model import (
+    CacheAssignment,
+    assign_cache_tasks,
+    assign_tasks,
+)
 from repro.core.plan import GatePlan, TileLocalPlan
-from repro.parallel.partition import border_level
-from repro.parallel.pool import TaskRunner, validate_thread_count
+from repro.parallel.pool import TaskRunner
 from repro.parallel.simd import simd_add, simd_mul_into
 
 __all__ = [
@@ -78,49 +83,6 @@ class DMAVStats:
     cache_hits: int = 0
     buffers: int = 0
     used_cache: bool = False
-
-
-def assign_tasks(
-    pkg: DDPackage, m: Edge, threads: int
-) -> list[list[tuple[DDNode, int, complex]]]:
-    """Algorithm 1's Assign: row-major border-level task lists per thread.
-
-    Each task is ``(border_node, v_start_index, coefficient)`` where the
-    coefficient is the weight product along the DD path *including* the
-    border edge's own weight.  The implicit identity levels above a
-    windowed root descend their diagonal only, carrying the root edge
-    without multiplying their exact 1.0 weights; a root below the border
-    level becomes one task per thread, spanning its diagonal block.
-    """
-    n = pkg.num_qubits
-    validate_thread_count(threads, n)
-    border = border_level(n, threads)
-    tasks: list[list[tuple[DDNode, int, complex]]] = [[] for _ in range(threads)]
-
-    def descend(e: Edge, f: complex, u: int, i_v: int, level: int) -> None:
-        if e.is_zero:
-            return
-        if level == border:
-            tasks[u].append((e.n, i_v, f * e.w))
-            return
-        stride = threads >> (n - level)
-        if e.n.level < level:
-            for i in (0, 1):
-                descend(e, f, u + i * stride, i_v + (1 << level) * i, level - 1)
-            return
-        for i in (0, 1):
-            for j in (0, 1):
-                descend(
-                    e.n.edges[2 * i + j],
-                    f * e.w,
-                    u + i * stride,
-                    i_v + (1 << level) * j,
-                    level - 1,
-                )
-
-    if not m.is_zero:
-        descend(m, 1.0 + 0j, 0, 0, n - 1)
-    return tasks
 
 
 def _tile(t3: np.ndarray, off: int, h: int, node: DDNode) -> np.ndarray:
@@ -504,9 +466,10 @@ def dmav_cached(
     each buffer tile is written (assigned) by exactly one task, and the
     summation reads only each output tile's writer list instead of
     scanning every buffer.  ``out`` is likewise not pre-zeroed; writerless
-    tiles are filled only when ``out_dirty``.  Direct tasks (the sole
-    producer of their output tile, never a later cache hit) write W in
-    place and the summation skips their tile.
+    tiles are filled only when ``out_dirty``.  The plan's tasks are
+    :func:`~repro.core.cost_model.assign_cache_tasks`' own, so a planned
+    call does the listing form's work in its order and lands on its bits
+    (``0 + x`` and an assigned ``x`` differ in signed zeros only).
     """
     n = pkg.num_qubits
     planned = plans is not None
@@ -520,8 +483,7 @@ def dmav_cached(
                 f"planned dmav_cached applies one row's plan, got "
                 f"{len(plans)} plans for {v.shape[1]} rows"
             )
-        p0 = plans[0]
-        assignment = p0.assignment
+        assignment = plans[0].assignment
         if len(buffers) < assignment.num_buffers:
             raise ValueError(
                 f"{len(buffers)} buffers passed, assignment needs "
@@ -541,37 +503,26 @@ def dmav_cached(
     def work(u: int) -> None:
         tasks = assignment.tasks[u]
         buf = buffers[assignment.buffer_of[u]] if tasks else None
-        direct = p0.direct[u] if planned else None
         # Per-thread result cache: border node -> task index.
         cache: dict[int, int] = {}
         for k, (node, i_p, coeff) in enumerate(tasks):
-            to_w = planned and direct[k]
             src = cache.get(id(node))
             if src is not None:
                 # Scale the earlier result.
                 simd_mul_into(
-                    (w3 if to_w else buf)[i_p // h],
-                    buf[tasks[src][1] // h],
+                    buf[i_p // h], buf[tasks[src][1] // h],
                     coeff / tasks[src][2],
                 )
                 hits[u] += 1
-                continue
-            vin = _tile(v3, u * h, h, node)
-            if to_w:
-                # Sole producer of output tile i_p // h, never a hit
-                # source: write W in place; sum_block skips this tile.
-                run_border_task_batch(
-                    pkg, node, coeff, vin, _tile(w3, i_p, h, node),
-                    dense_level, accumulate=False,
-                )
                 continue
             if planned and node is TERMINAL:
                 # Terminal border tasks write one element, not the whole
                 # tile -- zero it so stale data can't leak.
                 buf[i_p // h].fill(0)
             run_border_task_batch(
-                pkg, node, coeff, vin, _tile(buf, i_p, h, node),
-                dense_level, accumulate=not planned or node is TERMINAL,
+                pkg, node, coeff, _tile(v3, u * h, h, node),
+                _tile(buf, i_p, h, node), dense_level,
+                accumulate=not planned or node is TERMINAL,
             )
             cache[id(node)] = k
 
@@ -582,10 +533,8 @@ def dmav_cached(
             for buf in buffers:
                 simd_add(w3[u], buf[u])
             return
-        ws = p0.writers[u]
+        ws = plans[0].writers[u]
         if not ws:
-            if p0.direct_out[u]:
-                return  # a direct task already wrote this tile in full
             if out_dirty:
                 w3[u].fill(0)
             return

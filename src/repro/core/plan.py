@@ -1,54 +1,34 @@
 """DMAV execution-plan compiler: compile a gate's array-phase work once.
 
 Section 3.2's promise is that DMAV keeps per-gate work proportional to
-the *gate DD's structure*.  The hot loop used to re-derive that structure
-on every application: ``CostModel.evaluate`` walked the gate DD,
-``assign_cache_tasks`` re-partitioned it, and ``assign_tasks`` would walk
-it again for the uncached variant.  A :class:`GatePlan` captures all of
-it -- the cost-model verdict, Algorithm 1's row-major task lists,
-Algorithm 2's column-major :class:`~repro.core.cost_model.CacheAssignment`
-plus the derived per-slice writer lists -- compiled once per unique
-``(gate-DD root, root weight)`` for a fixed thread count (one
-:class:`PlanCache` instance serves exactly one package and thread count,
-the ones the simulator runs).
+the *gate DD's structure*.  A :class:`GatePlan` holds everything the
+array phase needs to apply one gate DD -- the cost-model verdict,
+Algorithm 1's row-major task lists, Algorithm 2's column-major
+:class:`~repro.core.cost_model.CacheAssignment` and the per-tile writer
+lists derived from it -- compiled once per unique ``(gate-DD root, root
+weight)`` for a fixed thread count (one :class:`PlanCache` instance
+serves exactly one package and thread count, the ones the simulator
+runs).
 
-Gate DDs arrive *windowed*: the root sits at the gate's highest qubit
-``top`` and the levels above it are implicit identity.  Those levels add
-only diagonal blocks, so the compiler never walks them.  With ``border
-= n - log2(t) - 1``:
+A plan is the two Assign descents' output: ``row_tasks`` is
+:func:`~repro.core.cost_model.assign_tasks`' list and ``assignment`` is
+:func:`~repro.core.cost_model.assign_cache_tasks`' partition, buffers
+included.  Each algorithm thus has one descent, shared by the listing
+kernels of :mod:`repro.core.dmav`, the cost model and this compiler, so
+a planned run reproduces the listing forms' per-gate partitioning bit
+for bit by construction -- which is why the pipeline has no unplanned
+mode: the listing forms are the reference it is tested and benchmarked
+against.  Nothing below the root is memoized: a plan is reused only
+when its root repeats (supremacy's fused gates do; QFT's never do, so
+each of its gates compiles once).  Gate DDs arrive *windowed*, the root
+at the gate's highest qubit and the levels above it implicit identity;
+the descents walk those levels on the diagonal only, and a root below
+the border level ``n - log2(t) - 1`` is one task per thread.
 
-* a root at or above ``border`` compiles its window's border paths once
-  and copies them onto the ``2**(n-1-top)`` diagonal blocks, copy ``a``
-  shifting row and column offsets by ``a * 2**(top-border)`` tiles;
-* a root below ``border`` is one task ``(root, u*h, w)`` per thread
-  ``u``: the kernel applies it to each diagonal block of its tile.
-
-Two properties make the compiler more than a per-root dict:
-
-* **Structural memoization.**  Hash-consing guarantees structurally
-  identical sub-DDs are the *same object*, so the compiler memoizes
-  border-task paths per sub-DD node and shares them across gates.  Even
-  circuits with zero repeated gate roots (QFT applies every cp/h at a
-  distinct position) share structure inside their windows: identity
-  chains and repeated border blocks collapse.  ``hits``/``misses`` are
-  therefore *task-weighted*: a memo hit counts every cached border task
-  it serves, a miss counts the one freshly compiled border task, and a
-  whole-plan replay counts all of its tasks.  Diagonal copies and
-  below-border roots are no memo traffic.
-* **Bit-exact replay.**  Paths store the edge-weight *chain* instead of a
-  pre-multiplied product, and coefficients are folded top-down at plan
-  build exactly like the listing descents multiply them
-  (``((1 * w_root) * w_1) * ... * w_border``; neither multiplies the
-  implicit levels' exact 1.0 weights).  A planned run therefore
-  reproduces the unplanned per-gate partitioning bit-for-bit (signed
-  zeros aside), which is why the pipeline has no unplanned mode: the
-  listing-form kernels of :mod:`repro.core.dmav` are the reference it is
-  tested and benchmarked against.
-
-**Invalidation.**  Plans key nodes by ``id()`` and pin them via direct
-references, so a package garbage collection -- which sweeps unique-table
-entries and can recycle ids -- would silently corrupt the cache.
-:class:`~repro.dd.package.DDPackage` bumps ``gc_epoch`` on every
+**Invalidation.**  Plans key roots by ``id()`` and pin their nodes via
+direct references, so a package garbage collection -- which sweeps
+unique-table entries and can recycle ids -- would silently corrupt the
+cache.  :class:`~repro.dd.package.DDPackage` bumps ``gc_epoch`` on every
 ``collect_garbage`` (and hence every ``checkpoint_barrier``); the cache
 compares epochs on each lookup and drops everything when they diverge.
 Both a checkpoint writer's continuation and a resumed process then evolve
@@ -61,7 +41,7 @@ array kernel applies it from its matrix, so there is nothing to compile:
 its :class:`TileLocalPlan` holds the gate and its Eq. 5-6 price
 (:meth:`~repro.core.cost_model.CostModel.evaluate_tile_local`), keyed by
 the gate's exact identity (:attr:`~repro.circuits.gates.Gate.key`).
-Such lookups are no memo traffic and no compiles: the compiler serves
+Such lookups count as neither hits nor compiles: the compiler serves
 fused gate DDs only.
 """
 
@@ -74,11 +54,11 @@ from repro.core.cost_model import (
     CacheAssignment,
     CostModel,
     GateCost,
-    assign_buffers,
+    assign_cache_tasks,
+    assign_tasks,
 )
-from repro.dd.node import TERMINAL, DDNode, Edge
+from repro.dd.node import DDNode, Edge
 from repro.dd.package import DDPackage
-from repro.parallel.partition import border_level
 from repro.parallel.pool import validate_thread_count
 
 __all__ = ["GatePlan", "PlanCache", "TileLocalPlan"]
@@ -105,16 +85,6 @@ class GatePlan:
     #: instead of scanning every buffer over every slice, and it is what
     #: lets the arena hand ``dmav_cached`` dirty, never-zeroed buffers.
     writers: list[list[int]]
-    #: ``direct[u][i]``: thread ``u``'s ``i``-th column task is its output
-    #: slice's *sole* writer and never serves a later cache hit, so it may
-    #: write the final value straight into W, skipping the partial buffer
-    #: and the summation copy for that slice entirely.
-    direct: list[list[bool]]
-    #: ``direct_out[k]``: output slice ``k`` is completed by a direct task
-    #: (its ``writers[k]`` is empty but it must not be zero-filled).
-    direct_out: list[bool]
-    #: Border tasks in this plan (row and column views share the paths).
-    num_tasks: int
 
 
 @dataclass(frozen=True)
@@ -147,21 +117,14 @@ class PlanCache:
         self.pkg = pkg
         self.threads = threads
         self.model = model
-        self.border = border_level(pkg.num_qubits, threads)
         #: Root plans, keyed by ``(id(root node), root weight)`` -- the
         #: same node can in principle arrive under different root weights.
         self._plans: dict[tuple[int, complex], GatePlan] = {}
-        #: Per-node relative path lists (the structural memo).
-        self._memo: dict[int, list] = {}
         #: Unfused gates' plans, keyed by :attr:`Gate.key`.
         self._local: dict[tuple, TileLocalPlan] = {}
         self._epoch = pkg.gc_epoch
-        #: Task-weighted memo service: cached border tasks served.
+        #: Gate-DD lookups answered by an already compiled plan.
         self.hits = 0
-        #: Task-weighted memo service: border tasks compiled fresh.
-        self.misses = 0
-        #: Whole-plan lookups answered without any compilation.
-        self.gate_hits = 0
         #: Root plans compiled.
         self.compiles = 0
         #: Full-cache drops forced by package GC epoch changes.
@@ -187,150 +150,29 @@ class PlanCache:
             # GC may have swept (and Python may have recycled ids of)
             # nodes this cache keys by; everything derived is suspect.
             self._plans.clear()
-            self._memo.clear()
             self._epoch = self.pkg.gc_epoch
             self.invalidations += 1
         key = (id(m.n), m.w)
         plan = self._plans.get(key)
         if plan is not None:
-            self.hits += plan.num_tasks
-            self.gate_hits += 1
+            self.hits += 1
             return plan
         plan = self._compile(m)
         self._plans[key] = plan
         self.compiles += 1
         return plan
 
-    # -- compilation ---------------------------------------------------
-
-    def _paths(self, node: DDNode, level: int) -> list:
-        """Relative border paths of the sub-DD under ``node``.
-
-        Each path is ``(border_node, r, c, weight_chain, rk, ck)``: row
-        and column block offsets in h-slice units relative to this
-        subtree, the tuple of edge weights from ``node`` down to (and
-        including) the border edge, and the row-major/column-major DFS
-        sort keys (the (i, j) choices interleaved base-4 top-down, so
-        ascending order replays the legacy descent orders exactly).
-        """
-        paths = self._memo.get(id(node))
-        if paths is not None:
-            self.hits += len(paths)
-            return paths
-        if level == self.border:
-            self.misses += 1
-            paths = [(node, 0, 0, (), 0, 0)]
-        else:
-            paths = []
-            span = 1 << (level - 1 - self.border)
-            span2 = span * span
-            for k, child in enumerate(node.edges):
-                if child.is_zero:
-                    continue
-                i, j = divmod(k, 2)
-                for bn, r, c, chain, rk, ck in self._paths(
-                    child.n, level - 1
-                ):
-                    paths.append((
-                        bn,
-                        i * span + r,
-                        j * span + c,
-                        (child.w,) + chain,
-                        (2 * i + j) * span2 + rk,
-                        (2 * j + i) * span2 + ck,
-                    ))
-        self._memo[id(node)] = paths
-        return paths
-
     def _compile(self, m: Edge) -> GatePlan:
-        n = self.pkg.num_qubits
         t = self.threads
-        h = (1 << n) // t
-        top = m.n.level
-        if m.is_zero:
-            rel, span, copies = [], 1, 0
-        elif top < self.border:
-            # The window fits inside one diagonal block: one task per
-            # thread, applying the root over its own tile.
-            rel, span, copies = [(m.n, 0, 0, (), 0, 0)], 1, t
-        else:
-            # The implicit levels above the root add only diagonal
-            # blocks: the window's border paths repeat on each of them.
-            rel = self._paths(m.n, top)
-            span, copies = 1 << (top - self.border), 1 << (n - 1 - top)
-        # Fold coefficients top-down in the listing descents' exact
-        # multiplication order: ((1 * m.w) * w_1) * ... * w_border.
-        paths = []
-        for bn, r, c, chain, rk, ck in rel:
-            f = (1.0 + 0j) * m.w
-            for w in chain:
-                f = f * w
-            paths.append((bn, r, c, f, rk, ck))
-        # Each thread's tasks come from one diagonal copy ``a``, so
-        # sorting within the window replays the listing order.
-        row_tasks: list[list[tuple[DDNode, int, complex]]] = [
-            [] for _ in range(t)
-        ]
-        by_row = sorted(paths, key=lambda p: p[4])
-        cache_tasks: list[list[tuple[DDNode, int, complex]]] = [
-            [] for _ in range(t)
-        ]
-        by_col = sorted(paths, key=lambda p: p[5])
-        for a in range(0, copies * span, span):
-            for bn, r, c, f, _rk, _ck in by_row:
-                row_tasks[a + r].append((bn, (a + c) * h, f))
-            for bn, r, c, f, _rk, _ck in by_col:
-                cache_tasks[a + c].append((bn, (a + r) * h, f))
-        buffer_of, num_buffers = assign_buffers(cache_tasks)
-        assignment = CacheAssignment(
-            num_qubits=n,
-            threads=t,
-            tasks=cache_tasks,
-            buffer_of=buffer_of,
-            num_buffers=num_buffers,
-        )
-        # Classify column tasks for direct output writes.  A task may
-        # bypass its partial buffer and write W's slice in place when (a)
-        # it is the only task producing that output slice (nothing to sum
-        # with), and (b) no later task in its thread hits on its node (the
-        # per-thread cache reads hit sources back out of the buffer).
-        # Terminal tasks write single elements, not slices, and stay on
-        # the buffered path.
-        slice_tasks = [0] * t
-        for tlist in cache_tasks:
-            for _bn, i_p, _f in tlist:
-                slice_tasks[i_p // h] += 1
-        direct: list[list[bool]] = []
-        for tlist in cache_tasks:
-            last_use: dict[int, int] = {}
-            for i, (bn, _ip, _f) in enumerate(tlist):
-                last_use[id(bn)] = i
-            seen: set[int] = set()
-            flags = []
-            for i, (bn, i_p, _f) in enumerate(tlist):
-                is_source = id(bn) not in seen and last_use[id(bn)] > i
-                seen.add(id(bn))
-                flags.append(
-                    bn is not TERMINAL
-                    and not is_source
-                    and slice_tasks[i_p // h] == 1
-                )
-            direct.append(flags)
-        writer_sets: list[set[int]] = [set() for _ in range(t)]
-        direct_out = [False] * t
-        for u in range(t):
-            b = buffer_of[u]
-            for (_bn, i_p, _f), is_direct in zip(cache_tasks[u], direct[u]):
-                if is_direct:
-                    direct_out[i_p // h] = True
-                else:
-                    writer_sets[i_p // h].add(b)
+        h = (1 << self.pkg.num_qubits) // t
+        assignment = assign_cache_tasks(self.pkg, m, t)
+        writers: list[set[int]] = [set() for _ in range(t)]
+        for tasks, b in zip(assignment.tasks, assignment.buffer_of):
+            for _node, i_p, _coeff in tasks:
+                writers[i_p // h].add(b)
         return GatePlan(
             cost=self.model.evaluate_assignment(self.pkg, m, assignment),
-            row_tasks=row_tasks,
+            row_tasks=assign_tasks(self.pkg, m, t),
             assignment=assignment,
-            writers=[sorted(ws) for ws in writer_sets],
-            direct=direct,
-            direct_out=direct_out,
-            num_tasks=copies * len(paths),
+            writers=[sorted(ws) for ws in writers],
         )

@@ -447,17 +447,11 @@ def dmav_phase(
     registry.counter("dmav.gates").inc(len(gate_costs))
     registry.counter("dmav.macs").inc(macs)
     registry.counter("dmav.cache_hits").inc(cache_hits)
-    for key in ("hits", "misses", "gate_hits", "compiles", "invalidations"):
+    for key in ("hits", "compiles", "invalidations"):
         registry.counter(f"dmav.plan.{key}").inc(getattr(plans, key))
     for key in ("partial_allocs", "partial_reuses", "output_allocs"):
         registry.counter(f"dmav.arena.{key}").inc(getattr(arena, key))
     registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
-    # The rate over every call on this registry: a sweep calls once a group.
-    plan_hits = registry.counter("dmav.plan.hits").value
-    total = plan_hits + registry.counter("dmav.plan.misses").value
-    registry.gauge("dmav.plan.hit_rate").set(
-        plan_hits / total if total else 0.0
-    )
     return state, gate_costs, timed_out
 
 

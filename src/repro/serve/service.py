@@ -186,8 +186,7 @@ class ServeReport:
         if self.dmav is not None:
             lines.append(
                 f"  dmav plans: hits={self.dmav['plan_hits']} "
-                f"misses={self.dmav['plan_misses']} "
-                f"hit_rate={100.0 * self.dmav['plan_hit_rate']:.1f}% "
+                f"compiles={self.dmav['plan_compiles']} "
                 f"arena_peak_mb="
                 f"{self.dmav['arena_bytes_peak'] / (1024 * 1024):.2f} "
                 f"runs={self.dmav['runs']}"
@@ -416,7 +415,7 @@ def _aggregate_dmav(jobs) -> dict | None:
     jobs whose result was freshly produced contribute.  Counters sum
     across runs; the arena gauge peaks (each run owns its own arena).
     """
-    hits = misses = runs = 0
+    hits = compiles = runs = 0
     arena_peak = 0.0
     for job in jobs:
         result = job.result
@@ -429,18 +428,16 @@ def _aggregate_dmav(jobs) -> dict | None:
         if "dmav.plan.hits" not in counters:
             continue
         hits += counters.get("dmav.plan.hits", 0)
-        misses += counters.get("dmav.plan.misses", 0)
+        compiles += counters.get("dmav.plan.compiles", 0)
         gauge = obs.get("gauges", {}).get("dmav.arena.bytes")
         if gauge:
             arena_peak = max(arena_peak, gauge.get("max", gauge.get("value", 0.0)))
         runs += 1
     if runs == 0:
         return None
-    total = hits + misses
     return {
         "plan_hits": hits,
-        "plan_misses": misses,
-        "plan_hit_rate": hits / total if total else 0.0,
+        "plan_compiles": compiles,
         "arena_bytes_peak": int(arena_peak),
         "runs": runs,
     }

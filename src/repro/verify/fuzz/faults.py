@@ -90,6 +90,33 @@ def _fault_conversion_drop() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _fault_plan_writer_drop() -> Iterator[None]:
+    """Planned Algorithm 2 forgets one partial sum per shared output tile.
+
+    Every compiled plan drops the last partial buffer from each output
+    tile's writer list that holds more than one, so the summation misses
+    that buffer's contribution.  Only fused gate DDs that take Algorithm 2
+    reach it (thread counts above 1), so FlatDD diverges from the
+    baselines and from its own unfused run -- the partial-sum bug of
+    cached DMAV.
+    """
+    from repro.core.plan import PlanCache
+
+    original = PlanCache._compile
+
+    def faulty(self, m):
+        plan = original(self, m)
+        plan.writers = [ws[:-1] if len(ws) > 1 else ws for ws in plan.writers]
+        return plan
+
+    PlanCache._compile = faulty
+    try:
+        yield
+    finally:
+        PlanCache._compile = original
+
+
+@contextlib.contextmanager
 def _fault_transient_crash(times: int = 2) -> Iterator[None]:
     """Gate-DD construction raises for the first ``times`` calls, then heals.
 
@@ -148,6 +175,7 @@ FAULTS: dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "t-phase": _fault_t_phase,
     "swap-noop": _fault_swap_noop,
     "conversion-drop": _fault_conversion_drop,
+    "plan-writer-drop": _fault_plan_writer_drop,
 }
 
 #: Faults that *raise* instead of corrupting.  The serving layer

@@ -12,6 +12,7 @@ from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS, UnitaryGate
 from repro.common.config import DENSE_BLOCK_LEVEL, TOLERANCE, FlatDDConfig
 from repro.core.cost_model import CostModel, assign_cache_tasks, mac_count
 from repro.core import dmav as dmav_module
+from repro.core.fusion import K_OPERATIONS, fuse_cost_aware, fuse_k_operations
 from repro.core.dmav import (
     apply_tile_local,
     assign_tasks,
@@ -256,25 +257,61 @@ def _task_ids(rows):
     return [[(id(node), off, coeff) for node, off, coeff in row] for row in rows]
 
 
+def _fused_gates(pkg, threads):
+    """Fused, windowed gate DDs: the traffic the plan compiler serves.
+
+    Algorithm 3's and k-operations' products of a supremacy and a dnn
+    circuit's windowed gate DDs at ``pkg``'s width, priced for
+    ``threads``.  At n = 8 their roots sit above and below the border
+    level, and from t = 2 on some take Algorithm 2 on their own verdict.
+    """
+    model = CostModel(threads)
+    fused = []
+    for family in ("supremacy", "dnn"):
+        edges = [
+            build_gate_dd(pkg, g, windowed=True)
+            for g in get_circuit(family, pkg.num_qubits).gates
+        ]
+        fused += fuse_cost_aware(pkg, edges, model).gates
+        fused += fuse_k_operations(pkg, edges, K_OPERATIONS).gates
+    return fused
+
+
+def _gate_suites(threads):
+    """``(pkg, gate DDs)`` inputs of the plan tests: single full-height
+    gates at n = 5, then fused, windowed products at n = 8."""
+    pkg = DDPackage(5)
+    yield pkg, _random_gates(pkg)
+    pkg = DDPackage(8)
+    yield pkg, _fused_gates(pkg, threads)
+
+
 class TestGatePlan:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_plan_reproduces_legacy_partitions_exactly(self, threads):
-        n = 5
-        pkg = DDPackage(n)
-        plans = _plan_cache(pkg, threads)
-        for m in _random_gates(pkg):
-            plan = plans.get(m)
-            legacy_rows = assign_tasks(pkg, m, threads)
-            legacy_cache = assign_cache_tasks(pkg, m, threads)
-            # Same nodes, same offsets, bit-identical coefficients, same
-            # per-thread order -- the plan is a cached transcript of the
-            # legacy descents, not an approximation of them.
-            assert _task_ids(plan.row_tasks) == _task_ids(legacy_rows)
-            assert _task_ids(plan.assignment.tasks) == _task_ids(
-                legacy_cache.tasks
-            )
-            assert plan.assignment.buffer_of == legacy_cache.buffer_of
-            assert plan.assignment.num_buffers == legacy_cache.num_buffers
+        for pkg, gates in _gate_suites(threads):
+            plans = _plan_cache(pkg, threads)
+            border = border_level(pkg.num_qubits, threads)
+            for m in gates:
+                plan = plans.get(m)
+                legacy_rows = assign_tasks(pkg, m, threads)
+                legacy_cache = assign_cache_tasks(pkg, m, threads)
+                # Same nodes, same offsets, bit-identical coefficients,
+                # same per-thread order: the plan holds the descents'
+                # own task lists.
+                assert _task_ids(plan.row_tasks) == _task_ids(legacy_rows)
+                assert _task_ids(plan.assignment.tasks) == _task_ids(
+                    legacy_cache.tasks
+                )
+                assert plan.assignment.buffer_of == legacy_cache.buffer_of
+                assert plan.assignment.num_buffers == legacy_cache.num_buffers
+            if pkg.num_qubits == 8:
+                # The fused suite covers both sides of the border, and
+                # Algorithm 2 on its own verdict wherever t allows it.
+                levels = {m.n.level for m in gates}
+                assert min(levels) < border <= max(levels)
+                verdicts = {plans.get(m).cost.use_cache for m in gates}
+                assert (True in verdicts) == (threads > 1)
 
     def test_plan_cost_matches_cost_model(self):
         n = 5
@@ -291,23 +328,8 @@ class TestGatePlan:
         first = plans.get(m)
         again = plans.get(m)
         assert again is first
-        assert plans.compiles == 1
-        assert plans.gate_hits == 1
-        # A whole-plan hit is task-weighted: all of the plan's tasks count
-        # as served from cache.
-        assert plans.hits >= first.num_tasks
-
-    def test_structural_memo_shares_across_distinct_roots(self):
-        # h(0) and rz(0) differ at the bottom level but share the
-        # identity structure above it, so the second compile is mostly
-        # memo hits even though its root was never seen.
-        pkg = DDPackage(6)
-        plans = _plan_cache(pkg, 4)
-        plans.get(build_gate_dd(pkg, Gate("h", (0,))))
-        before = plans.hits
-        plans.get(build_gate_dd(pkg, Gate("rz", (0,), params=(0.7,))))
-        assert plans.compiles == 2
-        assert plans.hits > before
+        # One compile, then one whole-plan hit.
+        assert (plans.compiles, plans.hits) == (1, 1)
 
     def test_gc_epoch_invalidates_plans(self):
         pkg = DDPackage(5)
@@ -318,7 +340,7 @@ class TestGatePlan:
         pkg.collect_garbage([m])
         # Same (still-live) root: the epoch bump must drop the cache and
         # force a recompile, because GC may have swept nodes whose ids the
-        # memo keys by.
+        # plans key by.
         plan = plans.get(m)
         assert plans.invalidations == 1
         assert plans.compiles == 2
@@ -327,61 +349,17 @@ class TestGatePlan:
         )
 
     def test_writers_cover_exactly_the_written_slices(self):
-        n = 5
         threads = 4
-        pkg = DDPackage(n)
-        plans = _plan_cache(pkg, threads)
-        h = (1 << n) // threads
-        for m in _random_gates(pkg):
-            plan = plans.get(m)
-            expected = [set() for _ in range(threads)]
-            direct_expected = [False] * threads
-            for u, tasks in enumerate(plan.assignment.tasks):
-                for (_, i_p, _), is_direct in zip(tasks, plan.direct[u]):
-                    if is_direct:
-                        direct_expected[i_p // h] = True
-                    else:
-                        expected[i_p // h].add(
-                            plan.assignment.buffer_of[u]
-                        )
-            assert [sorted(ws) for ws in expected] == plan.writers
-            assert direct_expected == plan.direct_out
-            # Each output slice is produced exactly one way: direct tasks
-            # imply no buffered writers for the same slice.
-            for k in range(threads):
-                if plan.direct_out[k]:
-                    assert plan.writers[k] == []
-
-    def test_direct_tasks_are_sole_writers_and_never_hit_sources(self):
-        n = 5
-        threads = 4
-        pkg = DDPackage(n)
-        plans = _plan_cache(pkg, threads)
-        h = (1 << n) // threads
-        saw_direct = False
-        for m in _random_gates(pkg):
-            plan = plans.get(m)
-            slice_tasks = [0] * threads
-            for tasks in plan.assignment.tasks:
-                for _, i_p, _ in tasks:
-                    slice_tasks[i_p // h] += 1
-            for u, tasks in enumerate(plan.assignment.tasks):
-                seen = set()
-                for i, ((node, i_p, _), is_direct) in enumerate(
-                    zip(tasks, plan.direct[u])
-                ):
-                    if is_direct:
-                        saw_direct = True
-                        assert slice_tasks[i_p // h] == 1
-                        if id(node) not in seen:
-                            # A direct miss must not be a hit source: no
-                            # later task in this thread shares its node.
-                            assert not any(
-                                id(node2) == id(node)
-                                for node2, _, _ in tasks[i + 1:]
-                            )
-                    seen.add(id(node))
-        assert saw_direct
+        for pkg, gates in _gate_suites(threads):
+            plans = _plan_cache(pkg, threads)
+            h = (1 << pkg.num_qubits) // threads
+            for m in gates:
+                plan = plans.get(m)
+                expected = [set() for _ in range(threads)]
+                for u, tasks in enumerate(plan.assignment.tasks):
+                    for _, i_p, _ in tasks:
+                        expected[i_p // h].add(plan.assignment.buffer_of[u])
+                assert [sorted(ws) for ws in expected] == plan.writers
 
 
 def _tiles(v, threads):
@@ -392,41 +370,41 @@ def _tiles(v, threads):
 class TestPlannedExecution:
     """Planned kernels must be bit-identical to the listing forms."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_planned_nocache_bit_identical(self, threads):
-        n = 5
-        pkg = DDPackage(n)
-        plans = _plan_cache(pkg, threads)
-        v = random_state(n, seed=threads)
-        for m in _random_gates(pkg):
-            legacy, _ = dmav_nocache(pkg, m, v, threads)
-            dirty = np.full(1 << n, 99.0 + 9j)
-            planned, _ = dmav_nocache(
-                pkg, None, _tiles(v, threads), threads,
-                out=_tiles(dirty, threads), plans=[plans.get(m)],
-                out_dirty=True,
-            )
-            assert np.array_equal(legacy, planned.reshape(-1))
+        for pkg, gates in _gate_suites(threads):
+            n = pkg.num_qubits
+            plans = _plan_cache(pkg, threads)
+            v = random_state(n, seed=threads)
+            for m in gates:
+                legacy, _ = dmav_nocache(pkg, m, v, threads)
+                dirty = np.full(1 << n, 99.0 + 9j)
+                planned, _ = dmav_nocache(
+                    pkg, None, _tiles(v, threads), threads,
+                    out=_tiles(dirty, threads), plans=[plans.get(m)],
+                    out_dirty=True,
+                )
+                assert np.array_equal(legacy, planned.reshape(-1))
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_planned_cached_bit_identical(self, threads):
-        n = 5
-        pkg = DDPackage(n)
-        plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n, tiles=threads)
-        v = random_state(n, seed=threads + 20)
-        for m in _random_gates(pkg):
-            plan = plans.get(m)
-            legacy, s1 = dmav_cached(pkg, m, v, threads)
-            out = np.full(1 << n, -7.0 + 3j)
-            bufs = arena.partials(plan.assignment.num_buffers)
-            planned, s2 = dmav_cached(
-                pkg, None, _tiles(v, threads), threads,
-                out=_tiles(out, threads), plans=[plan], buffers=bufs,
-                out_dirty=True,
-            )
-            assert np.array_equal(legacy, planned.reshape(-1))
-            assert s1.cache_hits == s2.cache_hits
+        for pkg, gates in _gate_suites(threads):
+            n = pkg.num_qubits
+            plans = _plan_cache(pkg, threads)
+            arena = BufferArena(1 << n, tiles=threads)
+            v = random_state(n, seed=threads + 20)
+            for m in gates:
+                plan = plans.get(m)
+                legacy, s1 = dmav_cached(pkg, m, v, threads)
+                out = np.full(1 << n, -7.0 + 3j)
+                bufs = arena.partials(plan.assignment.num_buffers)
+                planned, s2 = dmav_cached(
+                    pkg, None, _tiles(v, threads), threads,
+                    out=_tiles(out, threads), plans=[plan], buffers=bufs,
+                    out_dirty=True,
+                )
+                assert np.array_equal(legacy, planned.reshape(-1))
+                assert s1.cache_hits == s2.cache_hits
 
     def test_dirty_buffers_never_leak_into_output(self):
         # Poison the arena pool, then run a gate whose writer lists leave
