@@ -78,7 +78,7 @@ def _planned_run(circuit, threads, fusion="none"):
     trace = []
     state, _, _ = dmav_phase(
         cfg, result.metadata["package"], None,
-        start.reshape(threads, 1, -1), [edges], 0, 0, MemoryGuard(None),
+        start.reshape(1, -1), [edges], 0, 0, MemoryGuard(None),
         MemoryMeter(), registry, {}, None,
         labels=[str(j) for j in range(len(edges))], trace=trace,
     )

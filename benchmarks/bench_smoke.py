@@ -65,10 +65,7 @@ def _replayed_tail_counters(circuit, cfg) -> dict:
     through the DMAV phase (counters only: any start state will do)."""
     meta = FlatDDSimulator(cfg).run(circuit, keep_internals=True).metadata
     registry = MetricsRegistry()
-    state = np.zeros(
-        (cfg.threads, 1, (1 << circuit.num_qubits) // cfg.threads),
-        dtype=np.complex128,
-    )
+    state = np.zeros((1, 1 << circuit.num_qubits), dtype=np.complex128)
     dmav_phase(
         cfg, meta["package"], None, state, [meta["dmav_edges"]],
         meta["conversion_gate_index"], 0, MemoryGuard(None), MemoryMeter(),

@@ -4,7 +4,7 @@ The sweep executor (``repro.core.sweep``) amortizes everything a looped
 ``run()`` re-pays per parameter point: the DD phase and conversion run
 once per shared-prefix group (rows are greedily grouped on bit-equal
 bound gates ``[0 .. convert_at]``), and the array phase applies every
-tail gate column from the rows' gate matrices over a tile-major row
+tail gate column from the rows' gate matrices over a row-major row
 batch, building no per-row gate DD and compiling no plan.  Every row
 stays bit-identical to its own single-shot run -- enforced here against
 a sampled subset and continuously by the ``sweep_consistency`` fuzz

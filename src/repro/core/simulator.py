@@ -18,12 +18,12 @@ Each phase is one plain function that every entry point composes:
 :func:`dd_phase` (from gate 0, or from a snapshot's cursor on resume, and
 once per :func:`repro.core.sweep.run_sweep` group), :func:`release_dd_phase`
 after conversion, and :func:`dmav_phase`, which applies emitted gate
-columns to a tile-major row batch: ``run()`` and its array-phase resume
-pass their flat state as one row, each sweep group its rows.  Unfused,
-every step is the gate itself (:func:`dmav_steps`), which the plan cache
-prices and ``dmav_nocache`` applies from its matrix, without a gate DD;
-with fusion on, ``run()`` builds and fuses gate DDs for DMAV before
-calling it.  The phases reach the DD-package and kernel entry points
+columns to a row-major ``(rows, 2**n)`` batch: ``run()`` and its
+array-phase resume pass their flat state as one row, each sweep group
+its rows.  Unfused, every step is the gate itself (:func:`dmav_steps`),
+which the plan cache prices and ``dmav_nocache`` applies from its
+matrix, without a gate DD; with fusion on, ``run()`` builds and fuses
+gate DDs for DMAV before calling it.  The phases reach the DD-package and kernel entry points
 through this module's namespace, so patching one name here (as
 ``perfbench/layers.py`` does for per-layer attribution) sees every call.
 """
@@ -256,14 +256,13 @@ def apply_plan(
     """One planned DMAV step: write row ``b`` of ``v`` times ``plans[b]``'s
     gate into row ``b`` of ``out``.
 
-    ``v`` and ``out`` are tile-major ``(threads, rows, 2**n // threads)``
-    batches: ``run()`` passes its flat state as a zero-copy ``(threads,
-    1, h)`` view, a sweep a block of rows.  A
-    :class:`~repro.core.plan.TileLocalPlan` per row (an unfused gate) is
-    applied from the rows' gate matrices.  A fused gate DD's one
-    :class:`~repro.core.plan.GatePlan` takes the kernel of its Eq. 5-6
-    verdict (Section 3.2.3): Algorithm 2 (its cache assignment, writer
-    lists and direct-write flags, over ``buffers``: at least
+    ``v`` and ``out`` are row-major ``(rows, 2**n)`` batches: ``run()``
+    passes its flat state as a zero-copy ``(1, 2**n)`` view, a sweep a
+    block of rows.  A :class:`~repro.core.plan.TileLocalPlan` per row (an
+    unfused gate) is applied from the rows' gate matrices.  A fused gate
+    DD's one :class:`~repro.core.plan.GatePlan`, on one row, takes the
+    kernel of its Eq. 5-6 verdict (Section 3.2.3): Algorithm 2 (its
+    cache assignment and writer lists, over ``buffers``: at least
     ``plans[0].assignment.num_buffers`` partials of ``v``'s shape and any
     contents), else Algorithm 1 (its row-major tasks).  A tile-local
     step never takes Algorithm 2, whatever its verdict.  ``out_dirty``
@@ -297,10 +296,11 @@ def dmav_steps(
     return [gates.get(g, windowed=True) for g in tail]
 
 
-#: Target bytes of one task slice per kernel call.  The kernels make
-#: several elementwise passes (scale, accumulate, fold) over each task
-#: slice; blocking a multi-row batch into row groups whose slice fits the
-#: CPU cache keeps those passes cache-resident the way one-row slices
+#: Target bytes of one tile of a row block (``block x 2**n / threads``
+#: amplitudes), the slice one pool task of a within-tile gate touches.
+#: The kernels make several elementwise passes (scale, accumulate, fold)
+#: over it; blocking a multi-row batch into row groups whose tile fits
+#: the CPU cache keeps those passes cache-resident the way one-row tiles
 #: are, instead of streaming the whole ``rows x 2**n`` batch through DRAM
 #: once per pass.  Rows are independent in every kernel branch, so the
 #: split never changes a row's arithmetic.
@@ -330,8 +330,8 @@ def dmav_phase(
 ):
     """Apply gate columns ``start:`` of ``steps_rows`` to the batch ``state``.
 
-    ``state`` is tile-major ``(threads, rows, 2**n // threads)`` and row
-    ``b`` applies ``steps_rows[b]``, whose entry ``j`` is emitted gate
+    ``state`` is a row-major ``(rows, 2**n)`` batch and row ``b`` applies
+    ``steps_rows[b]``, whose entry ``j`` is emitted gate
     ``j`` after ``convert_at``: ``run()`` passes its flat state as one row,
     a sweep group its repeated conversion.  A step is an unfused
     :class:`Gate` (:func:`dmav_steps`), the same kind and qubits in every
@@ -357,11 +357,11 @@ def dmav_phase(
     tracing = tracer.enabled
     threads = cfg.threads
     dense = cfg.dense_block_level
-    rows = state.shape[1]
+    rows, size = state.shape
     d0 = time.perf_counter()
     plans = PlanCache(pkg, threads, CostModel(threads))
-    arena = BufferArena(1 << pkg.num_qubits, rows=rows, tiles=threads)
-    block = max(1, min(rows, ROW_BLOCK_BYTES // (state.shape[2] * 16)))
+    arena = BufferArena(size, rows=rows)
+    block = max(1, min(rows, ROW_BLOCK_BYTES // (size // threads * 16)))
     columns = len(steps_rows[0])
     gate_costs: list[tuple[int, float, float, bool]] = []
     cache_hits = tile_steps = 0
@@ -382,9 +382,9 @@ def dmav_phase(
         for b0 in range(0, rows, block):
             b1 = min(b0 + block, rows)
             _, stats = apply_plan(
-                pkg, row_plans[b0:b1], state[:, b0:b1], w_buf[:, b0:b1],
+                pkg, row_plans[b0:b1], state[b0:b1], w_buf[b0:b1],
                 threads, runner, dense,
-                buffers=[bf[:, b0:b1] for bf in bufs], out_dirty=w_dirty,
+                buffers=[bf[b0:b1] for bf in bufs], out_dirty=w_dirty,
             )
             hits += stats.cache_hits
         tile_steps += sum(isinstance(p, TileLocalPlan) for p in row_plans)
@@ -716,7 +716,7 @@ class FlatDDSimulator(Simulator):
                         mode=cfg.fusion, emitted=len(steps),
                     )
                 state, gate_costs, timed_out = dmav_phase(
-                    cfg, pkg, runner, state.reshape(cfg.threads, 1, -1),
+                    cfg, pkg, runner, state.reshape(1, -1),
                     [steps], convert_at, dmav_start, guard, meter, registry,
                     metadata, write_array_checkpoint, labels=labels,
                     trace=trace, tracer=tr,
@@ -784,14 +784,17 @@ class FlatDDSimulator(Simulator):
         Returns a :class:`~repro.core.sweep.SweepResult` whose
         ``states[i]`` is bit-identical (``np.array_equal``) to
         ``self.run(circuit.bind(param_sets[i])).state``.  The sweep
-        deduplicates identical rows, shares one DD phase / conversion /
-        plan compilation across rows with a common gate prefix, and
-        replays the remaining gates as batched matrix x matrix kernels;
-        see :func:`repro.core.sweep.run_sweep` for the full contract.
+        deduplicates identical rows, shares one DD phase and conversion
+        across rows with a common gate prefix, and replays the remaining
+        gates as batched matrix x matrix kernels; see
+        :func:`repro.core.sweep.run_sweep` for the full contract.
 
         ``checkpoint_path`` receives a diagnostic sweep-phase snapshot on
-        a memory-guard breach; such snapshots cannot seed
-        ``run(resume_from=...)``.
+        a memory-guard breach in the batched replay; such snapshots
+        cannot seed ``run(resume_from=...)``.  With fusion on there is
+        no batched replay: each unique row runs through :meth:`run`, so
+        a breach there writes that row's array-phase snapshot and raises
+        with ``phase="array"``.
         """
         from repro.core.sweep import run_sweep
 
@@ -802,7 +805,7 @@ class FlatDDSimulator(Simulator):
 
 
 def _fused_labels(labels: list[str], fused: FusionResult) -> list[str]:
-    """Human-readable names for fused groups ('fused[h+cx+...x12]')."""
+    """Human-readable names for fused groups ('fused[x12]')."""
     out = []
     pos = 0
     for size in fused.group_sizes:

@@ -1,4 +1,4 @@
-"""Batched parameter-sweep execution over the compiled DMAV plans.
+"""Batched parameter-sweep execution over a row-major state batch.
 
 The paper's core observation (Fig. 2) is that flat-array matrix x matrix
 work vastly outperforms repeated matrix x vector work.  Variational
@@ -17,16 +17,17 @@ it three ways:
    :func:`~repro.core.simulator.dd_phase` ``run()`` calls), ONE
    conversion, and ONE leader :class:`~repro.dd.package.DDPackage`.
 2. **Price once.**  Each group's DMAV phase prices each distinct bound
-   gate once (:class:`~repro.core.plan.PlanCache`); rows share the
-   prices of their parameterless gates.
+   gate once (:class:`~repro.core.plan.PlanCache`, which compiles no
+   plan for an unfused gate); rows share the prices of their
+   parameterless gates.
 3. **Batched replay.**  Each group's rows replay their remaining gates
    through :func:`~repro.core.simulator.dmav_phase`, the DMAV phase
-   ``run()`` calls with one row, over a *tile-major* ``(threads, rows,
-   2**n / threads)`` batch.  Unfused, every remaining gate is one call of
-   the array kernel (:func:`~repro.core.dmav.apply_tile_local`) on the
-   whole batch, the rows' matrices stacked on its batch axis, whose
-   per-row slices are bit-identical to the one-row call.  The array
-   phase becomes batched matrix x matrix work.
+   ``run()`` calls with one row, over a row-major ``(rows, 2**n)``
+   batch.  Unfused, every remaining gate is one call of the array kernel
+   (:func:`~repro.core.dmav.apply_tile_local`) on the whole batch, the
+   rows' matrices stacked on its rows axis, whose per-row slices are
+   bit-identical to the one-row call.  The array phase becomes batched
+   matrix x matrix work.
 
 **Bit-identity contract.**  Every batch row equals (``np.array_equal``,
 the repo-wide replay standard: signed zeros aside) the state of
@@ -106,12 +107,6 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _untile(t3):
-    """Copy a ``(tiles, rows, h)`` batch back to logical ``(rows, 2**n)``."""
-    rows = t3.shape[1]
-    return np.ascontiguousarray(t3.transpose(1, 0, 2)).reshape(rows, -1)
-
-
 def run_sweep(
     sim,
     circuit: Circuit,
@@ -129,9 +124,13 @@ def run_sweep(
     :class:`~repro.common.errors.SimulationError` when empty).
 
     ``checkpoint_path`` receives a diagnostic sweep-phase snapshot when a
-    memory-guard breach aborts the replay (carried on the raised
+    memory-guard breach aborts the batched replay (carried on the raised
     :class:`~repro.common.errors.ResourceExhaustedError`); sweep
-    snapshots cannot resume a single-shot run.
+    snapshots cannot resume a single-shot run.  A fused sweep has no
+    batched replay: it runs each unique row through ``sim.run``, which
+    gets ``checkpoint_path`` too, so a breach there writes that row's
+    array-phase snapshot (of the bound row, not the template) and raises
+    with ``phase="array"``.
     """
     cfg = sim.config
     n = circuit.num_qubits
@@ -185,7 +184,7 @@ def run_sweep(
         ustates = []
         peak = 0
         for c in uniq:
-            r = sim.run(c, tracer=tracer)
+            r = sim.run(c, tracer=tracer, checkpoint_path=checkpoint_path)
             ustates.append(r.state)
             peak = max(peak, r.peak_memory_bytes)
             _merge_counters(counters, r.metadata["obs"]["counters"])
@@ -275,22 +274,19 @@ def run_sweep(
                 _write_sweep_checkpoint, checkpoint_path, pkg, convert_at,
                 circuit, cfg_digest,
             )
-            v3 = np.repeat(
-                conv.reshape(cfg.threads, 1, -1), len(members), axis=1
-            )
-            meter.sample(dd_bytes(pkg) + v3.nbytes)
+            batch = np.tile(conv, (len(members), 1))
+            meter.sample(dd_bytes(pkg) + batch.nbytes)
             guard.check_array(
                 meter.last_bytes, convert_at,
-                checkpoint=lambda: write_checkpoint(v3, 0), phase="sweep",
+                checkpoint=lambda: write_checkpoint(batch, 0), phase="sweep",
             )
-            v3, _, _ = dmav_phase(
-                cfg, pkg, runner, v3, steps_rows, convert_at, 0, guard,
+            batch, _, _ = dmav_phase(
+                cfg, pkg, runner, batch, steps_rows, convert_at, 0, guard,
                 meter, registry, metadata, write_checkpoint, phase="sweep",
             )
             gates_batched += len(steps_rows[0])
-            final = _untile(v3)
             for pos, ui in enumerate(members):
-                ustates[ui] = final[pos]
+                ustates[ui] = batch[pos]
 
     states = np.empty((num_rows, 1 << n), dtype=np.complex128)
     for i, fp in enumerate(fps):
@@ -333,14 +329,14 @@ def _merge_counters(counters: dict, group: dict) -> None:
 def _write_sweep_checkpoint(
     checkpoint_path, pkg, convert_at, template, cfg_digest, batch, cursor
 ):
-    """Guard-breach snapshot writer for a tile-major ``batch`` (None when
-    no path is configured)."""
+    """Guard-breach snapshot writer for a ``(rows, 2**n)`` ``batch`` (None
+    when no path is configured)."""
     if checkpoint_path is None:
         return None
     write_snapshot(
         checkpoint_path,
         snapshot_sweep_phase(
-            pkg, _untile(batch), convert_at, cursor, template, cfg_digest
+            pkg, batch, convert_at, cursor, template, cfg_digest
         ),
     )
     return checkpoint_path

@@ -1,6 +1,6 @@
 """Persistent buffer arena for the DMAV array phase.
 
-The array-phase hot loop needs three kinds of ``2**n`` complex128 scratch
+The array-phase hot loop needs two kinds of ``2**n`` complex128 scratch
 memory per gate: the output array it writes (``w``), and -- for cached
 DMAV -- the partial output buffers of Algorithm 2.  Before the plan
 compiler, ``dmav_cached`` allocated (and zero-filled) ``num_buffers``
@@ -25,11 +25,11 @@ run:
   simply overwritten and unwritten slices are never read (the plan's
   writer lists say which slices each buffer actually produced).
 
-Every buffer is *tile-major*: ``(tiles, rows, size // tiles)``, one tile
-per DMAV thread chunk and one row per batch row, so every task slice is
-one C-contiguous ``(rows, chunk)`` block.  ``run()`` uses one row (its
-flat state viewed as ``(threads, 1, h)``); a parameter sweep uses one row
-per sweep point, so the whole batch shares one arena warm-up.
+Every buffer is a row-major ``(rows, size)`` batch, one row per batch
+row, the layout of the state it replaces.  ``run()`` uses one row (its
+flat state viewed as ``(1, 2**n)``; the DMAV kernels view that row as
+``threads`` tiles); a parameter sweep uses one row per sweep point, so
+the whole batch shares one arena warm-up.
 
 The allocation counters make "zero per-gate allocations after warm-up"
 an assertable property instead of a timing inference:
@@ -48,22 +48,16 @@ __all__ = ["BufferArena"]
 class BufferArena:
     """Reusable output + partial-buffer memory for one DMAV phase."""
 
-    def __init__(self, size: int, rows: int = 1, tiles: int = 1) -> None:
+    def __init__(self, size: int, rows: int = 1) -> None:
         if size < 1:
             raise ValueError(f"arena size must be >= 1, got {size}")
         if rows < 1:
             raise ValueError(f"arena rows must be >= 1, got {rows}")
-        if tiles < 1 or size % tiles:
-            raise ValueError(
-                f"arena tiles must divide size, got {tiles} for {size}"
-            )
         #: Amplitudes per row (``2**n``).
         self.size = size
         #: Batch rows per buffer.
         self.rows = rows
-        #: Tiles per row: one per DMAV thread chunk.
-        self.tiles = tiles
-        self._shape = (tiles, rows, size // tiles)
+        self._shape = (rows, size)
         self._output: np.ndarray | None = None
         self._output_dirty = False
         self._partials: list[np.ndarray] = []

@@ -11,7 +11,6 @@ from repro.circuits import Gate, get_circuit
 from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS, UnitaryGate
 from repro.common.config import DENSE_BLOCK_LEVEL, TOLERANCE, FlatDDConfig
 from repro.core.cost_model import CostModel, assign_cache_tasks, mac_count
-from repro.core import dmav as dmav_module
 from repro.core.fusion import K_OPERATIONS, fuse_cost_aware, fuse_k_operations
 from repro.core.dmav import (
     apply_tile_local,
@@ -362,9 +361,9 @@ class TestGatePlan:
                 assert [sorted(ws) for ws in expected] == plan.writers
 
 
-def _tiles(v, threads):
-    """The zero-copy one-row ``(threads, 1, h)`` view planned DMAV takes."""
-    return v.reshape(threads, 1, -1)
+def _row(v):
+    """The zero-copy one-row ``(1, 2**n)`` batch planned DMAV takes."""
+    return v.reshape(1, -1)
 
 
 class TestPlannedExecution:
@@ -380,9 +379,8 @@ class TestPlannedExecution:
                 legacy, _ = dmav_nocache(pkg, m, v, threads)
                 dirty = np.full(1 << n, 99.0 + 9j)
                 planned, _ = dmav_nocache(
-                    pkg, None, _tiles(v, threads), threads,
-                    out=_tiles(dirty, threads), plans=[plans.get(m)],
-                    out_dirty=True,
+                    pkg, None, _row(v), threads, out=_row(dirty),
+                    plans=[plans.get(m)], out_dirty=True,
                 )
                 assert np.array_equal(legacy, planned.reshape(-1))
 
@@ -391,7 +389,7 @@ class TestPlannedExecution:
         for pkg, gates in _gate_suites(threads):
             n = pkg.num_qubits
             plans = _plan_cache(pkg, threads)
-            arena = BufferArena(1 << n, tiles=threads)
+            arena = BufferArena(1 << n)
             v = random_state(n, seed=threads + 20)
             for m in gates:
                 plan = plans.get(m)
@@ -399,9 +397,8 @@ class TestPlannedExecution:
                 out = np.full(1 << n, -7.0 + 3j)
                 bufs = arena.partials(plan.assignment.num_buffers)
                 planned, s2 = dmav_cached(
-                    pkg, None, _tiles(v, threads), threads,
-                    out=_tiles(out, threads), plans=[plan], buffers=bufs,
-                    out_dirty=True,
+                    pkg, None, _row(v), threads, out=_row(out),
+                    plans=[plan], buffers=bufs, out_dirty=True,
                 )
                 assert np.array_equal(legacy, planned.reshape(-1))
                 assert s1.cache_hits == s2.cache_hits
@@ -413,7 +410,7 @@ class TestPlannedExecution:
         threads = 4
         pkg = DDPackage(n)
         plans = _plan_cache(pkg, threads)
-        arena = BufferArena(1 << n, tiles=threads)
+        arena = BufferArena(1 << n)
         for buf in arena.partials(threads):
             buf.fill(1e9 + 1e9j)
         v = random_state(n, seed=13)
@@ -422,7 +419,7 @@ class TestPlannedExecution:
         out = np.full(1 << n, 1e9 + 0j)
         bufs = arena.partials(plan.assignment.num_buffers)
         w, _ = dmav_cached(
-            pkg, None, _tiles(v, threads), threads, out=_tiles(out, threads),
+            pkg, None, _row(v), threads, out=_row(out),
             plans=[plan], buffers=bufs, out_dirty=True,
         )
         np.testing.assert_allclose(
@@ -433,7 +430,7 @@ class TestPlannedExecution:
         # Writer lists come with the plans; partial buffers alone are not
         # a planned call.
         pkg = DDPackage(4)
-        v = _tiles(random_state(4, seed=1), 2)
+        v = _row(random_state(4, seed=1))
         m = single_qubit_gate(pkg, H, 0)
         with pytest.raises(ValueError):
             dmav_cached(
@@ -442,26 +439,30 @@ class TestPlannedExecution:
             )
 
     def test_planned_cached_takes_one_row(self):
-        # Algorithm 2 applies one row's plan: only fused gate DDs, which
-        # run() applies to its one row, reach it.
+        # Algorithms 1 and 2 apply one row's plan: only fused gate DDs,
+        # which run() applies to its one row, reach them.
         n, threads = 4, 2
         pkg = DDPackage(n)
         plan = _plan_cache(pkg, threads).get(single_qubit_gate(pkg, H, 3))
-        bufs = BufferArena(1 << n, rows=2, tiles=threads).partials(
+        bufs = BufferArena(1 << n, rows=2).partials(
             plan.assignment.num_buffers
         )
-        v = np.repeat(_tiles(random_state(n, seed=4), threads), 2, axis=1)
+        v = np.repeat(_row(random_state(n, seed=4)), 2, axis=0)
         for plans in ([plan, plan], [plan]):
             with pytest.raises(ValueError, match="one row"):
                 dmav_cached(
                     pkg, None, v, threads, out=np.zeros_like(v),
                     plans=plans, buffers=bufs,
                 )
+            with pytest.raises(ValueError, match="one row"):
+                dmav_nocache(
+                    pkg, None, v, threads, out=np.zeros_like(v), plans=plans
+                )
 
     def test_planned_cached_rejects_short_buffer_list(self):
         pkg = DDPackage(4)
         plans = _plan_cache(pkg, 2)
-        v = _tiles(random_state(4, seed=2), 2)
+        v = _row(random_state(4, seed=2))
         m = single_qubit_gate(pkg, H, 3)
         plan = plans.get(m)
         assert plan.assignment.num_buffers == 2
@@ -476,7 +477,7 @@ class TestPlannedExecution:
         n = 4
         pkg = DDPackage(n)
         plan = _plan_cache(pkg, threads).get(single_qubit_gate(pkg, H, 1))
-        v = _tiles(random_state(n, seed=3), threads)
+        v = _row(random_state(n, seed=3))
         with pytest.raises(ValueError):
             dmav_nocache(
                 pkg, None, v.reshape(-1), threads, out=np.zeros(1 << n),
@@ -491,9 +492,9 @@ class TestBufferArena:
         arena = BufferArena(8)
         first, dirty = arena.output()
         assert not dirty
-        assert first.shape == (1, 1, 8)
+        assert first.shape == (1, 8)
         assert np.all(first == 0)
-        consumed = np.arange(8, dtype=np.complex128).reshape(1, 1, 8)
+        consumed = np.arange(8, dtype=np.complex128).reshape(1, 8)
         arena.retire(consumed)
         second, dirty = arena.output()
         assert dirty
@@ -507,13 +508,13 @@ class TestBufferArena:
         with pytest.raises(ValueError):
             arena.retire(np.zeros(8, dtype=np.complex128))
 
-    def test_buffers_are_tile_major(self):
-        arena = BufferArena(16, rows=3, tiles=4)
+    def test_buffers_are_row_major(self):
+        arena = BufferArena(16, rows=3)
         out, _ = arena.output()
-        assert out.shape == (4, 3, 4)
-        assert [b.shape for b in arena.partials(2)] == [(4, 3, 4)] * 2
+        assert out.shape == (3, 16) and out.flags.c_contiguous
+        assert [b.shape for b in arena.partials(2)] == [(3, 16)] * 2
         with pytest.raises(ValueError):
-            BufferArena(16, tiles=3)
+            BufferArena(16, rows=0)
 
     def test_partial_pool_grows_once_then_reuses(self):
         arena = BufferArena(8)
@@ -551,12 +552,10 @@ class TestGateSequences:
 
 
 def _kernel(pkg, node, v, dense_level):
-    """The kernel on one node and one row, through the border-task runner."""
-    w = np.empty((1, v.size), dtype=np.complex128)
-    run_border_task_batch(
-        pkg, node, 1.0, v.reshape(1, -1), w, dense_level, accumulate=False
-    )
-    return w[0]
+    """The kernel on one node, through the border-task runner."""
+    w = np.empty(v.size, dtype=np.complex128)
+    run_border_task_batch(pkg, node, 1.0, v, w, dense_level, accumulate=False)
+    return w
 
 
 def _block_gemm_reference(pkg, node, v, dense_level):
@@ -687,9 +686,8 @@ class TestBottomOutPaths:
 
 
 #: ((gate name, targets, controls), dense level, bottom-out shape of the
-#: root); every batch row shares the gate.  ``pair`` reaches its 2x2
-#: level under pass-through levels, ``descend`` reaches one under a
-#: controlled level.
+#: root).  ``pair`` reaches its 2x2 level under pass-through levels,
+#: ``descend`` reaches one under a controlled level.
 BATCH_CASES = [
     pytest.param(("rz", (4,), ()), 2, "scale", id="scale"),
     pytest.param(("rz", (4,), ()), -1, "scale", id="scale-terminal"),
@@ -703,52 +701,34 @@ BATCH_CASES = [
 
 
 class TestBorderTaskBatch:
-    """One border task over a batch of rows, against one-row runs of each
-    row, bit for bit."""
+    """One border task on each bottom-out shape of its root: assigning
+    writes ``coeff * M v``, and accumulating adds those same bits onto
+    the output."""
 
     N = 6
 
-    @pytest.fixture
-    def one_row_calls(self, monkeypatch):
-        """Kernel calls on a one-row batch."""
-        calls = []
-        original = dmav_module._apply_lockstep
-
-        def spy(pkg, node, vten, *args, **kwargs):
-            if vten.shape[0] == 1:
-                calls.append(node)
-            return original(pkg, node, vten, *args, **kwargs)
-
-        monkeypatch.setattr(dmav_module, "_apply_lockstep", spy)
-        return calls
-
     @pytest.mark.parametrize("spec, dense_level, kind", BATCH_CASES)
-    def test_shared_node_bit_identical(
-        self, spec, dense_level, kind, one_row_calls
-    ):
+    def test_shared_node_bit_identical(self, spec, dense_level, kind):
         name, targets, controls = spec
         pkg = DDPackage(self.N)
         m = build_gate_dd(pkg, Gate(name, targets, controls, params=(0.7,)))
         assert bottom_out(pkg, m.n, dense_level).kind == kind
-        shape = (3, 1 << self.N)
+        size = 1 << self.N
         rng = np.random.default_rng(0)
-        vin = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for accumulate in (False, True):
-            refs = start.copy()
-            for b in range(shape[0]):
-                run_border_task_batch(
-                    pkg, m.n, m.w, vin[b:b + 1], refs[b:b + 1],
-                    dense_level, accumulate=accumulate,
-                )
-            one_row_calls.clear()
-            wout = start.copy()
-            run_border_task_batch(
-                pkg, m.n, m.w, vin, wout, dense_level, accumulate=accumulate
-            )
-            assert np.array_equal(wout, refs), accumulate
-            # The batch never splits into one-row calls.
-            assert one_row_calls == []
+        vin = rng.normal(size=size) + 1j * rng.normal(size=size)
+        start = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assigned = np.full(size, np.nan + 0j)
+        run_border_task_batch(
+            pkg, m.n, m.w, vin, assigned, dense_level, accumulate=False
+        )
+        np.testing.assert_allclose(
+            assigned, matrix_to_dense(pkg, m) @ vin, atol=1e-12, rtol=0
+        )
+        accumulated = start.copy()
+        run_border_task_batch(
+            pkg, m.n, m.w, vin, accumulated, dense_level, accumulate=True
+        )
+        assert np.array_equal(accumulated, start + assigned)
 
 
 def _windowed(pkg, gate):
@@ -813,7 +793,7 @@ class TestWindowedGateDDs:
             dense_window = (
                 low and bottom_out(pkg, m.n, DENSE_BLOCK_LEVEL).kind == "dense"
             )
-            buffers = BufferArena(1 << n, tiles=threads).partials(
+            buffers = BufferArena(1 << n).partials(
                 plan.assignment.num_buffers
             )
             for listing, use_cache in (
@@ -822,8 +802,7 @@ class TestWindowedGateDDs:
                 w, _ = listing(pkg, m, v, threads)
                 out = np.full(1 << n, 99.0 + 9j)
                 planned, _ = listing(
-                    pkg, None, _tiles(v, threads), threads,
-                    out=_tiles(out, threads), plans=[plan],
+                    pkg, None, _row(v), threads, out=_row(out), plans=[plan],
                     **({"buffers": buffers} if use_cache else {}),
                 )
                 assert np.array_equal(planned.reshape(-1), w), (q, use_cache)
@@ -949,13 +928,12 @@ class TestTileLocal:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_every_gate_and_placement(self, n, threads, gemm_operands):
-        h = (1 << n) // threads
         rows = len(TILE_ROW_ANGLES)
+        border = border_level(n, threads)
         rng = np.random.default_rng(n * 10 + threads)
-        v = rng.normal(size=(threads, rows, h)) + 1j * rng.normal(
-            size=(threads, rows, h)
+        v = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(
+            size=(rows, 1 << n)
         )
-        flat = v.transpose(1, 0, 2).reshape(rows, -1)
         model = CostModel(threads)
         cases = 0
         with TaskRunner(threads, use_pool=True) as pool:
@@ -963,33 +941,34 @@ class TestTileLocal:
                 cases += 1
                 out = np.full_like(v, np.nan)
                 gemm_operands.clear()
-                apply_tile_local(gates, v, out)
-                # No GEMM merges tiles or rows: the operand viewing the
-                # state keeps the rows axis and at most one tile or all
-                # of them, so M (or the pair's N) spans one row of one
-                # tile.
+                apply_tile_local(gates, v, out, threads)
+                # No GEMM merges rows: the operand viewing the state keeps
+                # the rows axis first, and a gate within a tile keeps the
+                # tile axis second, so M (or the pair's N) spans one row,
+                # of one tile when the gate's qubits all sit within it.
+                within = max(gates[0].qubits) <= border
                 for a, b in gemm_operands:
                     state = a if np.shares_memory(a, v) else b
                     assert np.shares_memory(state, v), gates[0]
-                    assert state.shape[1] == rows, (gates[0], a.shape)
-                    assert state.shape[0] in (1, threads), gates[0]
+                    assert state.shape[0] == rows, (gates[0], a.shape)
+                    if within:
+                        assert state.shape[1] == threads, (
+                            gates[0], state.shape,
+                        )
                 pooled = np.full_like(v, np.nan)
-                apply_tile_local(gates, v, pooled, runner=pool)
+                apply_tile_local(gates, v, pooled, threads, runner=pool)
                 assert np.array_equal(pooled, out), gates[0]
                 for r, gate in enumerate(gates):
-                    one = np.full((threads, 1, h), np.nan + 0j)
-                    apply_tile_local(
-                        [gate], np.ascontiguousarray(v[:, r:r + 1]), one
-                    )
-                    assert np.array_equal(one, out[:, r:r + 1]), (gate, r)
-                got = out.transpose(1, 0, 2).reshape(rows, -1)
+                    one = np.full((1, 1 << n), np.nan + 0j)
+                    apply_tile_local([gate], v[r:r + 1], one, threads)
+                    assert np.array_equal(one, out[r:r + 1]), (gate, r)
                 pkg = DDPackage(n)
                 # Parameterless kinds bind the same gate in every row.
                 for gate in dict.fromkeys(gates):
                     mine = [r for r, g in enumerate(gates) if g == gate]
                     m = build_gate_dd(pkg, gate, windowed=True)
                     np.testing.assert_allclose(
-                        got[mine], _window_reference(pkg, m, flat[mine]),
+                        out[mine], _window_reference(pkg, m, v[mine]),
                         atol=1e-12, rtol=0, err_msg=str(gate),
                     )
                     # The model memoizes verdicts by root node, so a
@@ -1080,7 +1059,7 @@ class TestTileLocal:
         registry = MetricsRegistry()
         state, costs, _ = dmav_phase(
             cfg, meta["package"], None,
-            converted.reshape(threads, 1, -1), [meta["dmav_edges"]], at, 0,
+            converted.reshape(1, -1), [meta["dmav_edges"]], at, 0,
             MemoryGuard(None), MemoryMeter(), registry, {}, None,
         )
         assert meta["dmav_gate_costs"] == costs

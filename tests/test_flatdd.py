@@ -393,8 +393,8 @@ class TestPlanCachePipeline:
                     assert not cached, step
                     out = np.empty_like(state)
                     apply_tile_local(
-                        [step], state.reshape(threads, 1, -1),
-                        out.reshape(threads, 1, -1),
+                        [step], state.reshape(1, -1), out.reshape(1, -1),
+                        threads,
                     )
                     state = out
                 elif cached:
@@ -425,7 +425,7 @@ class TestPlanCachePipeline:
         registry = MetricsRegistry()
         dmav_phase(
             cfg, r.metadata["package"], None,
-            np.zeros((4, 1, 1 << 8), dtype=complex),
+            np.zeros((1, 1 << 10), dtype=complex),
             [r.metadata["dmav_edges"]], 0, 0, MemoryGuard(None),
             MemoryMeter(), registry, {}, None,
         )

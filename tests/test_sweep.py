@@ -26,10 +26,10 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.core.simulator import FlatDDSimulator
-from repro.resilience.snapshot import read_snapshot
+from repro.resilience.snapshot import decode_array_state, read_snapshot
 from repro.verify.fuzz.oracles import phase_aligned_error
 
-from tests.conftest import force_dmav_verdict
+from tests.conftest import force_dmav_verdict, reference_state
 
 
 def _template(n=4, layers=2):
@@ -481,31 +481,61 @@ def test_sweep_metadata_counters():
 
 def test_guard_breach_mid_sweep_checkpoints_cleanly(tmp_path):
     """A budget breach in the batched replay writes a sweep snapshot and
-    raises the structured error; the snapshot is diagnostic only."""
+    raises the structured error; the snapshot is diagnostic only.  The
+    breach comes right after the shared prefix (gate 0), so every row of
+    the snapshot's batch is the logical state after it, at any thread
+    count."""
     c = _template(n=4, layers=1)
-    path = os.fspath(tmp_path / "sweep.ckpt")
+    prefix = reference_state(c[:1])
+    rows = _rows(c, 3, seed=2)
+    for threads in (2, 4):
+        path = os.fspath(tmp_path / f"sweep-{threads}.ckpt")
+        sim = FlatDDSimulator(
+            threads=threads, force_convert_at=0, memory_budget_bytes=1
+        )
+        with pytest.raises(ResourceExhaustedError) as exc:
+            sim.simulate_sweep(c, rows, checkpoint_path=path)
+        err = exc.value
+        assert err.phase == "sweep"
+        assert err.budget_bytes == 1
+        assert err.checkpoint_path == path
+        snap = read_snapshot(path)
+        assert snap.phase == "sweep"
+        assert snap.num_qubits == 4
+        assert snap.circuit_fingerprint == c.fingerprint()
+        assert snap.data["rows"] == 3
+        raw = base64.b64decode(snap.data["states_b64"])
+        states = np.frombuffer(raw, dtype=np.complex128).reshape(3, 16)
+        for row in states:
+            np.testing.assert_allclose(row, prefix, atol=1e-12, rtol=0)
+        # sweep snapshots cannot seed a single-shot resume (same config,
+        # so the digest pin passes and the phase rejection is what fires)
+        with pytest.raises(CheckpointError, match="sweep-phase"):
+            sim.run(c, resume_from=path)
+
+
+def test_guard_breach_in_fused_sweep_writes_the_rows_snapshot(tmp_path):
+    """A fused sweep has no batched replay: each unique row runs through
+    ``run()``, so a breach is that run's array-phase breach, and
+    ``checkpoint_path`` receives the bound row's array-phase snapshot."""
+    c = _template(n=4, layers=1)
+    path = os.fspath(tmp_path / "fused.ckpt")
     sim = FlatDDSimulator(
-        threads=2, force_convert_at=0, memory_budget_bytes=1
+        threads=2, fusion="cost", force_convert_at=0, memory_budget_bytes=1
     )
     rows = _rows(c, 3, seed=2)
     with pytest.raises(ResourceExhaustedError) as exc:
         sim.simulate_sweep(c, rows, checkpoint_path=path)
     err = exc.value
-    assert err.phase == "sweep"
-    assert err.budget_bytes == 1
+    assert err.phase == "array"
     assert err.checkpoint_path == path
     snap = read_snapshot(path)
-    assert snap.phase == "sweep"
-    assert snap.num_qubits == 4
-    assert snap.circuit_fingerprint == c.fingerprint()
-    assert snap.data["rows"] == 3
-    raw = base64.b64decode(snap.data["states_b64"])
-    states = np.frombuffer(raw, dtype=np.complex128).reshape(3, 16)
-    assert states.shape == (3, 16)
-    # sweep snapshots cannot seed a single-shot resume (same config, so
-    # the digest pin passes and the phase rejection is what fires)
-    with pytest.raises(CheckpointError, match="sweep-phase"):
-        sim.run(c, resume_from=path)
+    assert snap.phase == "array"
+    assert snap.gate_cursor == 0
+    assert snap.circuit_fingerprint == c.bind(rows[0]).fingerprint()
+    np.testing.assert_allclose(
+        decode_array_state(snap), reference_state(c[:1]), atol=1e-12, rtol=0
+    )
 
 
 def test_guard_breach_without_checkpoint_path(tmp_path):
