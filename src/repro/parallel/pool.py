@@ -6,6 +6,12 @@ inline (deterministic, default -- the container is single-core, see
 DESIGN.md substitution 1) or on a real ``ThreadPoolExecutor``.  Both paths
 run the *same* partitioned tasks, so correctness of the parallel
 decomposition is exercised regardless of the execution mode.
+
+One kernel makes no tasks: an unfused gate with a qubit above the border
+level is one call over the whole batch
+(:func:`~repro.core.dmav.apply_tile_local`), on the calling thread
+whichever mode the runner is in.  A pooled run thus loses those gates'
+parallelism, an accepted loss whose cost is not measured.
 """
 
 from __future__ import annotations
