@@ -117,7 +117,10 @@ def _tile_local_gates(n: int) -> dict[str, Gate]:
     swaps a qubit within the tile with one above it, as knn's cswaps do
     (permutation copies), and ``cz_top`` is a cz on the two top qubits,
     so every qubit sits above the border (the half with its control at 0
-    is copied, the other half a diagonal scale).
+    is copied, the other half a diagonal scale).  ``cx_below`` puts the
+    control under a target above the border and ``fsim_above`` is a
+    two-target gate above the dense window: both are sums over target
+    patterns, which skip the gate's zero entries.
     """
     return {
         "sx_low": Gate("sx", (0,)),
@@ -133,6 +136,8 @@ def _tile_local_gates(n: int) -> dict[str, Gate]:
         "rz_above": Gate("rz", (n - 2,), params=(0.4,)),
         "cswap_across": Gate("cswap", (n // 2, n - 1), (0,)),
         "cz_top": Gate("cz", (n - 2,), (n - 1,)),
+        "cx_below": Gate("cx", (n - 1,), (0,)),
+        "fsim_above": Gate("fsim", (n // 2, n - 1), params=(0.4, 0.3)),
     }
 
 

@@ -900,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-persist", action="store_true",
                    help="report violations without writing regression files")
     p.add_argument("--plant-bug", metavar="NAME", default=None,
-                   help="install a named fault (t-phase, swap-noop, "
-                        "conversion-drop) to demo the harness end to end")
+                   help="install a named fault from FAULTS (listed in "
+                        "docs/TESTING.md) to demo the harness end to end")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", metavar="PATH",
                    help="write a Chrome trace-event JSON of the campaign")

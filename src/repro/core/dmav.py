@@ -592,7 +592,8 @@ def apply_tile_local(
       copied;
     * swap kinds are permutation copies, and every other gate is the sum
       ``out_i = sum_j x_j * U[i, j]`` over its target patterns, one
-      elementwise term at a time (:func:`_tile_sum`).
+      elementwise term at a time, skipping entries that are 0 in every
+      row (:func:`_tile_sum`).
 
     A gate whose qubits all sit within a tile of ``h = 2**n // threads``
     amplitudes (at or below the border level ``n - log2 t - 1``) runs on
@@ -656,7 +657,9 @@ def _tile_sum(gates: list, v, out) -> None:
 
     ``x_j`` is the slice of ``v`` with target pattern ``j`` and every
     control at 1; every slice with a control at 0 is copied.  Swap kinds
-    copy the one ``x_j`` of their permutation.
+    copy the one ``x_j`` of their permutation.  Only the terms whose
+    ``U[i, j]`` is nonzero in some row are summed, in ``j`` order, so a
+    cx sums one term per pattern, not two.
     """
     g0 = gates[0]
     targets, controls = g0.targets, g0.controls
@@ -677,10 +680,14 @@ def _tile_sum(gates: list, v, out) -> None:
         return
     # Coefficients broadcast like a slice with every split qubit fixed.
     coef = _row_operand(gates, lambda g: g.matrix(), v.ndim + len(qubits))
+    # A term whose coefficient is 0 in every row would only add a signed
+    # zero, so it is skipped (a unitary's row has a nonzero entry).
+    live = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
     for i in range(1 << k):
         o = os_[slices[i]]
-        np.multiply(vs[slices[0]], coef[..., i, 0], out=o)
-        for j in range(1, 1 << k):
+        first, *rest = np.flatnonzero(live[i])
+        np.multiply(vs[slices[first]], coef[..., i, first], out=o)
+        for j in rest:
             o += vs[slices[j]] * coef[..., i, j]
 
 

@@ -2,10 +2,13 @@
 
 FlatDD's algorithms are specified for ``t`` worker threads (t a power of
 two).  :class:`TaskRunner` executes a list of per-thread thunks either
-inline (deterministic, default -- the container is single-core, see
-DESIGN.md substitution 1) or on a real ``ThreadPoolExecutor``.  Both paths
-run the *same* partitioned tasks, so correctness of the parallel
-decomposition is exercised regardless of the execution mode.
+inline (deterministic, the default; see DESIGN.md substitution 1) or on
+a real ``ThreadPoolExecutor``.  Both paths run the *same* partitioned
+tasks, so correctness of the parallel decomposition is exercised
+regardless of the execution mode.  No CLI flag or manifest key sets
+``FlatDDConfig.use_thread_pool`` (``repro serve --thread-pool`` pools the
+service's worker slots), so FlatDD's pooled runs come from tests and the
+fuzz harness's ``execution_invariance`` oracle.
 
 One kernel makes no tasks: an unfused gate with a qubit above the border
 level is one call over the whole batch

@@ -117,6 +117,96 @@ def _fault_plan_writer_drop() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def _fault_row_task_offset() -> Iterator[None]:
+    """Planned Algorithm 1 reads the wrong column half at its second split.
+
+    Assign halves the thread set once per level from the root down to
+    the border level ``n - log2 t - 1``, so only four or more threads
+    make a split at level ``n - 2``.  Every compiled row task made below
+    it reads the input block with bit ``n - 2`` of its offset flipped,
+    the other column half at that level.  Only fused gate DDs that take
+    Algorithm 1 at four or more threads reach it.
+    """
+    from repro.core.plan import PlanCache
+    from repro.parallel.partition import border_level
+
+    original = PlanCache._compile
+
+    def faulty(self, m):
+        plan = original(self, m)
+        n = self.pkg.num_qubits
+        if border_level(n, self.threads) < n - 2:
+            flip = 1 << (n - 2)
+            plan.row_tasks = [
+                [(node, i_v ^ flip, coeff) for node, i_v, coeff in tasks]
+                for tasks in plan.row_tasks
+            ]
+        return plan
+
+    PlanCache._compile = faulty
+    try:
+        yield
+    finally:
+        PlanCache._compile = original
+
+
+@contextlib.contextmanager
+def _fault_pair_transpose() -> Iterator[None]:
+    """The array kernel's ``pair`` branch applies ``U^T`` instead of ``U``.
+
+    The 2x2 pair matmul serves an unfused one-target gate whose target
+    sits above ``dense_block_level`` (a window at or below it is one
+    GEMM), so only circuits wider than the dense window, or runs at a
+    lower dense level, reach it.  Symmetric gates (H, X, RX, SX) hide it.
+    """
+    import repro.core.dmav as dmav
+
+    original = dmav._tile_uncontrolled
+
+    class Transposed:
+        def __init__(self, gate: Gate) -> None:
+            self.gate, self.params = gate, gate.params
+
+        def matrix(self) -> np.ndarray:
+            return self.gate.matrix().T
+
+    def faulty(gates, target, v, out, dense_level):
+        if target > dense_level:
+            gates = [Transposed(g) for g in gates]
+        original(gates, target, v, out, dense_level)
+
+    dmav._tile_uncontrolled = faulty
+    try:
+        yield
+    finally:
+        dmav._tile_uncontrolled = original
+
+
+@contextlib.contextmanager
+def _fault_pool_drop_task() -> Iterator[None]:
+    """The thread pool never runs the last task of a batch.
+
+    Inline runners call every task themselves, so only pooled runs
+    (``use_thread_pool=True``) lose work: the last thread's conversion
+    fill and the last tile of every gate applied tile by tile.
+    """
+    from repro.parallel.pool import TaskRunner
+
+    original = TaskRunner.run
+
+    def faulty(self, thunks):
+        if self.use_pool and len(thunks) > 1:
+            return original(self, thunks[:-1]) + [None]
+        return original(self, thunks)
+
+    TaskRunner.run = faulty
+    try:
+        yield
+    finally:
+        TaskRunner.run = original
+
+
+@contextlib.contextmanager
 def _fault_transient_crash(times: int = 2) -> Iterator[None]:
     """Gate-DD construction raises for the first ``times`` calls, then heals.
 
@@ -169,13 +259,20 @@ def _fault_permanent_crash() -> Iterator[None]:
 
 
 #: name -> context manager installing the fault for the enclosed block.
-#: These faults *silently corrupt* one simulation path, so differential
-#: oracles catch them; see CRASH_FAULTS for the raising kind.
+#: These faults *silently corrupt* one simulation path, so some oracle
+#: sees a wrong state; see CRASH_FAULTS for the raising kind.  The last
+#: four sit on paths that only a non-default execution knob reaches
+#: (fusion at t > 1, fusion at t >= 4, a dense level below a fuzz
+#: circuit's top qubit, the thread pool), so only
+#: ``execution_invariance`` sees them.
 FAULTS: dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "t-phase": _fault_t_phase,
     "swap-noop": _fault_swap_noop,
     "conversion-drop": _fault_conversion_drop,
     "plan-writer-drop": _fault_plan_writer_drop,
+    "row-task-offset": _fault_row_task_offset,
+    "pair-transpose": _fault_pair_transpose,
+    "pool-drop-task": _fault_pool_drop_task,
 }
 
 #: Faults that *raise* instead of corrupting.  The serving layer

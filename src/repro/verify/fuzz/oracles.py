@@ -8,19 +8,18 @@ Two families, both cheap relative to writing amplitude-level golden data:
   phase, within a tolerance *ladder* (an oracle violation reports the
   loosest tier it failed).
 * **metamorphic** -- properties that must hold regardless of the circuit
-  drawn: norm preservation, ``C . C^-1 = I`` round-trips, gate-fusion
-  on/off equivalence, forced early/late conversion-point equivalence,
-  thread-count invariance of the parallel conversion + DMAV kernels,
-  qubit-reorder equivalence (any variable order un-permutes back to the
-  natural-order state), bit-identical sweep rows against single-shot
-  runs, and bit-identical checkpoint/resume (a run interrupted at a
+  drawn: norm preservation, ``C . C^-1 = I`` round-trips, execution
+  invariance (one fixed table of thread counts, conversion points, fusion
+  modes, qubit orders, dense block levels and a pooled run, each against
+  the default run), bit-identical sweep rows against single-shot runs,
+  and bit-identical checkpoint/resume (a run interrupted at a
   fingerprint-derived gate and resumed from its snapshot must reproduce
   the uninterrupted run's amplitudes *exactly*, see docs/RESILIENCE.md).
 
 Every oracle is a pure function ``(circuit, ctx) -> OracleOutcome``;
 ``run_oracles`` shares simulated states across oracles through the
-:class:`OracleContext` cache so a full check costs ~10 simulations, not
-~20.
+:class:`OracleContext` cache, so the default FlatDD run and the two
+baselines are simulated once per circuit.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ __all__ = [
     "ORACLES",
     "ORACLE_FAMILIES",
     "TOLERANCE_LADDER",
+    "execution_table",
     "phase_aligned_error",
     "run_oracles",
 ]
@@ -130,9 +130,12 @@ def _skip(oracle: str, family: str, reason: str, t0: float) -> OracleOutcome:
 class OracleContext:
     """Shared state for one circuit's oracle sweep.
 
-    Final states are memoized by backend/config key, so e.g. the
-    conversion-point and fusion oracles reuse the differential oracles'
-    FlatDD run instead of re-simulating.
+    Final states are memoized by backend and config.  ``flatdd()`` with
+    no arguments is the default run (EWMA-timed conversion, ``threads``
+    threads, every other knob at its default): the differential oracles,
+    ``norm_preserved`` and ``execution_invariance`` share it, and each
+    row of :func:`execution_table` is ``flatdd(**row)``, so a row equal
+    to another config (a pooled row's inline twin) is simulated once.
     """
 
     circuit: Circuit
@@ -160,20 +163,12 @@ class OracleContext:
             self._states[key] = DDSimulator().run(self.circuit).state
         return self._states[key]
 
-    def flatdd(
-        self,
-        threads: int | None = None,
-        fusion: str = "none",
-        force_convert_at: int | None = None,
-        qubit_order: str = "natural",
-    ) -> np.ndarray:
-        t = self._effective_threads(threads)
-        key = ("flatdd", t, fusion, force_convert_at, qubit_order)
+    def flatdd(self, threads: int | None = None, **knobs) -> np.ndarray:
+        """FlatDD's final state under ``FlatDDConfig(**knobs)``, at
+        ``threads`` (the context's by default) capped to the circuit."""
+        cfg = FlatDDConfig(threads=self._effective_threads(threads), **knobs)
+        key = ("flatdd", cfg)
         if key not in self._states:
-            cfg = FlatDDConfig(
-                threads=t, fusion=fusion, force_convert_at=force_convert_at,
-                qubit_order=qubit_order,
-            )
             self._states[key] = FlatDDSimulator(cfg).run(self.circuit).state
         return self._states[key]
 
@@ -271,99 +266,78 @@ def oracle_inverse_roundtrip(
     )
 
 
-def oracle_fusion_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """Gate fusion is a performance knob; it must not change the state.
+def execution_table(gates: int) -> tuple[dict, ...]:
+    """The configurations :func:`oracle_execution_invariance` runs on a
+    circuit of ``gates`` gates, as ``FlatDDConfig`` overrides.
 
-    Conversion is forced after the first gate so (almost) the whole
-    circuit runs in the DMAV phase, where fusion actually applies.
+    Every value of every execution knob appears in some row: threads 1
+    and 4 (and the context's 2 elsewhere), conversion at gate 0, mid-way,
+    at the last gate and never, each fusion mode and qubit order, the
+    thread pool, and a dense block level of 1, which sends fuzz-sized
+    gates through the array kernel's branches above the dense window.  A
+    new knob is a new row, or a new value in one.  The pooled row is its
+    inline twin plus ``use_thread_pool``.
     """
-    t0 = time.perf_counter()
-    if len(circuit.gates) < 2:
-        return _skip(
-            "fusion_equivalence", "metamorphic", "needs >= 2 gates", t0
-        )
-    base = ctx.flatdd(fusion="none", force_convert_at=0)
-    errs = [
-        phase_aligned_error(base, ctx.flatdd(fusion=mode, force_convert_at=0))
-        for mode in ("cost", "koperations")
-    ]
-    return _ladder_outcome(
-        "fusion_equivalence", "metamorphic", max(errs),
-        "fusion none vs cost vs koperations (conversion forced at gate 0)",
-        t0,
+    low = {"threads": 4, "force_convert_at": 0, "dense_block_level": 1}
+    return (
+        low,
+        {**low, "use_thread_pool": True},
+        {"threads": 4, "force_convert_at": 0, "fusion": "cost"},
+        {"threads": 1, "force_convert_at": gates // 2,
+         "fusion": "koperations"},
+        {"force_convert_at": gates - 1, "qubit_order": "interaction"},
+        {"force_convert_at": gates, "qubit_order": "sift"},
     )
 
 
-def oracle_conversion_point_equivalence(
+def oracle_execution_invariance(
     circuit: Circuit, ctx: OracleContext
 ) -> OracleOutcome:
-    """The DD -> array handoff must be semantically invisible wherever it
-    happens: first gate, mid-circuit, last gate, never, or EWMA-timed."""
+    """Execution knobs must not change the state.
+
+    Each row of :func:`execution_table` is compared with the default
+    EWMA-timed run on the tolerance ladder: another conversion point,
+    thread count, fusion mode, qubit order or dense block level changes
+    the floating-point contraction order, which may perturb amplitudes
+    at the ulp level but no further.  The pooled row must equal its
+    inline twin byte for byte, the pool's contract.  The table is fixed,
+    so the shrinker and the regression replayer re-run exactly the
+    configurations that fired.
+    """
     t0 = time.perf_counter()
     gates = len(circuit.gates)
     if gates < 2:
         return _skip(
-            "conversion_point_equivalence", "metamorphic",
-            "needs >= 2 gates", t0,
+            "execution_invariance", "metamorphic", "needs >= 2 gates", t0
         )
-    base = ctx.flatdd()  # EWMA-timed (the production path)
-    points = sorted({0, gates // 2, gates - 1, gates})
-    errs = [
-        phase_aligned_error(base, ctx.flatdd(force_convert_at=p))
-        for p in points
-    ]
-    return _ladder_outcome(
-        "conversion_point_equivalence", "metamorphic", max(errs),
-        f"forced conversion at {points} vs EWMA-timed", t0,
-    )
-
-
-def oracle_thread_invariance(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """convert_parallel and DMAV must not depend on the thread count."""
-    t0 = time.perf_counter()
-    n = circuit.num_qubits
-    counts = [t for t in (1, 2, 4) if t <= (1 << max(n - 1, 0))]
-    if len(counts) < 2 or len(circuit.gates) < 2:
-        return _skip(
-            "thread_invariance", "metamorphic",
-            "needs >= 2 usable thread counts and >= 2 gates", t0,
-        )
-    # Forced early conversion exercises both the parallel conversion and
-    # the multi-threaded DMAV task assignment at every count.
-    states = [ctx.flatdd(threads=t, force_convert_at=0) for t in counts]
-    errs = [phase_aligned_error(states[0], s) for s in states[1:]]
-    return _ladder_outcome(
-        "thread_invariance", "metamorphic", max(errs),
-        f"flatdd at threads={counts} (conversion forced at gate 0)", t0,
-    )
-
-
-def oracle_reorder_equivalence(
-    circuit: Circuit, ctx: OracleContext
-) -> OracleOutcome:
-    """Qubit reordering must be semantically invisible.
-
-    The DD phase runs on a relabeled circuit and conversion un-permutes
-    the amplitudes back to canonical order, so any variable order must
-    reproduce the natural-order state.  The comparison goes through the
-    tolerance ladder (not bit-exact): a different order changes the
-    floating-point contraction order inside the DD phase, which is
-    allowed to perturb amplitudes at the ulp level but no further.
-    """
-    t0 = time.perf_counter()
-    base = ctx.flatdd(qubit_order="natural")
-    errs = [
-        phase_aligned_error(base, ctx.flatdd(qubit_order=mode))
-        for mode in ("interaction", "sift")
-    ]
-    return _ladder_outcome(
-        "reorder_equivalence", "metamorphic", max(errs),
-        "qubit_order interaction/sift vs natural (un-permuted at "
-        "conversion)", t0,
+    base = ctx.flatdd()
+    table = execution_table(gates)
+    errs, failed = [], []
+    for knobs in table:
+        state = ctx.flatdd(**knobs)
+        label = ", ".join(f"{k}={v}" for k, v in knobs.items())
+        if knobs.get("use_thread_pool"):
+            twin = ctx.flatdd(**{**knobs, "use_thread_pool": False})
+            if not np.array_equal(state, twin):
+                failed.append(f"{label} differs from its inline twin")
+                errs.append(float(np.max(np.abs(state - twin))))
+            continue
+        errs.append(phase_aligned_error(base, state))
+        if _tier(errs[-1]) == "violation":
+            failed.append(f"{label} (err {errs[-1]:.3g})")
+    err = float(np.max(errs))
+    return OracleOutcome(
+        oracle="execution_invariance",
+        family="metamorphic",
+        passed=not failed,
+        max_error=err,
+        tier="violation" if failed else _tier(err),
+        detail=(
+            f"{len(table)} execution configurations vs EWMA-timed, pooled "
+            "row bit-exact against its inline twin"
+            + ("; failed: " + "; ".join(failed) if failed else "")
+        ),
+        seconds=time.perf_counter() - t0,
     )
 
 
@@ -435,7 +409,8 @@ def oracle_sweep_consistency(
     deterministic per-slot perturbations (no randomness in the oracle)
     plus a duplicate row to exercise deduplication, swept twice -- once
     EWMA-timed and once with conversion forced at gate 0 so the batched
-    DMAV replay is guaranteed to run.  Equality is ``np.array_equal``,
+    DMAV replay is guaranteed to run.  Each distinct row's reference
+    ``run()`` is taken once per sweep.  Equality is ``np.array_equal``,
     not a tolerance: the lockstep kernels replay the single-shot gemm
     shapes per row (:mod:`repro.core.sweep`), so any drift is a real
     batching bug, not float noise.
@@ -460,8 +435,11 @@ def oracle_sweep_consistency(
             FlatDDConfig(threads=threads, force_convert_at=fca)
         )
         result = sim.simulate_sweep(circuit, rows)
+        refs = {}
         for i, row in enumerate(rows):
-            ref = sim.run(circuit.bind(row)).state
+            if row not in refs:
+                refs[row] = sim.run(circuit.bind(row)).state
+            ref = refs[row]
             if not np.array_equal(result.states[i], ref):
                 identical = False
                 err = max(
@@ -489,13 +467,8 @@ ORACLES: dict[str, tuple[str, callable]] = {
     "flatdd_vs_ddsim": ("differential", oracle_flatdd_vs_ddsim),
     "ddsim_vs_statevector": ("differential", oracle_ddsim_vs_statevector),
     "norm_preserved": ("metamorphic", oracle_norm_preserved),
-    "conversion_point_equivalence": (
-        "metamorphic", oracle_conversion_point_equivalence
-    ),
-    "thread_invariance": ("metamorphic", oracle_thread_invariance),
-    "fusion_equivalence": ("metamorphic", oracle_fusion_equivalence),
+    "execution_invariance": ("metamorphic", oracle_execution_invariance),
     "inverse_roundtrip": ("metamorphic", oracle_inverse_roundtrip),
-    "reorder_equivalence": ("metamorphic", oracle_reorder_equivalence),
     "checkpoint_resume": ("metamorphic", oracle_checkpoint_resume),
     "sweep_consistency": ("metamorphic", oracle_sweep_consistency),
 }

@@ -66,9 +66,10 @@ IRREGULAR_FAMILIES = [
 
 class TestExecutionInvariance:
     """``use_thread_pool`` and ``dense_block_level`` change no result on
-    whole runs: the pool's one-tile-per-thread split of the array kernel
-    (partner tiles included) lands on the inline bytes, and another
-    dense block level stays on the tolerance ladder's tight rung."""
+    whole runs: the pool's one-task-per-tile split of the array kernel
+    (a gate with a qubit above the border is one call on the calling
+    thread either way) lands on the inline bytes, and another dense
+    block level stays on the tolerance ladder's tight rung."""
 
     @staticmethod
     def _states(run, threads):

@@ -5,6 +5,7 @@ healthy code passes every oracle on seeded circuits, and a planted fault
 is caught, shrunk to a minimal circuit, persisted, and replayable.
 """
 
+import collections
 import json
 import os
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, get_circuit, parse_qasm
-from repro.common.config import FlatDDConfig
+from repro.common.config import DENSE_BLOCK_LEVEL, FlatDDConfig
 from repro.core import FlatDDSimulator
 from repro.obs import Tracer
 from repro.verify.fuzz import (
@@ -32,6 +33,7 @@ from repro.verify.fuzz import (
     write_regression,
 )
 from repro.circuits.qasm import to_qasm
+from repro.verify.fuzz.oracles import execution_table
 
 pytestmark = pytest.mark.fuzz
 
@@ -125,9 +127,9 @@ class TestOracles:
     def test_tiny_circuit_skips_multi_gate_oracles(self):
         c = Circuit(1).h(0)
         outcomes = {o.oracle: o for o in run_oracles(c)}
-        assert outcomes["fusion_equivalence"].skipped
-        assert outcomes["conversion_point_equivalence"].skipped
-        assert outcomes["thread_invariance"].skipped
+        assert outcomes["execution_invariance"].skipped
+        assert outcomes["checkpoint_resume"].skipped
+        assert outcomes["sweep_consistency"].skipped
         assert outcomes["flatdd_vs_statevector"].passed
 
     def test_unknown_oracle_rejected(self):
@@ -141,8 +143,59 @@ class TestOracles:
         assert [o.oracle for o in outcomes] == ["norm_preserved"]
 
 
+class TestExecutionTable:
+    """``execution_invariance``'s fixed table of configurations."""
+
+    def test_every_knob_value_has_a_row(self):
+        gates = 10
+        rows = execution_table(gates)
+        configs = [FlatDDConfig(**{"threads": 2, **row}) for row in rows]
+
+        def seen(knob):
+            return {getattr(cfg, knob) for cfg in configs}
+
+        assert seen("threads") == {1, 2, 4}
+        assert seen("force_convert_at") == {0, gates // 2, gates - 1, gates}
+        assert seen("fusion") == {"none", "cost", "koperations"}
+        assert seen("qubit_order") == {"natural", "interaction", "sift"}
+        assert seen("use_thread_pool") == {False, True}
+        assert seen("dense_block_level") == {1, DENSE_BLOCK_LEVEL}
+        # Every pooled row's inline twin is a row too.
+        for row in rows:
+            if row.get("use_thread_pool"):
+                twin = {k: v for k, v in row.items() if k != "use_thread_pool"}
+                assert twin in rows
+
+    def test_reaches_the_branches_above_the_dense_window(self, monkeypatch):
+        import repro.core.dmav as dmav
+        from repro.parallel.pool import TaskRunner
+
+        calls = collections.Counter()
+        for name in ("_tile_sum", "_tile_uncontrolled", "_copy_control_off"):
+            def counted(*args, _name=name, _fn=getattr(dmav, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(dmav, name, counted)
+        run = TaskRunner.run
+
+        def counted_run(self, thunks):
+            calls["pooled"] += self.use_pool
+            return run(self, thunks)
+
+        monkeypatch.setattr(TaskRunner, "run", counted_run)
+        # A fuzz-sized circuit: at the default dense level every one of
+        # these gates is a window GEMM.
+        c = Circuit(4).h(0).h(3).cx(0, 3).cx(3, 2).ry(0.3, 2)
+        (outcome,) = run_oracles(c, oracles=["execution_invariance"])
+        assert outcome.passed and outcome.tier == "tight"
+        assert all(calls[k] for k in (
+            "_tile_sum", "_tile_uncontrolled", "_copy_control_off", "pooled"
+        )), calls
+
+
 class TestForcedConversion:
-    """The core hook the conversion-point oracle depends on."""
+    """The hook ``execution_invariance``'s conversion rows depend on."""
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +284,12 @@ class TestFaults:
             with plant_fault("nope"):
                 pass
 
+    #: Faults on paths that only a non-default execution knob reaches.
+    KNOB_ONLY = (
+        "plan-writer-drop", "row-task-offset", "pair-transpose",
+        "pool-drop-task",
+    )
+
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_each_fault_is_caught_by_some_oracle(self, fault):
         c = get_circuit("supremacy", 4, cycles=4)
@@ -241,7 +300,10 @@ class TestFaults:
         c.h(1)
         with plant_fault(fault):
             outcomes = run_oracles(c)
-        assert any(not o.passed for o in outcomes), fault
+        failed = [o.oracle for o in outcomes if not o.passed]
+        assert failed, fault
+        if fault in self.KNOB_ONLY:
+            assert failed == ["execution_invariance"], failed
 
 
 class TestCampaign:
