@@ -1,9 +1,16 @@
-"""Ablation: the dense bottom-out level of the Python DMAV kernels.
+"""Ablation: ``dense_block_level`` on an unfused run (dnn n=12).
 
-DESIGN.md substitution 2 replaces the paper's scalar MAC loop with
-vectorized bottom-outs below ``dense_block_level``.  This bench sweeps
-that level to show the trade-off it buys: too low and Python recursion
-dominates; too high and per-node dense blocks waste memory/time.
+The run is unfused, so its tail applies no DMAV: every tail gate is one
+array-kernel call from its matrix (``core/dmav.py::apply_tile_local``).
+There the level sets the dense window: a gate whose qubits all sit at or
+below it is one GEMM with its window matrix, and a diagonal gate scales a
+window tiled to ``2**(level+1)`` amplitudes; a gate above it takes the
+``pair``, slice and elementwise-sum branches.  The level also sets
+conversion's Kronecker-collapse base (``vector_kron_collapse``): a
+subtree at or below it is expanded as one dense block.  This bench
+sweeps the level to show the trade-off: too low and more gates leave the
+GEMM window for per-branch numpy passes; too high and the dense windows
+and blocks grow.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ def run_experiment(threads: int):
             1.0, abs=1e-8
         )
     text = render_series(
-        "Ablation: DMAV dense bottom-out level (dnn n=12)",
+        "Ablation: dense window / collapse level (dnn n=12, unfused)",
         "dense_block_level",
         LEVELS,
         {"runtime_s": times},

@@ -1,8 +1,9 @@
 """Figure 12: runtime vs thread count for FlatDD and Quantum++.
 
-The container is single-core (DESIGN.md substitution 1), so the thread
-curves come from the paper's own cost model applied to the run's actual
-DMAV gate DDs (see repro.bench.model).  The real partitioned execution at
+Real threads lose on the two-core container: pooled FlatDD runs take
+1.3-2.4x their inline pass time at t = 2 and 4 (DESIGN.md substitution 1),
+so the thread curves come from the paper's own cost model applied to the
+run's actual DMAV gate DDs (see repro.bench.model).  The real partitioned execution at
 each t is also run and verified for correctness, so the modeled curve sits
 on top of executed code, not a paper abstraction.
 

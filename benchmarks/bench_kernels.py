@@ -218,10 +218,14 @@ def test_dmav_phase(benchmark, phase_setup, rows):
     floor of small circuits."""
     cfg, pkg, steps, state = phase_setup
     batch = np.tile(state, (rows, 1))
+    labels = [""] * len(steps)
     # The phase recycles its input as scratch; any unit state times alike.
     benchmark(
-        dmav_phase, cfg, pkg, None, batch, [steps] * rows, 0, 0,
-        MemoryGuard(None), MemoryMeter(), MetricsRegistry(), {}, None,
+        lambda: dmav_phase(
+            cfg, pkg, None, batch, [steps] * rows, 0, 0, MemoryGuard(None),
+            MemoryMeter(), MetricsRegistry(), {}, None, labels=labels,
+            trace=[],
+        )
     )
 
 

@@ -76,7 +76,7 @@ def _planned_run(circuit, threads, fusion="none"):
     start = FlatDDSimulator(cfg).run(circuit[:1]).state
     registry = MetricsRegistry()
     trace = []
-    state, _, _ = dmav_phase(
+    state, _ = dmav_phase(
         cfg, result.metadata["package"], None,
         start.reshape(1, -1), [edges], 0, 0, MemoryGuard(None),
         MemoryMeter(), registry, {}, None,

@@ -69,7 +69,7 @@ def _replayed_tail_counters(circuit, cfg) -> dict:
     dmav_phase(
         cfg, meta["package"], None, state, [meta["dmav_edges"]],
         meta["conversion_gate_index"], 0, MemoryGuard(None), MemoryMeter(),
-        registry, {}, None,
+        registry, {}, None, labels=[""] * len(meta["dmav_edges"]), trace=[],
     )
     return registry.snapshot()["counters"]
 

@@ -34,11 +34,12 @@ def main() -> None:
     meta = result.metadata
 
     print("\n--- EWMA monitor (Section 3.1.1) ---")
-    samples = meta["ewma_samples"]
-    for s in samples[-5:]:
-        flag = "  <-- trigger" if s.triggered else ""
-        print(f"  gate {s.gate_index:3d}: dd_size={s.dd_size:5d} "
-              f"ewma={s.ewma:8.1f}{flag}")
+    trace = result.gate_trace
+    trigger = meta["conversion_gate_index"]
+    for g in [g for g in trace if g.phase == "dd"][-5:]:
+        flag = "  <-- trigger" if g.index == trigger else ""
+        print(f"  gate {g.index:3d}: dd_size={g.dd_size:5d} "
+              f"ewma={g.ewma:8.1f}{flag}")
 
     print("\n--- parallel conversion (Section 3.1.2) ---")
     rep = meta["conversion_report"]
@@ -46,17 +47,15 @@ def main() -> None:
           f"{rep.num_scalar_fills} scalar fills, {rep.seconds*1e3:.2f} ms")
 
     print("\n--- DMAV cost-model decisions (Section 3.2.3) ---")
-    cached = [g for g in result.gate_trace if g.phase == "dmav" and g.cached]
-    uncached = [
-        g for g in result.gate_trace if g.phase == "dmav" and not g.cached
-    ]
-    print(f"  {len(cached)} fused gates ran with caching, "
-          f"{len(uncached)} without")
-    costs = meta["dmav_gate_costs"]
-    heaviest = max(costs, key=lambda c: c[0])
-    print(f"  heaviest gate: {heaviest[0]} MACs, "
-          f"C1={heaviest[1]:.0f} C2={heaviest[2]:.0f} "
-          f"-> {'cached' if heaviest[3] else 'uncached'}")
+    dmav = [g for g in trace if g.phase == "dmav"]
+    cached = sum(1 for g in dmav if g.cached)
+    print(f"  {cached} fused gates ran with caching, "
+          f"{len(dmav) - cached} without")
+    heaviest = max(dmav, key=lambda g: g.macs)
+    print(f"  heaviest gate: {heaviest.name} at {heaviest.index}, "
+          f"{heaviest.macs} MACs, C1={heaviest.cost_nocache:.0f} "
+          f"C2={heaviest.cost_cache:.0f} "
+          f"-> {'cached' if heaviest.cached else 'uncached'}")
 
 
 if __name__ == "__main__":

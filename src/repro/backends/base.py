@@ -19,11 +19,16 @@ __all__ = ["GateRecord", "SimulationResult", "Simulator"]
 
 @dataclass
 class GateRecord:
-    """Per-gate instrumentation: what Figures 3 and 11 plot.
+    """One applied gate, what Figures 3 and 11 plot: a run's only
+    per-gate record, from which its tracer spans and samples are derived
+    (:func:`repro.obs.collect.record_gate_trace`).
 
-    ``dd_size`` is the state DD's node count after the gate (DD phases only);
-    ``phase`` distinguishes FlatDD's regimes ("dd", "convert", "dmav").
-    ``macs`` records the cost-model MAC count for DMAV gates.
+    ``start`` is the gate's ``time.perf_counter()`` value; ``phase``
+    ("dd", "dmav", "array", "ddmm") is its span's category.  ``dd_size``
+    is the state DD's node count after the gate and ``ewma`` FlatDD's
+    Eq. 4 average; a DMAV step carries its Eq. 5-6 price (``macs``, C1
+    ``cost_nocache``, C2 ``cost_cache``, ``cached``: it ran Algorithm 2)
+    and its kernel's ``cache_hits``.
     """
 
     index: int
@@ -33,6 +38,11 @@ class GateRecord:
     dd_size: int | None = None
     macs: int | None = None
     cached: bool | None = None
+    start: float = 0.0
+    ewma: float | None = None
+    cost_nocache: float | None = None
+    cost_cache: float | None = None
+    cache_hits: int | None = None
 
 
 @dataclass

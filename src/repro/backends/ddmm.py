@@ -57,6 +57,7 @@ class DDMatrixSimulator(Simulator):
                     index=i,
                     name=gate.name,
                     seconds=time.perf_counter() - g0,
+                    start=g0,
                     phase="ddmm",
                     dd_size=matrix_node_count(operator),
                 )

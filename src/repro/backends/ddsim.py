@@ -23,7 +23,7 @@ from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
 from repro.dd.vector import node_count, vector_to_array, zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
-from repro.obs.collect import build_obs
+from repro.obs.collect import build_obs, record_gate_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 
@@ -62,12 +62,11 @@ class DDSimulator(Simulator):
         :func:`repro.sampling.sample_from_dd`.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) records the "dd_phase"
-        and "conversion" phase spans, one span per gate (with the DD
-        size), and dd_size counter samples.
+        and "conversion" phase spans and each ``gate_trace`` record's
+        span (with the DD size) and dd_size sample.
         """
         n = circuit.num_qubits
         tr = tracer if tracer is not None else NULL_TRACER
-        tracing = tr.enabled
         registry = MetricsRegistry()
         pkg = DDPackage(n)
         gates = GateDDCache(pkg)
@@ -76,43 +75,36 @@ class DDSimulator(Simulator):
         trace: list[GateRecord] = []
         timed_out = False
         start = time.perf_counter()
-        for i, gate in enumerate(circuit.gates):
-            g0 = time.perf_counter()
-            mdd = gates.get(gate)
-            state = mv_multiply(pkg, mdd, state)
-            size = node_count(state)
-            g1 = time.perf_counter()
-            trace.append(
-                GateRecord(
-                    index=i,
-                    name=gate.name,
-                    seconds=g1 - g0,
-                    phase="dd",
-                    dd_size=size,
-                )
-            )
-            if tracing:
-                tr.record(gate.name, "dd", g0, g1, gate_index=i, dd_size=size)
-                tr.sample("dd_size", size, ts=g1)
-            meter.sample(dd_bytes(pkg))
-            if pkg.unique_node_count > self.GC_THRESHOLD:
-                removed = pkg.collect_garbage([state, *gates.roots()])
-                if tracing:
+        try:
+            for i, gate in enumerate(circuit.gates):
+                g0 = time.perf_counter()
+                state = mv_multiply(pkg, gates.get(gate), state)
+                size = node_count(state)
+                trace.append(GateRecord(
+                    index=i, name=gate.name, seconds=time.perf_counter() - g0,
+                    phase="dd", dd_size=size, start=g0,
+                ))
+                meter.sample(dd_bytes(pkg))
+                if pkg.unique_node_count > self.GC_THRESHOLD:
+                    removed = pkg.collect_garbage([state, *gates.roots()])
                     tr.instant("gc", "dd", gate_index=i, reclaimed=removed)
-            if max_seconds is not None and time.perf_counter() - start > max_seconds:
-                timed_out = True
-                break
-        if tracing:
-            tr.record(
-                "dd_phase", "phase", start, time.perf_counter(),
-                gates=len(trace),
-            )
-        registry.gauge("dd.size").set(node_count(state))
-        registry.counter("dd_phase.gates").inc(len(trace))
+                if (
+                    max_seconds is not None
+                    and time.perf_counter() - start > max_seconds
+                ):
+                    timed_out = True
+                    break
+        finally:
+            record_gate_trace(tr, trace)
+        tr.record(
+            "dd_phase", "phase", start, time.perf_counter(), gates=len(trace)
+        )
+        final_size = node_count(state)
+        registry.gauge("dd.size").set(final_size)
         metadata = {
             "timed_out": timed_out,
             "gates_applied": len(trace),
-            "final_dd_size": node_count(state),
+            "final_dd_size": final_size,
             "gate_dd_cache_hits": gates.hits,
             "gate_dd_cache_misses": gates.misses,
         }
@@ -127,15 +119,12 @@ class DDSimulator(Simulator):
             array = vector_to_array(pkg, state)
             c1 = time.perf_counter()
             metadata["convert_seconds"] = c1 - c0
-            if tracing:
-                tr.record("conversion", "phase", c0, c1, sequential=True)
-            registry.gauge("conversion.seconds").set(c1 - c0)
+            tr.record("conversion", "phase", c0, c1, sequential=True)
             meter.sample(dd_bytes(pkg) + array.nbytes)
         runtime = time.perf_counter() - start
-        metadata["dd_stats"] = pkg.stats.as_dict()
         registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
         metadata["obs"] = build_obs(
-            tracer=tr if tracing else None,
+            tracer=tr,
             registry=registry,
             package=pkg,
             gate_cache=gates,

@@ -28,7 +28,7 @@ from repro.circuits.gates import Gate
 from repro.common.errors import SimulationError
 from repro.common.bits import indices_matching
 from repro.metrics.memory import MemoryMeter, array_bytes
-from repro.obs.collect import build_obs
+from repro.obs.collect import build_obs, record_gate_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.partition import chunk_bounds
@@ -131,11 +131,10 @@ class StatevectorSimulator(Simulator):
         """Simulate ``circuit`` gate by gate on a flat amplitude array.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) records one
-        "array_phase" span plus a per-gate span (category "array").
+        "array_phase" span plus each ``gate_trace`` record's span.
         """
         n = circuit.num_qubits
         tr = tracer if tracer is not None else NULL_TRACER
-        tracing = tr.enabled
         registry = MetricsRegistry()
         state = np.zeros(1 << n, dtype=np.complex128)
         state[0] = 1.0
@@ -144,36 +143,32 @@ class StatevectorSimulator(Simulator):
         trace: list[GateRecord] = []
         start = time.perf_counter()
         with TaskRunner(
-            self.threads, self.use_thread_pool, tracer=tr if tracing else None
+            self.threads, self.use_thread_pool,
+            tracer=tr if tr.enabled else None,
         ) as runner:
-            for i, gate in enumerate(circuit.gates):
-                g0 = time.perf_counter()
-                if self.mode == "reshape" and not gate.controls:
-                    state = _apply_reshape(state, gate)
-                else:
-                    apply_gate_array(state, gate, runner)
-                g1 = time.perf_counter()
-                trace.append(
-                    GateRecord(
-                        index=i,
-                        name=gate.name,
-                        seconds=g1 - g0,
-                        phase="array",
-                    )
-                )
-                if tracing:
-                    tr.record(gate.name, "array", g0, g1, gate_index=i)
-                # Working set: the state plus the gathered amplitude groups
-                # (2**k index+value arrays of half/quarter length each).
-                k = len(gate.targets)
-                scratch = (1 << k) * (state.size >> k) * (16 + 8)
-                meter.sample(array_bytes(state) + scratch)
+            try:
+                for i, gate in enumerate(circuit.gates):
+                    g0 = time.perf_counter()
+                    if self.mode == "reshape" and not gate.controls:
+                        state = _apply_reshape(state, gate)
+                    else:
+                        apply_gate_array(state, gate, runner)
+                    trace.append(GateRecord(
+                        index=i, name=gate.name,
+                        seconds=time.perf_counter() - g0, start=g0,
+                    ))
+                    # Working set: the state plus the gathered amplitude
+                    # groups (2**k index+value arrays of half/quarter
+                    # length each).
+                    k = len(gate.targets)
+                    scratch = (1 << k) * (state.size >> k) * (16 + 8)
+                    meter.sample(array_bytes(state) + scratch)
+            finally:
+                record_gate_trace(tr, trace)
         runtime = time.perf_counter() - start
-        if tracing:
-            tr.record(
-                "array_phase", "phase", start, start + runtime,
-                gates=len(trace),
-            )
+        tr.record(
+            "array_phase", "phase", start, start + runtime, gates=len(trace)
+        )
         registry.counter("array.gates").inc(len(trace))
         registry.gauge("array.state_bytes").set(state.nbytes)
         registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
@@ -181,7 +176,7 @@ class StatevectorSimulator(Simulator):
             "threads": self.threads,
             "mode": self.mode,
             "obs": build_obs(
-                tracer=tr if tracing else None,
+                tracer=tr,
                 registry=registry,
                 runner=runner,
                 wall_seconds=runtime,

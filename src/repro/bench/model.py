@@ -1,9 +1,11 @@
 """Thread-scaling model for the Figure 12 / Figure 14 reproductions.
 
-The container has one CPU core (DESIGN.md substitution 1), so wall-clock
-cannot show multi-thread speedups.  Instead, the benches apply the paper's
-own computational cost model (Equations 5-6) to the *actual* DMAV-phase
-gate DDs of a real run:
+The container has two cores, but FlatDD's pooled runs measure slower than
+its inline ones there: 1.3-2.4x the inline pass time at t = 2 and 4 on
+both irregular perfbench workloads (DESIGN.md substitution 1).  So
+wall-clock cannot show multi-thread speedups, and the benches apply the
+paper's own computational cost model (Equations 5-6) to the *actual*
+DMAV-phase gate DDs of a real run:
 
     T(t) = T_dd  +  T_conv(1) / t  +  tau * sum_g min(C1_g(t), C2_g(t))
          + kappa * G

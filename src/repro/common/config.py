@@ -5,7 +5,7 @@ These mirror the constants the paper fixes for its evaluation:
 * ``DEFAULT_BETA`` / ``DEFAULT_EPSILON`` -- the EWMA conversion trigger
   (Section 3.1.1; the paper uses beta = 0.9, epsilon = 2 for every run).
 * ``SIMD_WIDTH`` -- the ``d`` of Equation 6.  The paper uses AVX2 on
-  ``double complex`` (d = 2); we keep the same default for the cost model
+  ``double complex`` (d = 2); the cost model prices with that constant
   even though the arithmetic here is batched through numpy.
 * ``TOLERANCE`` -- the complex-table tolerance used to canonicalize edge
   weights, as in DDSIM's complex-number package [98].

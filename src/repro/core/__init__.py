@@ -22,7 +22,7 @@ from repro.core.dmav import (
     dmav_nocache,
     run_border_task_batch,
 )
-from repro.core.ewma import EWMAMonitor, EWMASample
+from repro.core.ewma import EWMAMonitor
 from repro.core.fusion import (
     FusionResult,
     fuse_cost_aware,
@@ -39,7 +39,6 @@ __all__ = [
     "CostModel",
     "DMAVStats",
     "EWMAMonitor",
-    "EWMASample",
     "FlatDDSimulator",
     "FusionResult",
     "GateCost",

@@ -247,15 +247,13 @@ class GateCost:
 
 
 class CostModel:
-    """Equations 5-6 evaluator, parameterized by t threads and SIMD width d."""
+    """Equations 5-6 evaluator at t threads (SIMD width d is
+    ``SIMD_WIDTH``)."""
 
-    def __init__(self, threads: int, simd_width: int = SIMD_WIDTH) -> None:
+    def __init__(self, threads: int) -> None:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        if simd_width < 1:
-            raise ValueError(f"simd_width must be >= 1, got {simd_width}")
         self.threads = threads
-        self.simd_width = simd_width
         # Cost depends only on the DD's zero structure, never on weights,
         # so verdicts are cached per root node: the fusion pass and the
         # DMAV loop both evaluate the same (hash-consed) gate DDs.  Keyed
@@ -339,7 +337,7 @@ class CostModel:
         self, n: int, k1: int, k2: int, h_hits: int, b: int
     ) -> GateCost:
         """C1 and C2 of Equations 5-6 from their inputs."""
-        t, d = self.threads, self.simd_width
+        t, d = self.threads, SIMD_WIDTH
         c1 = k1 / t
         c2 = k2 / t + ((1 << n) / (d * t)) * (h_hits / t + b)
         return GateCost(

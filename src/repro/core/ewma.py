@@ -18,6 +18,9 @@ makes the corrected average start at ``s_1`` and reproduces the reported
 behaviour: steady or linearly growing DD sizes never trigger, exponential
 growth triggers within a few gates.  A ``min_size`` floor additionally
 skips conversion while the DD is too small for DMAV to matter.
+
+The monitor keeps no per-gate history: the DD phase records each gate's
+DD size and EWMA value on its :class:`~repro.backends.base.GateRecord`.
 """
 
 from __future__ import annotations
@@ -26,17 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.common.config import DEFAULT_BETA, DEFAULT_EPSILON
 
-__all__ = ["EWMAMonitor", "EWMASample"]
-
-
-@dataclass(frozen=True)
-class EWMASample:
-    """One gate's monitor state (for Figure 3-style traces)."""
-
-    gate_index: int
-    dd_size: int
-    ewma: float
-    triggered: bool
+__all__ = ["EWMAMonitor"]
 
 
 @dataclass
@@ -51,22 +44,12 @@ class EWMAMonitor:
     bias_correction: bool = True
     _v: float = field(default=0.0, init=False, repr=False)
     _i: int = field(default=0, init=False, repr=False)
-    samples: list[EWMASample] = field(default_factory=list, init=False)
 
     def update(self, dd_size: int) -> bool:
         """Feed gate i's DD size; return True if conversion should happen."""
         self._i += 1
         self._v = self.beta * self._v + (1.0 - self.beta) * dd_size
-        v_hat = self._v
-        if self.bias_correction:
-            v_hat = self._v / (1.0 - self.beta ** self._i)
-        triggered = (
-            dd_size >= self.min_size and self.epsilon * v_hat < dd_size
-        )
-        self.samples.append(
-            EWMASample(self._i - 1, dd_size, v_hat, triggered)
-        )
-        return triggered
+        return dd_size >= self.min_size and self.epsilon * self.value < dd_size
 
     @property
     def value(self) -> float:
@@ -80,20 +63,16 @@ class EWMAMonitor:
     def reset(self) -> None:
         self._v = 0.0
         self._i = 0
-        self.samples.clear()
 
     def state_dict(self) -> dict:
         """Exact internal state for checkpointing (``_v`` as ``float.hex``).
 
         Trigger decisions after a resume must match the uninterrupted run
-        bit for bit, so the accumulator round-trips exactly.  The sample
-        trace is *not* included: it is diagnostic output, and a resumed run
-        legitimately re-traces only its own gates.
+        bit for bit, so the accumulator round-trips exactly.
         """
         return {"v": self._v.hex(), "i": self._i}
 
     def restore_state(self, payload: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (clears the sample trace)."""
+        """Restore a :meth:`state_dict` snapshot."""
         self._v = float.fromhex(payload["v"])
         self._i = int(payload["i"])
-        self.samples.clear()

@@ -59,7 +59,7 @@ from repro.dd.operations import mv_multiply
 from repro.dd.package import DDPackage
 from repro.dd.vector import node_count, zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
-from repro.obs.collect import build_obs
+from repro.obs.collect import build_obs, record_gate_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.arena import BufferArena
@@ -101,7 +101,7 @@ def dd_phase(
     metadata: dict,
     gc_threshold: int,
     *,
-    trace: list[GateRecord] | None = None,
+    trace: list[GateRecord],
     tracer=NULL_TRACER,
     checkpoint_every: int | None = None,
     write_checkpoint=None,
@@ -127,91 +127,92 @@ def dd_phase(
     resume entering at its snapshot cursor and each sweep group all
     convert at the gate the uninterrupted run would.
 
-    ``trace`` receives one :class:`GateRecord` per gate and ``tracer`` the
-    per-gate spans and trigger/guard/GC/checkpoint events.  Every
-    ``checkpoint_every`` gates (never after the last) the package passes a
-    checkpoint barrier and ``write_checkpoint(state_dd, cursor)`` persists
-    it, counted in ``metadata["checkpoints_written"]``.
+    ``trace`` receives one :class:`GateRecord` per gate (its DD size and
+    EWMA value).  When the phase ends, a raise included, ``tracer`` gets
+    those records as per-gate spans and samples, then (unless it raised)
+    the "dd_phase" span; the trigger, guard, GC and checkpoint events are
+    its instants.  Every ``checkpoint_every`` gates (never after the
+    last) the package passes a checkpoint barrier and
+    ``write_checkpoint(state_dd, cursor)`` persists it, counted in
+    ``metadata["checkpoints_written"]``.
     """
-    tracing = tracer.enabled
     force_at = cfg.force_convert_at
     total = len(dd_gates)
-    for i in range(start, total):
-        gate = dd_gates[i]
-        g0 = time.perf_counter()
-        state_dd = mv_multiply(pkg, gates.get(gate, windowed=True), state_dd)
-        size = node_count(state_dd)
-        triggered = monitor.update(size)
-        if force_at is not None:
-            triggered = i == force_at
-        g1 = time.perf_counter()
-        if trace is not None:
-            trace.append(
-                GateRecord(
-                    index=i,
-                    name=gate.name,
-                    seconds=g1 - g0,
-                    phase="dd",
-                    dd_size=size,
-                )
+    first = len(trace)
+    convert_at = None
+    timed_out = False
+    d0 = time.perf_counter()
+    try:
+        for i in range(start, total):
+            gate = dd_gates[i]
+            g0 = time.perf_counter()
+            state_dd = mv_multiply(
+                pkg, gates.get(gate, windowed=True), state_dd
             )
-        if tracing:
-            tracer.record(
-                gate.name, "dd", g0, g1,
-                gate_index=i, dd_size=size, ewma=monitor.value,
-            )
-            tracer.sample("dd_size", size, ts=g1)
-            tracer.sample("ewma", monitor.value, ts=g1)
-        meter.sample(dd_bytes(pkg))
-        if not triggered and guard.check_dd(meter.last_bytes, i):
-            # Budget breach while still in the DD phase: degrade
-            # gracefully by converting to the flat array early.
-            triggered = True
-            metadata["guard_forced_conversion"] = True
-            if tracing:
+            size = node_count(state_dd)
+            triggered = monitor.update(size)
+            if force_at is not None:
+                triggered = i == force_at
+            g1 = time.perf_counter()
+            trace.append(GateRecord(
+                index=i, name=gate.name, seconds=g1 - g0, phase="dd",
+                dd_size=size, start=g0, ewma=monitor.value,
+            ))
+            meter.sample(dd_bytes(pkg))
+            if not triggered and guard.check_dd(meter.last_bytes, i):
+                # Budget breach while still in the DD phase: degrade
+                # gracefully by converting to the flat array early.
+                triggered = True
+                metadata["guard_forced_conversion"] = True
                 tracer.instant(
                     "guard_breach", "dd", ts=g1,
                     gate_index=i, observed_bytes=meter.last_bytes,
                     budget_bytes=guard.budget_bytes,
                 )
-            _log.warning(
-                "memory budget breached at gate %d (%d > %d bytes); "
-                "forcing DD-to-array conversion",
-                i, meter.last_bytes, guard.budget_bytes,
-            )
-        if triggered:
-            if tracing:
+                _log.warning(
+                    "memory budget breached at gate %d (%d > %d bytes); "
+                    "forcing DD-to-array conversion",
+                    i, meter.last_bytes, guard.budget_bytes,
+                )
+            if triggered:
                 tracer.instant(
                     "ewma_trigger", "dd", ts=g1,
                     gate_index=i, dd_size=size, ewma=monitor.value,
                 )
-            _log.info(
-                "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
-                i, size, monitor.value,
-            )
-            return state_dd, i, i + 1, False
-        if (
-            checkpoint_every is not None
-            and (i + 1) % checkpoint_every == 0
-            and i + 1 < total
-        ):
-            # Barrier *before* the dump: the snapshot must capture the
-            # exact state (unique tables = live state DD, caches cold)
-            # that both the continuation and any resume evolve from.
-            gates.clear()
-            pkg.checkpoint_barrier([state_dd])
-            write_checkpoint(state_dd, i + 1)
-            metadata["checkpoints_written"] += 1
-            if tracing:
+                _log.info(
+                    "EWMA triggered at gate %d (dd_size=%d, ewma=%.1f)",
+                    i, size, monitor.value,
+                )
+                convert_at = i
+                break
+            if (
+                checkpoint_every is not None
+                and (i + 1) % checkpoint_every == 0
+                and i + 1 < total
+            ):
+                # Barrier *before* the dump: the snapshot must capture the
+                # exact state (unique tables = live state DD, caches cold)
+                # that both the continuation and any resume evolve from.
+                gates.clear()
+                pkg.checkpoint_barrier([state_dd])
+                write_checkpoint(state_dd, i + 1)
+                metadata["checkpoints_written"] += 1
                 tracer.instant("checkpoint", "dd", gate_index=i)
-        if pkg.unique_node_count > gc_threshold:
-            removed = pkg.collect_garbage([state_dd, *gates.roots()])
-            if tracing:
+            if pkg.unique_node_count > gc_threshold:
+                removed = pkg.collect_garbage([state_dd, *gates.roots()])
                 tracer.instant("gc", "dd", gate_index=i, reclaimed=removed)
-            _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
-        if deadline is not None and time.perf_counter() > deadline:
-            return state_dd, None, i + 1, True
-    return state_dd, None, total, False
+                _log.debug("GC at gate %d reclaimed %d nodes", i, removed)
+            if deadline is not None and time.perf_counter() > deadline:
+                timed_out = True
+                break
+    finally:
+        record_gate_trace(tracer, trace[first:])
+    applied = len(trace) - first
+    tracer.record(
+        "dd_phase", "phase", d0, time.perf_counter(),
+        gates=applied, converted=convert_at is not None,
+    )
+    return state_dd, convert_at, start + applied, timed_out
 
 
 def release_dd_phase(
@@ -321,8 +322,8 @@ def dmav_phase(
     metadata: dict,
     write_checkpoint,
     *,
-    labels: list[str] | None = None,
-    trace: list[GateRecord] | None = None,
+    labels: list[str],
+    trace: list[GateRecord],
     tracer=NULL_TRACER,
     checkpoint_every: int | None = None,
     deadline: float | None = None,
@@ -345,16 +346,16 @@ def dmav_phase(
     After every column the memory guard may raise (labelled ``phase``),
     checkpointing through ``write_checkpoint(batch, cursor)`` first; every
     ``checkpoint_every`` columns (never after the last) a snapshot is
-    written the same way and counted in ``metadata``.  ``trace`` and
-    ``tracer`` get one record per column, named by ``labels``, for row 0's
-    step; the ``dmav.*`` counters land in ``registry``.
+    written the same way and counted in ``metadata``.  ``trace`` gets one
+    :class:`GateRecord` per column, named by ``labels`` and priced for
+    row 0's step (``cached``: the step ran Algorithm 2).  When the phase
+    ends, a raise included, ``tracer`` gets those records as per-gate
+    spans, then (unless it raised) the "dmav_phase" span.  The ``dmav.*``
+    counters, summed over rows, land in ``registry``.
 
-    Returns ``(state, gate_costs, timed_out)``: the final batch, a
-    ``(macs, cost_nocache, cost_cache, cached)`` tuple per row and
-    column (``cached``: the step ran Algorithm 2), and whether
+    Returns ``(state, timed_out)``: the final batch and whether
     ``deadline`` (a ``time.perf_counter()`` value) passed.
     """
-    tracing = tracer.enabled
     threads = cfg.threads
     dense = cfg.dense_block_level
     rows, size = state.shape
@@ -363,88 +364,79 @@ def dmav_phase(
     arena = BufferArena(size, rows=rows)
     block = max(1, min(rows, ROW_BLOCK_BYTES // (size // threads * 16)))
     columns = len(steps_rows[0])
-    gate_costs: list[tuple[int, float, float, bool]] = []
-    cache_hits = tile_steps = 0
+    first = len(trace)
+    macs = cached_steps = cache_hits = tile_steps = 0
     timed_out = False
-    for j in range(start, columns):
-        g0 = time.perf_counter()
-        w_buf, w_dirty = arena.output()
-        row_plans = [plans.get(sr[j]) for sr in steps_rows]
-        plan = row_plans[0]
-        # A column is all tile-local steps or one gate DD's plan.  A
-        # tile-local step takes the array kernel even where Eq. 6 prices
-        # Algorithm 2 cheaper, so it is never counted as cached.
-        use_cache = isinstance(plan, GatePlan) and plan.cost.use_cache
-        bufs = arena.partials(
-            plan.assignment.num_buffers if use_cache else 0
-        )
-        hits = 0
-        for b0 in range(0, rows, block):
-            b1 = min(b0 + block, rows)
-            _, stats = apply_plan(
-                pkg, row_plans[b0:b1], state[b0:b1], w_buf[b0:b1],
-                threads, runner, dense,
-                buffers=[bf[b0:b1] for bf in bufs], out_dirty=w_dirty,
+    try:
+        for j in range(start, columns):
+            g0 = time.perf_counter()
+            w_buf, w_dirty = arena.output()
+            row_plans = [plans.get(sr[j]) for sr in steps_rows]
+            plan = row_plans[0]
+            # A column is all tile-local steps or one gate DD's plan.  A
+            # tile-local step takes the array kernel even where Eq. 6
+            # prices Algorithm 2 cheaper, so it is never counted as cached.
+            use_cache = isinstance(plan, GatePlan) and plan.cost.use_cache
+            bufs = arena.partials(
+                plan.assignment.num_buffers if use_cache else 0
             )
-            hits += stats.cache_hits
-        tile_steps += sum(isinstance(p, TileLocalPlan) for p in row_plans)
-        arena.retire(state)
-        state = w_buf
-        cache_hits += hits
-        for p in row_plans:
-            c = p.cost
-            gate_costs.append(
-                (c.macs_total, c.cost_nocache, c.cost_cache, use_cache)
-            )
-        cost = plan.cost
-        g1 = time.perf_counter()
-        index = convert_at + 1 + j
-        if trace is not None:
+            hits = 0
+            for b0 in range(0, rows, block):
+                b1 = min(b0 + block, rows)
+                _, stats = apply_plan(
+                    pkg, row_plans[b0:b1], state[b0:b1], w_buf[b0:b1],
+                    threads, runner, dense,
+                    buffers=[bf[b0:b1] for bf in bufs], out_dirty=w_dirty,
+                )
+                hits += stats.cache_hits
+            tile_steps += sum(isinstance(p, TileLocalPlan) for p in row_plans)
+            macs += sum(p.cost.macs_total for p in row_plans)
+            cached_steps += rows if use_cache else 0
+            arena.retire(state)
+            state = w_buf
+            cache_hits += hits
+            cost = plan.cost
+            g1 = time.perf_counter()
+            index = convert_at + 1 + j
             trace.append(GateRecord(
                 index=index, name=labels[j], seconds=g1 - g0, phase="dmav",
-                macs=cost.macs_total, cached=use_cache,
-            ))
-        if tracing:
-            tracer.record(
-                labels[j], "dmav", g0, g1,
-                gate_index=index,
-                macs=cost.macs_total, cached=use_cache,
-                cost_cache=cost.cost_cache,
-                cost_nocache=cost.cost_nocache,
+                macs=cost.macs_total, cached=use_cache, start=g0,
+                cost_nocache=cost.cost_nocache, cost_cache=cost.cost_cache,
                 cache_hits=hits,
+            ))
+            meter.sample(
+                dd_bytes(pkg) + 2 * state.nbytes + arena.partial_bytes
             )
-        meter.sample(dd_bytes(pkg) + 2 * state.nbytes + arena.partial_bytes)
-        guard.check_array(
-            meter.last_bytes,
-            index,
-            checkpoint=lambda s=state, c=j + 1: write_checkpoint(s, c),
-            phase=phase,
-        )
-        if (
-            checkpoint_every is not None
-            and (j + 1) % checkpoint_every == 0
-            and j + 1 < columns
-        ):
-            write_checkpoint(state, j + 1)
-            metadata["checkpoints_written"] += 1
-            if tracing:
+            guard.check_array(
+                meter.last_bytes,
+                index,
+                checkpoint=lambda s=state, c=j + 1: write_checkpoint(s, c),
+                phase=phase,
+            )
+            if (
+                checkpoint_every is not None
+                and (j + 1) % checkpoint_every == 0
+                and j + 1 < columns
+            ):
+                write_checkpoint(state, j + 1)
+                metadata["checkpoints_written"] += 1
                 tracer.instant("checkpoint", "dmav", gate_index=index)
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-    macs = sum(gc[0] for gc in gate_costs)
-    if tracing:
-        tracer.record(
-            "dmav_phase", "phase", d0, time.perf_counter(),
-            gates=columns, macs=macs,
-        )
-    n_cached = sum(1 for gc in gate_costs if gc[3])
-    registry.counter("dmav.gates_cached").inc(n_cached)
+            if deadline is not None and time.perf_counter() > deadline:
+                timed_out = True
+                break
+    finally:
+        record_gate_trace(tracer, trace[first:])
+    tracer.record(
+        "dmav_phase", "phase", d0, time.perf_counter(),
+        gates=columns, macs=macs,
+    )
+    steps = rows * (len(trace) - first)
+    registry.counter("dmav.gates_cached").inc(cached_steps)
     registry.counter("dmav.gates_uncached").inc(
-        len(gate_costs) - n_cached - tile_steps
+        steps - cached_steps - tile_steps
     )
     registry.counter("dmav.gates_tile_local").inc(tile_steps)
-    registry.counter("dmav.gates").inc(len(gate_costs))
+    registry.counter("dmav.gates").inc(steps)
     registry.counter("dmav.macs").inc(macs)
     registry.counter("dmav.cache_hits").inc(cache_hits)
     for key in ("hits", "compiles", "invalidations"):
@@ -452,7 +444,7 @@ def dmav_phase(
     for key in ("partial_allocs", "partial_reuses", "output_allocs"):
         registry.counter(f"dmav.arena.{key}").inc(getattr(arena, key))
     registry.gauge("dmav.arena.bytes").set(arena.bytes_held)
-    return state, gate_costs, timed_out
+    return state, timed_out
 
 
 class FlatDDSimulator(Simulator):
@@ -492,10 +484,11 @@ class FlatDDSimulator(Simulator):
         gate DD, unfused gates' windowed DDs built after the run.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans
-        ("dd_phase", "conversion", "fusion", "dmav_phase"), per-gate
-        spans with DD-size/EWMA (DD phase) and MACs/cache-decision
-        (DMAV phase) annotations, and dd_size/ewma counter samples.
-        Counters are collected into ``metadata["obs"]`` regardless.
+        ("dd_phase", "conversion", "fusion", "dmav_phase") and, read off
+        the result's ``gate_trace``, per-gate spans with DD-size/EWMA (DD
+        phase) and MACs/cache-decision (DMAV phase) args and dd_size/ewma
+        counter samples, those of a run that raises included.  Counters
+        are collected into ``metadata["obs"]`` regardless.
 
         ``checkpoint_every=N`` writes a resumable snapshot to
         ``checkpoint_path`` every N applied gates (rolling: each write
@@ -557,7 +550,6 @@ class FlatDDSimulator(Simulator):
                 )
         guard = MemoryGuard(cfg.memory_budget_bytes)
         tr = tracer if tracer is not None else NULL_TRACER
-        tracing = tr.enabled
         registry = MetricsRegistry()
         pkg = DDPackage(n)
         gates = GateDDCache(pkg)
@@ -634,17 +626,11 @@ class FlatDDSimulator(Simulator):
                 trace=trace, tracer=tr, checkpoint_every=checkpoint_every,
                 write_checkpoint=write_dd_checkpoint, deadline=deadline,
             )
-            if tracing:
-                tr.record(
-                    "dd_phase", "phase", start, time.perf_counter(),
-                    gates=len(trace), converted=convert_at is not None,
-                )
             registry.gauge("dd.size").set(node_count(state_dd))
         registry.gauge("ewma").set(monitor.value)
-        registry.counter("dd_phase.gates").inc(dd_gates_applied)
 
         with TaskRunner(
-            cfg.threads, cfg.use_thread_pool, tracer=tr if tracing else None
+            cfg.threads, cfg.use_thread_pool, tracer=tr if tr.enabled else None
         ) as runner:
             # ---------------- Phase 2: parallel DD-to-array ---------------
             c0 = time.perf_counter()
@@ -652,7 +638,6 @@ class FlatDDSimulator(Simulator):
                 # Array-phase resume: the snapshot carries the exact
                 # post-conversion (and post-applied-DMAV-gates) array.
                 state = decode_array_state(resume)
-                metadata["conversion_resumed"] = True
                 meter.sample(dd_bytes(pkg) + state.nbytes)
             else:
                 # Without a trigger the whole circuit stayed regular and
@@ -671,14 +656,12 @@ class FlatDDSimulator(Simulator):
                         ),
                     )
                 meter.sample(dd_bytes(pkg) + state.nbytes)
-                if tracing:
-                    tr.record(
-                        "conversion", "phase", c0, time.perf_counter(),
-                        triggered=convert_at is not None,
-                        gate_index=convert_at, tasks=report.num_tasks,
-                        scalar_fills=report.num_scalar_fills,
-                    )
-                registry.gauge("conversion.seconds").set(report.seconds)
+                tr.record(
+                    "conversion", "phase", c0, time.perf_counter(),
+                    triggered=convert_at is not None,
+                    gate_index=convert_at, tasks=report.num_tasks,
+                    scalar_fills=report.num_scalar_fills,
+                )
             if convert_at is not None:
                 metadata["converted"] = True
                 metadata["conversion_gate_index"] = convert_at
@@ -708,14 +691,11 @@ class FlatDDSimulator(Simulator):
                     steps = fused.gates
                     labels = _fused_labels(labels, fused)
                     metadata["fusion_result"] = _fusion_summary(fused)
-                f1 = time.perf_counter()
-                metadata["fusion_seconds"] = f1 - f0
-                if tracing and cfg.fusion != "none" and steps:
                     tr.record(
-                        "fusion", "phase", f0, f1,
+                        "fusion", "phase", f0, time.perf_counter(),
                         mode=cfg.fusion, emitted=len(steps),
                     )
-                state, gate_costs, timed_out = dmav_phase(
+                state, timed_out = dmav_phase(
                     cfg, pkg, runner, state.reshape(1, -1),
                     [steps], convert_at, dmav_start, guard, meter, registry,
                     metadata, write_array_checkpoint, labels=labels,
@@ -723,27 +703,23 @@ class FlatDDSimulator(Simulator):
                     checkpoint_every=checkpoint_every, deadline=deadline,
                 )
                 state = state.reshape(-1)
-                metadata["dmav_macs_total"] = sum(gc[0] for gc in gate_costs)
-                metadata["dmav_gate_costs"] = gate_costs
+                dmav = [r for r in trace if r.phase == "dmav"]
+                metadata["dmav_macs_total"] = sum(r.macs for r in dmav)
+                metadata["dmav_gate_costs"] = [
+                    (r.macs, r.cost_nocache, r.cost_cache, r.cached)
+                    for r in dmav
+                ]
 
         runtime = time.perf_counter() - start
         metadata["timed_out"] = timed_out
-        metadata["ewma_samples"] = monitor.samples
         metadata["dd_phase_gates"] = dd_gates_applied
         metadata["gate_dd_cache_hits"] = gates.hits
         metadata["gate_dd_cache_misses"] = gates.misses
-        metadata["dd_stats"] = pkg.stats.as_dict()
-        registry.gauge("dd.reorder.applied").set(
-            0 if reorder.is_natural else 1
-        )
-        registry.gauge("dd.reorder.cost_natural").set(reorder.cost_natural)
-        registry.gauge("dd.reorder.cost_selected").set(reorder.cost_selected)
-        registry.counter("dd.reorder.sift_moves").inc(reorder.sift_moves)
         if guard.enabled:
             metadata["guard"] = guard.report.to_dict()
         registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
         metadata["obs"] = build_obs(
-            tracer=tr if tracing else None,
+            tracer=tr,
             registry=registry,
             package=pkg,
             gate_cache=gates,

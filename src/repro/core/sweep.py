@@ -40,6 +40,8 @@ arithmetic on a row never reads another row.
 Fusion modes are root-specific and not batched yet: ``fusion != "none"``
 falls back to deduplicated per-row ``run()`` calls (noted in metadata),
 each counted as one group and its counters merged into the sweep's.
+A ``tracer`` gets each batched group's phase and per-gate spans as
+``run()``'s, its DMAV gates named for the template's tail.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ from repro.core.simulator import (
 from repro.dd.package import DDPackage
 from repro.dd.vector import zero_state
 from repro.metrics.memory import MemoryMeter, dd_bytes
-from repro.obs.collect import package_counters
+from repro.obs.collect import build_obs, package_counters
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER
 from repro.parallel.pool import TaskRunner, validate_thread_count
 from repro.resilience.guard import MemoryGuard
 from repro.resilience.snapshot import snapshot_sweep_phase, write_snapshot
@@ -133,6 +136,7 @@ def run_sweep(
     with ``phase="array"``.
     """
     cfg = sim.config
+    tr = tracer if tracer is not None else NULL_TRACER
     n = circuit.num_qubits
     validate_thread_count(cfg.threads, n)
     if param_sets is None or len(param_sets) == 0:
@@ -179,19 +183,16 @@ def run_sweep(
         # unique row's run is its own group.
         metadata["mode"] = "fallback-fusion"
         registry.counter("dmav.sweep.groups").inc(len(uniq))
-        snap = registry.snapshot()
-        counters = snap["counters"]
-        ustates = []
-        peak = 0
-        for c in uniq:
-            r = sim.run(c, tracer=tracer, checkpoint_path=checkpoint_path)
-            ustates.append(r.state)
-            peak = max(peak, r.peak_memory_bytes)
-            _merge_counters(counters, r.metadata["obs"]["counters"])
+        runs = [
+            sim.run(c, tracer=tracer, checkpoint_path=checkpoint_path)
+            for c in uniq
+        ]
         states = np.empty((num_rows, 1 << n), dtype=np.complex128)
         for i, fp in enumerate(fps):
-            states[i] = ustates[first_of[fp]]
-        metadata["obs"] = {"counters": counters, "gauges": snap["gauges"]}
+            states[i] = runs[first_of[fp]].state
+        obs = metadata["obs"] = build_obs(tracer=tracer, registry=registry)
+        for r in runs:
+            _merge_counters(obs["counters"], r.metadata["obs"]["counters"])
         return SweepResult(
             backend=sim.name,
             circuit_name=circuit.name,
@@ -199,7 +200,7 @@ def run_sweep(
             num_rows=num_rows,
             states=states,
             runtime_seconds=time.perf_counter() - start,
-            peak_memory_bytes=peak,
+            peak_memory_bytes=max(r.peak_memory_bytes for r in runs),
             metadata=metadata,
         )
 
@@ -226,7 +227,7 @@ def run_sweep(
                 cfg, pkg, gates,
                 EWMAMonitor(beta=cfg.beta, epsilon=cfg.epsilon),
                 zero_state(pkg), dd_circ.gates, 0, guard, meter, metadata,
-                sim.GC_THRESHOLD,
+                sim.GC_THRESHOLD, trace=[], tracer=tr,
             )
             groups.append({
                 "pkg": pkg,
@@ -251,13 +252,22 @@ def run_sweep(
         gates: GateDDCache = g["gates"]
         convert_at = g["convert_at"]
         members: list[int] = g["members"]
-        with TaskRunner(cfg.threads, cfg.use_thread_pool) as runner:
+        with TaskRunner(
+            cfg.threads, cfg.use_thread_pool,
+            tracer=tr if tr.enabled else None,
+        ) as runner:
+            c0 = time.perf_counter()
             conv, report = convert_parallel(
                 pkg, g["state_dd"], cfg.threads, runner,
-                dense_level=cfg.dense_block_level,
+                dense_level=cfg.dense_block_level, tracer=tr,
                 unpermute=unperm,
             )
             conversions.append(report.seconds)
+            tr.record(
+                "conversion", "phase", c0, time.perf_counter(),
+                triggered=convert_at is not None, gate_index=convert_at,
+                tasks=report.num_tasks, scalar_fills=report.num_scalar_fills,
+            )
             if convert_at is None:
                 # The whole (deduplicated) circuit stayed regular: the
                 # conversion IS the final state, exactly like a run that
@@ -280,9 +290,11 @@ def run_sweep(
                 meter.last_bytes, convert_at,
                 checkpoint=lambda: write_checkpoint(batch, 0), phase="sweep",
             )
-            batch, _, _ = dmav_phase(
+            batch, _ = dmav_phase(
                 cfg, pkg, runner, batch, steps_rows, convert_at, 0, guard,
-                meter, registry, metadata, write_checkpoint, phase="sweep",
+                meter, registry, metadata, write_checkpoint,
+                labels=[x.name for x in circuit.gates[convert_at + 1:]],
+                trace=[], tracer=tr, phase="sweep",
             )
             gates_batched += len(steps_rows[0])
             for pos, ui in enumerate(members):
@@ -295,11 +307,9 @@ def run_sweep(
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
     metadata["conversion_seconds"] = sum(conversions)
-    snap = registry.snapshot()
-    counters = snap["counters"]
+    obs = metadata["obs"] = build_obs(tracer=tracer, registry=registry)
     for g in groups:
-        _merge_counters(counters, package_counters(g["pkg"]))
-    metadata["obs"] = {"counters": counters, "gauges": snap["gauges"]}
+        _merge_counters(obs["counters"], package_counters(g["pkg"]))
     return SweepResult(
         backend=sim.name,
         circuit_name=circuit.name,

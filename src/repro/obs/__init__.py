@@ -18,7 +18,7 @@ timers:
 * :mod:`repro.obs.summary` -- per-phase aggregation and the text table
   behind the CLI's ``--profile``.
 * :mod:`repro.obs.collect` -- snapshot helpers that assemble
-  ``SimulationResult.metadata["obs"]``.
+  ``SimulationResult.metadata["obs"]``, and the per-gate spans of a run.
 
 Usage::
 

@@ -6,7 +6,8 @@ and :class:`~repro.backends.gatecache.GateDDCache`.  This module
 snapshots them (plus a run's :class:`~repro.obs.metrics.MetricsRegistry`
 and, when tracing, the tracer's spans and phase summary) into the one
 plain-dict payload every backend attaches to
-``SimulationResult.metadata["obs"]``.
+``SimulationResult.metadata["obs"]``; :func:`record_gate_trace` turns
+a run's gate records into its tracer's per-gate spans and samples.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ __all__ = [
     "gate_cache_counters",
     "result_cache_counters",
     "build_obs",
+    "record_gate_trace",
 ]
+
+#: ``GateRecord`` fields a per-gate span carries as args after
+#: ``gate_index``, in this order; a field that is None is left out.
+SPAN_ARGS = (
+    "dd_size", "ewma", "macs", "cached", "cost_cache", "cost_nocache",
+    "cache_hits",
+)
 
 
 def package_counters(pkg) -> dict:
@@ -115,3 +124,24 @@ def build_obs(
         ]
         obs["summary"] = [p.as_dict() for p in summarize_phases(tracer)]
     return obs
+
+
+def record_gate_trace(tracer, records) -> None:
+    """Record each ``GateRecord`` as a span of category ``phase``, named
+    for its gate, with args ``gate_index`` and its set :data:`SPAN_ARGS`,
+    plus a ``dd_size`` and an ``ewma`` sample at its end when it has
+    them.  A disabled ``tracer`` records nothing."""
+    if not tracer.enabled:
+        return
+    for r in records:
+        end = r.start + r.seconds
+        args = {
+            k: v for k in SPAN_ARGS if (v := getattr(r, k)) is not None
+        }
+        tracer.record(
+            r.name, r.phase, r.start, end, gate_index=r.index, **args
+        )
+        if r.dd_size is not None:
+            tracer.sample("dd_size", r.dd_size, ts=end)
+        if r.ewma is not None:
+            tracer.sample("ewma", r.ewma, ts=end)

@@ -4,11 +4,11 @@ A :class:`Tracer` records three kinds of events against one monotonic
 clock (``time.perf_counter``, re-based to the tracer's construction):
 
 * **spans** -- named intervals with a category, a thread id, a nesting
-  depth, and free-form JSON-serializable ``args``.  Hot loops that
-  already measure their own start/end (every backend's per-gate loop)
-  append completed spans with :meth:`Tracer.record`; coarser code uses
-  the :meth:`Tracer.span` context manager, which also maintains the
-  per-thread nesting depth.
+  depth, and free-form JSON-serializable ``args``.  Intervals measured
+  already (a phase, or a gate of a run's gate trace, which
+  :func:`repro.obs.collect.record_gate_trace` replays) are appended with
+  :meth:`Tracer.record`; coarser code uses the :meth:`Tracer.span`
+  context manager, which also maintains the per-thread nesting depth.
 * **instants** -- point events (a GC run, a conversion trigger).
 * **samples** -- ``(name, time, value)`` time series (DD size per gate,
   the EWMA value), exported as Chrome counter tracks.

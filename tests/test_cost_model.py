@@ -8,6 +8,7 @@ import pytest
 
 from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Gate
+from repro.common.config import SIMD_WIDTH
 from repro.core.cost_model import CostModel, assign_cache_tasks, mac_count
 from repro.dd import (
     DDPackage,
@@ -87,11 +88,11 @@ class TestEquationFive:
 
 class TestEquationSix:
     def test_cache_cost_components(self):
-        n, t, d = 5, 2, 2
+        n, t, d = 5, 2, SIMD_WIDTH
         pkg = DDPackage(n)
         m = single_qubit_gate(pkg, H, n - 1)
         assignment = assign_cache_tasks(pkg, m, t)
-        cost = CostModel(t, d).evaluate(pkg, m)
+        cost = CostModel(t).evaluate(pkg, m)
         k2 = assignment.k2_macs(pkg)
         h = assignment.cache_hits
         b = assignment.num_buffers
@@ -253,7 +254,3 @@ class TestValidation:
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
             CostModel(0)
-
-    def test_bad_simd_width(self):
-        with pytest.raises(ValueError):
-            CostModel(2, 0)

@@ -1039,8 +1039,8 @@ class TestTileLocal:
         """``keep_internals=True`` changes no bit or cost of the run, and
         the run's tail against the same tail as gate DDs: a DMAV phase
         over ``metadata["dmav_edges"]`` from the converted state must
-        report the run's costs, MACs and gate count, its state equal on
-        the tolerance ladder's tightest rung."""
+        record the run's gates, costs, MACs and gate count, its state
+        equal on the tolerance ladder's tightest rung."""
         circuit = get_circuit(family, n)
         cfg = FlatDDConfig(threads=threads)
         plain = FlatDDSimulator(cfg).run(circuit)
@@ -1057,11 +1057,19 @@ class TestTileLocal:
         at = meta["conversion_gate_index"]
         converted = FlatDDSimulator(cfg).run(circuit[:at + 1]).state
         registry = MetricsRegistry()
-        state, costs, _ = dmav_phase(
+        records = []
+        state, _ = dmav_phase(
             cfg, meta["package"], None,
             converted.reshape(1, -1), [meta["dmav_edges"]], at, 0,
             MemoryGuard(None), MemoryMeter(), registry, {}, None,
+            labels=[g.name for g in circuit.gates[at + 1:]], trace=records,
         )
+        assert [(r.index, r.name) for r in records] == [
+            (r.index, r.name) for r in run.gate_trace if r.phase == "dmav"
+        ]
+        costs = [
+            (r.macs, r.cost_nocache, r.cost_cache, r.cached) for r in records
+        ]
         assert meta["dmav_gate_costs"] == costs
         assert meta["dmav_macs_total"] == sum(c[0] for c in costs)
         tight = dict(TOLERANCE_LADDER)["tight"]

@@ -66,20 +66,14 @@ class TestTrigger:
 
 
 class TestBookkeeping:
-    def test_samples_recorded(self):
-        m = EWMAMonitor()
-        m.update(5)
-        m.update(7)
-        assert len(m.samples) == 2
-        assert m.samples[0].dd_size == 5
-        assert m.samples[1].gate_index == 1
-
     def test_reset_clears_state(self):
         m = EWMAMonitor()
         m.update(500)
         m.reset()
         assert m.value == 0.0
-        assert not m.samples
+        # A fresh average starts at its first sample again.
+        assert not m.update(500)
+        assert m.value == pytest.approx(500.0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -194,10 +194,15 @@ class TestPhaseBehaviour:
             assert e_idx <= l_idx
 
     def test_ewma_samples_recorded(self):
+        # Figure 3's EWMA series is the DD records' ``ewma``: Eq. 4's
+        # average after each gate, replayed here from their DD sizes.
         r = FlatDDSimulator(threads=2).run(get_circuit("ghz", 6))
-        samples = r.metadata["ewma_samples"]
-        assert len(samples) == 6
-        assert all(s.ewma > 0 for s in samples)
+        records = [g for g in r.gate_trace if g.phase == "dd"]
+        assert len(records) == 6
+        monitor = EWMAMonitor()
+        for g in records:
+            monitor.update(g.dd_size)
+            assert g.ewma == monitor.value > 0
 
 
 class _FullHeightCache(GateDDCache):
@@ -429,6 +434,7 @@ class TestPlanCachePipeline:
             np.zeros((1, 1 << 10), dtype=complex),
             [r.metadata["dmav_edges"]], 0, 0, MemoryGuard(None),
             MemoryMeter(), registry, {}, None,
+            labels=[g.name for g in c.gates[1:]], trace=[],
         )
         snap = registry.snapshot()
         counters = snap["counters"]

@@ -21,12 +21,6 @@ def run_with_checkpoint(circuit, every, path, **cfg_kwargs):
     )
 
 
-def assert_dd_gates_agree(result):
-    """The ``dd_phase.gates`` counter reports the metadata's count."""
-    counters = result.metadata["obs"]["counters"]
-    assert counters["dd_phase.gates"] == result.metadata["dd_phase_gates"]
-
-
 class TestBitIdenticalResume:
     def test_dd_phase_resume(self, tmp_path):
         circuit = get_circuit("ghz", 8)
@@ -45,8 +39,6 @@ class TestBitIdenticalResume:
         # phase, not just the gates applied after the resume cursor.
         assert full.metadata["dd_phase_gates"] == len(circuit.gates)
         assert resumed.metadata["dd_phase_gates"] == len(circuit.gates)
-        assert_dd_gates_agree(full)
-        assert_dd_gates_agree(resumed)
 
     def test_array_phase_resume(self, tmp_path):
         # Forcing an early conversion guarantees the final snapshot lands
@@ -62,8 +54,6 @@ class TestBitIdenticalResume:
         assert resumed.metadata["resume_phase"] == "array"
         assert np.array_equal(full.state, resumed.state)
         assert resumed.metadata["dd_phase_gates"] == 4
-        assert_dd_gates_agree(full)
-        assert_dd_gates_agree(resumed)
 
     def test_array_phase_resume_mid_tile_local_tail(self, tmp_path):
         # Every step of an unfused tail is an array-kernel step, across

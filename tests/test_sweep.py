@@ -26,6 +26,7 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.core.simulator import FlatDDSimulator
+from repro.obs import Tracer
 from repro.resilience.snapshot import decode_array_state, read_snapshot
 from repro.verify.fuzz.oracles import phase_aligned_error
 
@@ -386,6 +387,38 @@ def test_fusion_falls_back_to_per_row_runs():
     result = sim.simulate_sweep(c, rows)
     assert result.metadata["mode"] == "fallback-fusion"
     _assert_rows_identical(sim, c, rows, result)
+
+
+def test_traced_batched_sweep_records_every_group():
+    """A traced batched sweep records each group's phases and gates as
+    ``run()`` records its own, the DMAV gates named for the template's
+    tail; tracing moves no row or counter."""
+    c = _template(n=4, layers=2)
+    rows = _rows(c, 3, seed=3)
+    sim = FlatDDSimulator(threads=2, force_convert_at=5)
+    tracer = Tracer()
+    traced = sim.simulate_sweep(c, rows, tracer=tracer)
+    plain = sim.simulate_sweep(c, rows)
+    assert traced.metadata["mode"] == "batched"
+    assert np.array_equal(traced.states, plain.states)
+    obs = traced.metadata["obs"]
+    assert obs["counters"] == plain.metadata["obs"]["counters"]
+    assert obs["counters"]["dmav.sweep.groups"] == 3
+    phases = [s.name for s in tracer.spans if s.category == "phase"]
+    assert phases == ["dd_phase"] * 3 + ["conversion", "dmav_phase"] * 3
+    gates = [
+        (s.category, s.name, s.args["gate_index"])
+        for s in tracer.spans if s.category in ("dd", "dmav")
+    ]
+    dd = [("dd", g.name, i) for i, g in enumerate(c.gates[:6])]
+    dmav = [("dmav", g.name, 6 + j) for j, g in enumerate(c.gates[6:])]
+    assert gates == dd * 3 + dmav * 3
+    for name in ("dd_size", "ewma"):
+        assert len([x for x in tracer.samples if x.name == name]) == 18
+    assert len(obs["spans"]) == len(tracer.spans)
+    assert [p["name"] for p in obs["summary"]] == [
+        "dd_phase", "conversion", "dmav_phase"
+    ]
 
 
 # ---------------------------------------------------------------------------
