@@ -23,15 +23,27 @@ import pytest
 from repro.bench.tables import render_table
 from repro.bench.workloads import DEEP_WORKLOADS
 from repro.core import FlatDDSimulator
+from repro.core.cost_model import CostModel
 from repro.metrics.stats import geometric_mean
 
 from conftest import emit
 
 
 def dmav_cost(result) -> float:
-    """Total modeled DMAV cost of a run (sum of per-gate min(C1, C2))."""
+    """Modeled DMAV cost of a fused run (sum of per-gate min(C1, C2))."""
     return sum(
         min(c1, c2) for _, c1, c2, _ in result.metadata["dmav_gate_costs"]
+    )
+
+
+def unfused_dmav_cost(result, threads: int) -> float:
+    """The same sum for an unfused run, which prices its steps by Eq. 5
+    alone: each step's C2 comes from ``evaluate_tile_local``."""
+    model = CostModel(threads)
+    n = result.num_qubits
+    return sum(
+        model.evaluate_tile_local(n, step).cost
+        for step in result.metadata["dmav_steps"]
     )
 
 
@@ -42,14 +54,17 @@ def run_experiment(threads: int):
     for workload in DEEP_WORKLOADS:
         circuit = workload.build()
         ours = FlatDDSimulator(threads=threads, fusion="cost").run(circuit)
-        none = FlatDDSimulator(threads=threads, fusion="none").run(circuit)
+        none = FlatDDSimulator(threads=threads, fusion="none").run(
+            circuit, keep_internals=True
+        )
         kops = FlatDDSimulator(threads=threads, fusion="koperations").run(
             circuit
         )
         for other in (none, kops):
             fid = abs(np.vdot(ours.state, other.state)) ** 2
             assert fid == pytest.approx(1.0, abs=1e-7), workload.name
-        c_ours, c_none, c_kops = map(dmav_cost, (ours, none, kops))
+        c_ours, c_kops = dmav_cost(ours), dmav_cost(kops)
+        c_none = unfused_dmav_cost(none, threads)
         speed_none.append(none.runtime_seconds / ours.runtime_seconds)
         speed_kops.append(kops.runtime_seconds / ours.runtime_seconds)
         red_none.append(c_none / c_ours)

@@ -28,7 +28,8 @@ class GateRecord:
     is the state DD's node count after the gate and ``ewma`` FlatDD's
     Eq. 4 average; a DMAV step carries its Eq. 5-6 price (``macs``, C1
     ``cost_nocache``, C2 ``cost_cache``, ``cached``: it ran Algorithm 2)
-    and its kernel's ``cache_hits``.
+    and its kernel's ``cache_hits``.  An unfused step, which never
+    chooses, is priced by Eq. 5 alone: its ``cost_cache`` is None.
     """
 
     index: int

@@ -67,6 +67,7 @@ class DDSimulator(Simulator):
         """
         n = circuit.num_qubits
         tr = tracer if tracer is not None else NULL_TRACER
+        first_span = len(tr.spans)
         registry = MetricsRegistry()
         pkg = DDPackage(n)
         gates = GateDDCache(pkg)
@@ -129,6 +130,7 @@ class DDSimulator(Simulator):
             package=pkg,
             gate_cache=gates,
             wall_seconds=runtime,
+            first_span=first_span,
         )
         return SimulationResult(
             backend=self.name,

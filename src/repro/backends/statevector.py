@@ -135,6 +135,7 @@ class StatevectorSimulator(Simulator):
         """
         n = circuit.num_qubits
         tr = tracer if tracer is not None else NULL_TRACER
+        first_span = len(tr.spans)
         registry = MetricsRegistry()
         state = np.zeros(1 << n, dtype=np.complex128)
         state[0] = 1.0
@@ -180,6 +181,7 @@ class StatevectorSimulator(Simulator):
                 registry=registry,
                 runner=runner,
                 wall_seconds=runtime,
+                first_span=first_span,
             ),
         }
         return SimulationResult(

@@ -19,11 +19,15 @@ node sits below the border level (a window that fits inside one
 thread's diagonal block) costs its count times ``2**(border - level)``.
 The verdicts therefore equal those of the full-height form.
 
-An unfused gate, which the array kernel applies from its matrix, is
-priced by :meth:`CostModel.evaluate_tile_local`.  Within the border
-level it is one task per thread, so H = 0, b = 1 and K2 = K1, with K1
-counted from the gate matrix.  Across it, the gate's windowed DD is
-built in a scratch package and priced like any gate DD.
+An unfused gate, which the array kernel applies from its matrix, never
+chooses between the algorithms, so the pipeline prices it by Equation 5
+alone (:meth:`CostModel.evaluate_unfused`): K1 in closed form from the
+gate matrix, which equals its windowed DD's MAC count at every
+placement, and C1 = K1/t.  Its C2, for whatever reports one, is
+:meth:`CostModel.evaluate_tile_local`: within the border level the gate
+is one task per thread, so H = 0, b = 1 and K2 = K1; across it, the
+gate's windowed DD is built in a scratch package and priced like any
+gate DD.
 """
 
 from __future__ import annotations
@@ -227,22 +231,30 @@ def assign_cache_tasks(pkg: DDPackage, m: Edge, threads: int) -> CacheAssignment
 
 @dataclass(frozen=True)
 class GateCost:
-    """Cost-model verdict for one gate matrix at a given thread count."""
+    """Cost-model verdict for one gate matrix at a given thread count.
+
+    An unfused step's price (:meth:`CostModel.evaluate_unfused`) is
+    Equation 5's alone: its Equation 6 fields are None.
+    """
 
     macs_total: int
     cost_nocache: float
-    cost_cache: float
-    cache_hits: int
-    buffers: int
+    cost_cache: float | None = None
+    cache_hits: int | None = None
+    buffers: int | None = None
 
     @property
     def use_cache(self) -> bool:
         """Pick DMAV-with-caching when it models cheaper (C1 > C2)."""
-        return self.cost_nocache > self.cost_cache
+        return self.cost_cache is not None and (
+            self.cost_nocache > self.cost_cache
+        )
 
     @property
     def cost(self) -> float:
         """min(C1, C2): the cost the scheduler charges this gate."""
+        if self.cost_cache is None:
+            return self.cost_nocache
         return min(self.cost_nocache, self.cost_cache)
 
 
@@ -291,30 +303,45 @@ class CostModel:
         self._cache[m.n] = cost
         return cost
 
+    def evaluate_unfused(self, num_qubits: int, gate) -> GateCost:
+        """Equation 5 of an unfused gate, which the array kernel applies
+        from its matrix: K1 in closed form and C1 = K1/t.
+
+        The gate's windowed DD has one path per entry it keeps: ``K1 =
+        2**(n-k-c) * ((2**c - 1) * 2**k + nnz(U))`` for ``k`` targets,
+        ``c`` controls and target matrix ``U``, the control-off blocks
+        being identities and the levels off the gate's qubits
+        pass-throughs.  ``nnz`` counts the entries the DD keeps
+        (:func:`~repro.dd.matrix.kept_entries`), so K1 equals the built
+        DD's count at any placement, unless an entry of ``U`` sits within
+        about ``TOLERANCE`` of the DD's zero rule, where the package's
+        complex table decides.  No DD is built and no Equation 6 field is
+        set: the step never chooses Algorithm 2, so its C2 would decide
+        nothing (:meth:`evaluate_tile_local` computes it for reports).
+        """
+        k, c = len(gate.targets), len(gate.controls)
+        nnz = kept_entries(gate.matrix(), gate.targets)
+        k1 = ((((1 << c) - 1) << k) + nnz) << (num_qubits - k - c)
+        return GateCost(macs_total=k1, cost_nocache=k1 / self.threads)
+
     def evaluate_tile_local(self, num_qubits: int, gate) -> GateCost:
-        """Equations 5-6 of an unfused gate, which the array kernel
-        applies from its matrix.
+        """Equations 5-6 of an unfused gate, C2 included, for the
+        reports that show it (the pipeline prices the step by
+        :meth:`evaluate_unfused`).
 
         A gate whose highest qubit sits at or below the border level is
         one task per thread over that thread's own tile (H = 0, b = 1,
-        K2 = K1), and its DD has one path per non-zero entry: ``K1 =
-        2**(n-k-c) * ((2**c - 1) * 2**k + nnz(U))`` for ``k`` targets,
-        ``c`` controls and target matrix ``U``.  ``nnz`` counts the
-        entries the gate DD keeps (:func:`~repro.dd.matrix.kept_entries`),
-        so the verdict equals :meth:`evaluate`'s on the built windowed DD
-        without building it, unless an entry of ``U`` sits within about
-        ``TOLERANCE`` of the DD's zero rule, where the package's complex
-        table decides.
+        K2 = K1), K1 in closed form (:meth:`evaluate_unfused`), so the
+        verdict equals :meth:`evaluate`'s on the built windowed DD
+        without building it.
 
         A gate across the border is :meth:`evaluate` on its windowed DD,
         built in this model's scratch package, which serves pricing only:
-        the simulator's package and gate-DD cache never hold it.
+        no simulator package or gate-DD cache holds it.
         """
         n = num_qubits
         if max(gate.qubits) <= border_level(n, self.threads):
-            k, c = len(gate.targets), len(gate.controls)
-            nnz = kept_entries(gate.matrix(), gate.targets)
-            k1 = ((((1 << c) - 1) << k) + nnz) << (n - k - c)
+            k1 = self.evaluate_unfused(n, gate).macs_total
             return self._price(n, k1, k1, 0, 1)
         pkg = self._scratch
         if pkg is None or pkg.num_qubits != n:

@@ -35,9 +35,10 @@ one row: the kernel and the border-task runner
 viewed as ``threads`` tiles of ``2**n // threads`` amplitudes.  The
 listing forms (no plans, a flat state) are the per-gate reference.
 
-An unfused gate needs no DD at all: the planned :func:`dmav_nocache`
-takes its :class:`~repro.core.plan.TileLocalPlan` and
-:func:`apply_tile_local` applies it from its matrix to the row-major
+An unfused gate needs no DD at all, neither to apply nor to price: the
+planned :func:`dmav_nocache` takes its
+:class:`~repro.core.plan.TileLocalPlan` (its closed-form MACs and C1)
+and :func:`apply_tile_local` applies it from its matrix to the row-major
 ``(rows, 2**n)`` batch, at any placement: every qubit is a bit of the
 amplitude axis, and rows of a parameter sweep
 (:mod:`repro.core.sweep`) stack their matrices on the rows axis

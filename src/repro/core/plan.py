@@ -37,12 +37,13 @@ guarantee of docs/RESILIENCE.md.
 
 **Unfused gates.**  Without fusion every tail gate arrives as itself,
 not as a DD (``dmav_steps`` in :mod:`repro.core.simulator`), and the
-array kernel applies it from its matrix, so there is nothing to compile:
-its :class:`TileLocalPlan` holds the gate and its Eq. 5-6 price
-(:meth:`~repro.core.cost_model.CostModel.evaluate_tile_local`), keyed by
-the gate's exact identity (:attr:`~repro.circuits.gates.Gate.key`).
-Such lookups count as neither hits nor compiles: the compiler serves
-fused gate DDs only.
+array kernel applies it from its matrix, so there is nothing to compile
+and no verdict to reach: its :class:`TileLocalPlan` holds the gate and
+its Eq. 5 price, the closed-form K1 and C1 = K1/t
+(:meth:`~repro.core.cost_model.CostModel.evaluate_unfused`; no gate DD,
+no Eq. 6), keyed by the gate's exact identity
+(:attr:`~repro.circuits.gates.Gate.key`).  Such lookups count as neither
+hits nor compiles: the compiler serves fused gate DDs only.
 """
 
 from __future__ import annotations
@@ -89,13 +90,12 @@ class GatePlan:
 
 @dataclass(frozen=True)
 class TileLocalPlan:
-    """An unfused gate's plan: the gate itself and its Eq. 5-6 entry.
+    """An unfused gate's plan: the gate itself and its Eq. 5 price.
 
     :func:`~repro.core.dmav.dmav_nocache` applies it from the gate's
-    matrix (:func:`~repro.core.dmav.apply_tile_local`), also where the
-    entry prices Algorithm 2 cheaper (a gate across the border whose
-    blocks repeat, such as a product-form unitary): the array kernel
-    has no cache to use.
+    matrix (:func:`~repro.core.dmav.apply_tile_local`), which has no
+    cache to use, so the price holds K1 and C1 only (``use_cache`` is
+    False).
     """
 
     gate: Gate
@@ -143,7 +143,7 @@ class PlanCache:
             local = self._local.get(m.key)
             if local is None:
                 local = self._local[m.key] = TileLocalPlan(
-                    m, self.model.evaluate_tile_local(self.pkg.num_qubits, m)
+                    m, self.model.evaluate_unfused(self.pkg.num_qubits, m)
                 )
             return local
         if self.pkg.gc_epoch != self._epoch:

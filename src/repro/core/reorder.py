@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate
+from repro.circuits.gates import Gate, UnitaryGate
 
 __all__ = [
     "ReorderPlan",
@@ -236,9 +236,12 @@ def permute_circuit(circuit: Circuit, order: tuple[int, ...]) -> Circuit:
 
     The result simulates the same computation on permuted index bits;
     :func:`unpermute_axes` maps its amplitudes back to canonical order.
+    An explicit-matrix gate keeps its matrix on its relabelled targets.
     """
     gates = [
-        Gate(
+        UnitaryGate(g.matrix(), tuple(order[q] for q in g.targets))
+        if isinstance(g, UnitaryGate)
+        else Gate(
             name=g.name,
             targets=tuple(order[q] for q in g.targets),
             controls=tuple(order[q] for q in g.controls),

@@ -21,11 +21,13 @@ after conversion, and :func:`dmav_phase`, which applies emitted gate
 columns to a row-major ``(rows, 2**n)`` batch: ``run()`` and its
 array-phase resume pass their flat state as one row, each sweep group
 its rows.  Unfused, every step is the gate itself (:func:`dmav_steps`),
-which the plan cache prices and ``dmav_nocache`` applies from its
-matrix, without a gate DD; with fusion on, ``run()`` builds and fuses
-gate DDs for DMAV before calling it.  The phases reach the DD-package and kernel entry points
-through this module's namespace, so patching one name here (as
-``perfbench/layers.py`` does for per-layer attribution) sees every call.
+which the plan cache prices by its closed-form MACs (Eq. 5 only) and
+``dmav_nocache`` applies from its matrix, without a gate DD; with fusion
+on, ``run()`` builds and fuses gate DDs for DMAV before calling it, and
+each takes the algorithm of its Eq. 5-6 verdict.  The phases reach the
+DD-package and kernel entry points through this module's namespace, so
+patching one name here (as ``perfbench/layers.py`` does for per-layer
+attribution) sees every call.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def release_dd_phase(
 
 def apply_plan(
     pkg: DDPackage,
-    plans: list[GatePlan | TileLocalPlan],
+    plans: list[GatePlan],
     v,
     out,
     threads: int,
@@ -254,22 +256,18 @@ def apply_plan(
     buffers=None,
     out_dirty: bool = True,
 ):
-    """One planned DMAV step: write row ``b`` of ``v`` times ``plans[b]``'s
-    gate into row ``b`` of ``out``.
+    """One planned DMAV step: write ``v`` times the gate DD of ``plans``'
+    one :class:`~repro.core.plan.GatePlan` into ``out``.
 
-    ``v`` and ``out`` are row-major ``(rows, 2**n)`` batches: ``run()``
-    passes its flat state as a zero-copy ``(1, 2**n)`` view, a sweep a
-    block of rows.  A :class:`~repro.core.plan.TileLocalPlan` per row (an
-    unfused gate) is applied from the rows' gate matrices.  A fused gate
-    DD's one :class:`~repro.core.plan.GatePlan`, on one row, takes the
-    kernel of its Eq. 5-6 verdict (Section 3.2.3): Algorithm 2 (its
-    cache assignment and writer lists, over ``buffers``: at least
-    ``plans[0].assignment.num_buffers`` partials of ``v``'s shape and any
-    contents), else Algorithm 1 (its row-major tasks).  A tile-local
-    step never takes Algorithm 2, whatever its verdict.  ``out_dirty``
-    says whether ``out`` may hold stale data.  Returns ``(out, stats)``.
+    ``v`` and ``out`` are ``run()``'s flat state as zero-copy ``(1,
+    2**n)`` views.  The plan takes the kernel of its Eq. 5-6 verdict
+    (Section 3.2.3): Algorithm 2 (its cache assignment and writer lists,
+    over ``buffers``: at least ``plans[0].assignment.num_buffers``
+    partials of ``v``'s shape and any contents), else Algorithm 1 (its
+    row-major tasks).  ``out_dirty`` says whether ``out`` may hold stale
+    data.  Returns ``(out, stats)``.
     """
-    if isinstance(plans[0], GatePlan) and plans[0].cost.use_cache:
+    if plans[0].cost.use_cache:
         return dmav_cached(
             pkg, None, v, threads, runner, dense_level, out=out,
             plans=plans, buffers=buffers, out_dirty=out_dirty,
@@ -336,19 +334,21 @@ def dmav_phase(
     ``j`` after ``convert_at``: ``run()`` passes its flat state as one row,
     a sweep group its repeated conversion.  A step is an unfused
     :class:`Gate` (:func:`dmav_steps`), the same kind and qubits in every
-    row, or, in a one-row batch, a fused gate DD.  Every column runs its
-    rows' plans (a :class:`~repro.core.plan.TileLocalPlan` priced on
-    its gate DD and applied from its matrix, or a gate DD's
-    :class:`~repro.core.plan.GatePlan`) through :func:`apply_plan`
-    between recycled :class:`~repro.parallel.arena.BufferArena` buffers,
-    in ``ROW_BLOCK_BYTES`` row blocks.
+    row, or, in a one-row batch, a fused gate DD.  Every column looks up
+    its rows' plans and writes between recycled
+    :class:`~repro.parallel.arena.BufferArena` buffers: tile-local steps
+    (a :class:`~repro.core.plan.TileLocalPlan`, priced by its closed-form
+    K1 and C1 alone) go to ``dmav_nocache``, which applies them from
+    their matrices in ``ROW_BLOCK_BYTES`` row blocks, and a gate DD's
+    :class:`~repro.core.plan.GatePlan` to :func:`apply_plan`.
 
     After every column the memory guard may raise (labelled ``phase``),
     checkpointing through ``write_checkpoint(batch, cursor)`` first; every
     ``checkpoint_every`` columns (never after the last) a snapshot is
     written the same way and counted in ``metadata``.  ``trace`` gets one
     :class:`GateRecord` per column, named by ``labels`` and priced for
-    row 0's step (``cached``: the step ran Algorithm 2).  When the phase
+    row 0's step (``cached``: the step ran Algorithm 2; a tile-local step
+    has no ``cost_cache``).  When the phase
     ends, a raise included, ``tracer`` gets those records as per-gate
     spans, then (unless it raised) the "dmav_phase" span.  The ``dmav.*``
     counters, summed over rows, land in ``registry``.
@@ -374,22 +374,27 @@ def dmav_phase(
             row_plans = [plans.get(sr[j]) for sr in steps_rows]
             plan = row_plans[0]
             # A column is all tile-local steps or one gate DD's plan.  A
-            # tile-local step takes the array kernel even where Eq. 6
-            # prices Algorithm 2 cheaper, so it is never counted as cached.
-            use_cache = isinstance(plan, GatePlan) and plan.cost.use_cache
-            bufs = arena.partials(
-                plan.assignment.num_buffers if use_cache else 0
-            )
-            hits = 0
-            for b0 in range(0, rows, block):
-                b1 = min(b0 + block, rows)
+            # tile-local step takes the array kernel, which writes every
+            # element and has no cache, so it is never counted as cached.
+            if isinstance(plan, TileLocalPlan):
+                use_cache, hits = False, 0
+                for b0 in range(0, rows, block):
+                    b1 = min(b0 + block, rows)
+                    dmav_nocache(
+                        pkg, None, state[b0:b1], threads, runner, dense,
+                        out=w_buf[b0:b1], plans=row_plans[b0:b1],
+                    )
+                tile_steps += rows
+            else:
+                use_cache = plan.cost.use_cache
                 _, stats = apply_plan(
-                    pkg, row_plans[b0:b1], state[b0:b1], w_buf[b0:b1],
-                    threads, runner, dense,
-                    buffers=[bf[b0:b1] for bf in bufs], out_dirty=w_dirty,
+                    pkg, row_plans, state, w_buf, threads, runner, dense,
+                    buffers=arena.partials(
+                        plan.assignment.num_buffers if use_cache else 0
+                    ),
+                    out_dirty=w_dirty,
                 )
-                hits += stats.cache_hits
-            tile_steps += sum(isinstance(p, TileLocalPlan) for p in row_plans)
+                hits = stats.cache_hits
             macs += sum(p.cost.macs_total for p in row_plans)
             cached_steps += rows if use_cache else 0
             arena.retire(state)
@@ -550,6 +555,7 @@ class FlatDDSimulator(Simulator):
                 )
         guard = MemoryGuard(cfg.memory_budget_bytes)
         tr = tracer if tracer is not None else NULL_TRACER
+        first_span = len(tr.spans)
         registry = MetricsRegistry()
         pkg = DDPackage(n)
         gates = GateDDCache(pkg)
@@ -725,6 +731,7 @@ class FlatDDSimulator(Simulator):
             gate_cache=gates,
             runner=runner,
             wall_seconds=runtime,
+            first_span=first_span,
         )
         if keep_internals:
             metadata["package"] = pkg

@@ -17,9 +17,9 @@ it three ways:
    :func:`~repro.core.simulator.dd_phase` ``run()`` calls), ONE
    conversion, and ONE leader :class:`~repro.dd.package.DDPackage`.
 2. **Price once.**  Each group's DMAV phase prices each distinct bound
-   gate once (:class:`~repro.core.plan.PlanCache`, which compiles no
-   plan for an unfused gate); rows share the prices of their
-   parameterless gates.
+   gate once, by its closed-form MACs (:class:`~repro.core.plan.PlanCache`,
+   which compiles no plan and builds no DD for an unfused gate); rows
+   share the prices of their parameterless gates.
 3. **Batched replay.**  Each group's rows replay their remaining gates
    through :func:`~repro.core.simulator.dmav_phase`, the DMAV phase
    ``run()`` calls with one row, over a row-major ``(rows, 2**n)``
@@ -137,6 +137,7 @@ def run_sweep(
     """
     cfg = sim.config
     tr = tracer if tracer is not None else NULL_TRACER
+    first_span = len(tr.spans)
     n = circuit.num_qubits
     validate_thread_count(cfg.threads, n)
     if param_sets is None or len(param_sets) == 0:
@@ -190,7 +191,9 @@ def run_sweep(
         states = np.empty((num_rows, 1 << n), dtype=np.complex128)
         for i, fp in enumerate(fps):
             states[i] = runs[first_of[fp]].state
-        obs = metadata["obs"] = build_obs(tracer=tracer, registry=registry)
+        obs = metadata["obs"] = build_obs(
+            tracer=tr, registry=registry, first_span=first_span
+        )
         for r in runs:
             _merge_counters(obs["counters"], r.metadata["obs"]["counters"])
         return SweepResult(
@@ -307,7 +310,9 @@ def run_sweep(
     registry.counter("dmav.sweep.gates_batched").inc(gates_batched)
     registry.gauge("sim.mem.peak_bytes").set(meter.peak_bytes)
     metadata["conversion_seconds"] = sum(conversions)
-    obs = metadata["obs"] = build_obs(tracer=tracer, registry=registry)
+    obs = metadata["obs"] = build_obs(
+        tracer=tr, registry=registry, first_span=first_span
+    )
     for g in groups:
         _merge_counters(obs["counters"], package_counters(g["pkg"]))
     return SweepResult(

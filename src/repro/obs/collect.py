@@ -80,13 +80,17 @@ def build_obs(
     gate_cache=None,
     runner=None,
     wall_seconds: float | None = None,
+    first_span: int = 0,
 ) -> dict:
     """Assemble the ``metadata["obs"]`` payload for one simulation.
 
     Always returns counters/gauges (cheap snapshots); adds ``spans`` and
     the per-phase ``summary`` only when ``tracer`` is enabled, so the
-    payload stays small on untraced runs.  Every value in the returned
-    dict is JSON-serializable.
+    payload stays small on untraced runs.  Those cover the spans the
+    simulation recorded: ``tracer.spans`` from index ``first_span`` on,
+    its length when the simulation started, so a tracer shared by many
+    runs (as ``repro serve`` shares one) puts each run's own spans in
+    its payload.  Every value in the returned dict is JSON-serializable.
     """
     obs: dict = {"counters": {}, "gauges": {}}
     if registry is not None:
@@ -120,9 +124,11 @@ def build_obs(
                 "depth": s.depth,
                 "args": s.args or {},
             }
-            for s in tracer.spans
+            for s in tracer.spans[first_span:]
         ]
-        obs["summary"] = [p.as_dict() for p in summarize_phases(tracer)]
+        obs["summary"] = [
+            p.as_dict() for p in summarize_phases(tracer, first_span)
+        ]
     return obs
 
 

@@ -47,15 +47,20 @@ class PhaseSummary:
         }
 
 
-def summarize_phases(tracer: Tracer) -> list[PhaseSummary]:
+def summarize_phases(
+    tracer: Tracer, first_span: int = 0
+) -> list[PhaseSummary]:
     """Aggregate a tracer's phase spans, ordered by start time.
 
-    Repeated phases with the same name (e.g. per-backend phases in a
-    ``compare`` run against one tracer) are merged into one row keyed on
-    the first occurrence's start.
+    Only the spans from index ``first_span`` of ``tracer.spans`` on
+    count (one run's, when the tracer serves several).  Repeated phases
+    with the same name (e.g. per-backend phases in a ``compare`` run
+    against one tracer) are merged into one row keyed on the first
+    occurrence's start.
     """
-    phases = [s for s in tracer.spans if s.category == PHASE_CATEGORY]
-    inner = [s for s in tracer.spans if s.category != PHASE_CATEGORY]
+    spans = tracer.spans[first_span:]
+    phases = [s for s in spans if s.category == PHASE_CATEGORY]
+    inner = [s for s in spans if s.category != PHASE_CATEGORY]
     merged: dict[str, list[Span]] = {}
     for span in sorted(phases, key=lambda s: s.start):
         merged.setdefault(span.name, []).append(span)

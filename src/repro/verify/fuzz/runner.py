@@ -152,6 +152,7 @@ def run_campaign(
     oracle_names = list(oracles) if oracles is not None else list(ORACLES)
     tr = tracer if tracer is not None else NULL_TRACER
     tracing = tr.enabled
+    first_span = len(tr.spans)
     registry = MetricsRegistry()
     # Register the headline counters up front so a clean campaign still
     # reports them as explicit zeros.
@@ -271,5 +272,6 @@ def run_campaign(
         tracer=tr if tracing else None,
         registry=registry,
         wall_seconds=result.seconds,
+        first_span=first_span,
     )
     return result

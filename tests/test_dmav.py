@@ -10,7 +10,12 @@ from repro.backends.gatecache import build_gate_dd
 from repro.circuits import Gate, get_circuit
 from repro.circuits.gates import CONTROLLED_ALIASES, GATE_BUILDERS, UnitaryGate
 from repro.common.config import DENSE_BLOCK_LEVEL, TOLERANCE, FlatDDConfig
-from repro.core.cost_model import CostModel, assign_cache_tasks, mac_count
+from repro.core.cost_model import (
+    CostModel,
+    GateCost,
+    assign_cache_tasks,
+    mac_count,
+)
 from repro.core.fusion import K_OPERATIONS, fuse_cost_aware, fuse_k_operations
 from repro.core.dmav import (
     apply_tile_local,
@@ -832,18 +837,16 @@ class TestWindowedGateDDs:
         tail = circuit.gates[meta["conversion_gate_index"] + 1:]
         # run() emits every tail gate windowed, rooted at its top qubit.
         assert [e.n.level for e in edges] == [max(g.qubits) for g in tail]
-        model = CostModel(threads)
+        model, helper = CostModel(threads), CostModel(threads)
         expected = []
         for step, e in zip(meta["dmav_steps"], edges):
+            assert isinstance(step, Gate)
             c = model.evaluate(pkg, identity_extend(pkg, e, n - 1))
-            # A tile-local step has no gate DD to force: Algorithm 1.
-            cached = (
-                c.use_cache if policy == "auto"
-                else policy == "always" and not isinstance(step, Gate)
-            )
-            expected.append(
-                (c.macs_total, c.cost_nocache, c.cost_cache, cached)
-            )
+            # An unfused step has no gate DD to force and never chooses:
+            # Algorithm 1, priced by Eq. 5 alone.  Its C2 is the pricing
+            # helper's, which matches the full-height DD's verdict.
+            expected.append((c.macs_total, c.cost_nocache, None, False))
+            assert helper.evaluate_tile_local(n, step) == c, step
         assert meta["dmav_gate_costs"] == expected
         assert meta["dmav_macs_total"] == sum(c[0] for c in expected)
 
@@ -978,6 +981,59 @@ class TestTileLocal:
                     ).evaluate(pkg, m), gate
         assert cases > 0
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_closed_form_macs_equal_the_built_dd(self, n):
+        """An unfused step's price is Eq. 5 alone: its closed-form K1
+        equals its windowed DD's MAC count (in a fresh package) at every
+        placement, across the border included, and C1 = K1/t, with no
+        Eq. 6 field and no cache verdict."""
+        gates = dict.fromkeys(itertools.chain(
+            itertools.chain.from_iterable(_tile_local_rows(n)),
+            (
+                UnitaryGate(random_unitary(2, seed), (q,))
+                for seed in (1, 2) for q in range(n)
+            ),
+        ))
+        threads = [t for t in (1, 2, 4, 8) if t <= 1 << (n - 1)]
+        across = 0
+        for gate in gates:
+            pkg = DDPackage(n)
+            m = build_gate_dd(pkg, gate, windowed=True)
+            macs = mac_count(pkg, m) << (n - 1 - m.n.level)
+            for t in threads:
+                across += max(gate.qubits) > border_level(n, t)
+                cost = PlanCache(pkg, t, CostModel(t)).get(gate).cost
+                assert cost == GateCost(macs, macs / t), (gate, t)
+                assert not cost.use_cache and cost.cost == macs / t
+        assert across > 0
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_run_builds_no_gate_dd_outside_its_package(
+        self, monkeypatch, threads
+    ):
+        """Pricing an unfused tail builds no gate DD: every gate DD an
+        unfused run builds is in its own package (the DD phase's, and
+        ``keep_internals``' ``dmav_edges``)."""
+        import repro.backends.gatecache as gatecache
+
+        packages = []
+        build = gatecache.controlled_gate
+
+        def spy(pkg, *args, **kwargs):
+            packages.append(pkg)
+            return build(pkg, *args, **kwargs)
+
+        monkeypatch.setattr(gatecache, "controlled_gate", spy)
+        n = 12
+        circuit = get_circuit("supremacy", n)
+        meta = FlatDDSimulator(threads=threads).run(
+            circuit, keep_internals=True
+        ).metadata
+        tail = circuit.gates[meta["conversion_gate_index"] + 1:]
+        assert any(max(g.qubits) > border_level(n, threads) for g in tail)
+        assert packages
+        assert all(p is meta["package"] for p in packages)
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_near_tolerance_entries_priced_like_the_dd(self, threads):
         """``NEAR_TOLERANCE_GATES`` at every placement: the unfused
@@ -1039,8 +1095,11 @@ class TestTileLocal:
         """``keep_internals=True`` changes no bit or cost of the run, and
         the run's tail against the same tail as gate DDs: a DMAV phase
         over ``metadata["dmav_edges"]`` from the converted state must
-        record the run's gates, costs, MACs and gate count, its state
-        equal on the tolerance ladder's tightest rung."""
+        record the run's gates, MACs, C1 and gate count, its state equal
+        on the tolerance ladder's tightest rung.  Each unfused step of
+        the run records its closed-form MACs and C1 with no C2 and never
+        caches; the replay's full Eq. 5-6 prices are the pricing
+        helper's (``evaluate_tile_local``)."""
         circuit = get_circuit(family, n)
         cfg = FlatDDConfig(threads=threads)
         plain = FlatDDSimulator(cfg).run(circuit)
@@ -1067,11 +1126,18 @@ class TestTileLocal:
         assert [(r.index, r.name) for r in records] == [
             (r.index, r.name) for r in run.gate_trace if r.phase == "dmav"
         ]
-        costs = [
+        helper = CostModel(threads)
+        priced = [helper.evaluate_tile_local(n, s) for s in steps]
+        assert [
             (r.macs, r.cost_nocache, r.cost_cache, r.cached) for r in records
+        ] == [
+            (c.macs_total, c.cost_nocache, c.cost_cache, c.use_cache)
+            for c in priced
         ]
-        assert meta["dmav_gate_costs"] == costs
-        assert meta["dmav_macs_total"] == sum(c[0] for c in costs)
+        assert meta["dmav_gate_costs"] == [
+            (c.macs_total, c.cost_nocache, None, False) for c in priced
+        ]
+        assert meta["dmav_macs_total"] == sum(c.macs_total for c in priced)
         tight = dict(TOLERANCE_LADDER)["tight"]
         assert np.max(np.abs(run.state - state.reshape(-1))) <= tight
         lc = meta["obs"]["counters"]

@@ -307,10 +307,16 @@ class TestInstrumentation:
         assert "dmav_edges" in r.metadata
 
     def test_timeout(self):
-        r = FlatDDSimulator(threads=1).run(
-            get_circuit("dnn", 10), max_seconds=0.02
+        # No wall-clock assumption: the DD phase returns at the forced
+        # trigger before it reads the deadline, and a zero budget stops
+        # the DMAV phase after its first column.
+        r = FlatDDSimulator(threads=1, force_convert_at=0).run(
+            get_circuit("dnn", 10), max_seconds=0.0
         )
-        assert r.metadata["timed_out"]
+        meta = r.metadata
+        assert meta["timed_out"] and meta["converted"]
+        assert meta["conversion_gate_index"] == 0
+        assert [g.phase for g in r.gate_trace] == ["dd", "dmav"]
 
     def test_dd_phase_timeout_reports_applied_gates(self):
         # A deadline already passed stops the DD phase after its first

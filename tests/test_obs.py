@@ -25,6 +25,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.verify.fuzz.runner import run_campaign
 
 
 class TestTracerBasics:
@@ -221,12 +222,11 @@ class TestSummary:
         assert format_summary_table(Tracer()) == "(no phase spans recorded)"
 
 
-#: Span args of each per-gate span kind, beside ``gate_index``.
+#: Span args of each per-gate span kind, beside ``gate_index``.  An
+#: unfused DMAV step is priced by Eq. 5 alone: no ``cost_cache``.
 GATE_SPAN_ARGS = {
     ("flatdd", "dd"): ["dd_size", "ewma"],
-    ("flatdd", "dmav"): [
-        "macs", "cached", "cost_cache", "cost_nocache", "cache_hits",
-    ],
+    ("flatdd", "dmav"): ["macs", "cached", "cost_nocache", "cache_hits"],
     ("ddsim", "dd"): ["dd_size"],
     ("quantumpp", "array"): [],
 }
@@ -287,6 +287,61 @@ class TestGateTraceSpans:
             (s.category, s.args["gate_index"]) for s in _gate_spans(tracer)
         ] == [("dd", 0), ("dd", 1), ("dd", 2), ("dd", 3), ("dmav", 4)]
         assert len([x for x in tracer.samples if x.name == "ewma"]) == 4
+
+
+def _traced_runs():
+    """Each simulation entry point, as ``tracer -> its obs payload``."""
+    circuit = get_circuit("supremacy", 8)
+    rows = [circuit.extract_params()] * 2
+    return {
+        "flatdd": lambda tr: FlatDDSimulator(threads=2).run(
+            circuit, tracer=tr
+        ).metadata["obs"],
+        "ddsim": lambda tr: DDSimulator().run(
+            circuit, tracer=tr
+        ).metadata["obs"],
+        "quantumpp": lambda tr: StatevectorSimulator(threads=2).run(
+            circuit, tracer=tr
+        ).metadata["obs"],
+        "sweep-batched": lambda tr: FlatDDSimulator(
+            threads=2
+        ).simulate_sweep(circuit, rows, tracer=tr).metadata["obs"],
+        "sweep-fused": lambda tr: FlatDDSimulator(
+            threads=2, fusion="cost"
+        ).simulate_sweep(circuit, rows, tracer=tr).metadata["obs"],
+        "fuzz": lambda tr: run_campaign(
+            seed=1, iterations=1, max_qubits=4, max_gates=12,
+            oracles=["flatdd_vs_statevector"], out_dir=None, tracer=tr,
+        ).obs,
+    }
+
+
+class TestObsHoldsOwnSpans:
+    """A tracer shared by sequential runs (as ``repro serve`` shares
+    one) puts in each run's ``metadata["obs"]`` only the spans that run
+    recorded, and a summary of only those."""
+
+    @pytest.mark.parametrize("entry", list(_traced_runs()))
+    def test_each_run_holds_only_its_own_spans(self, entry):
+        run = _traced_runs()[entry]
+        tracer = Tracer()
+        payloads = []
+        for _ in range(3):
+            first = len(tracer.spans)
+            obs = run(tracer)
+            own = tracer.spans[first:]
+            assert own
+            assert [(s["name"], s["cat"], s["ts"]) for s in obs["spans"]] == [
+                (s.name, s.category, s.start) for s in own
+            ]
+            payloads.append(obs)
+        # The same work each time: the same phases, each holding the
+        # same number of spans.
+        shapes = [
+            [(p["name"], p["inner_spans"]) for p in obs["summary"]]
+            for obs in payloads
+        ]
+        assert shapes[0] and shapes == [shapes[0]] * 3
 
 
 class TestBackendObsMetadata:

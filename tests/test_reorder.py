@@ -11,6 +11,8 @@ import pytest
 
 from repro.circuits import get_circuit
 from repro.circuits.circuit import Circuit
+from repro.circuits.gates import UnitaryGate
+from repro.core.simulator import FlatDDSimulator
 from repro.core.reorder import (
     ReorderPlan,
     interaction_weights,
@@ -19,6 +21,7 @@ from repro.core.reorder import (
     span_cost,
     unpermute_axes,
 )
+from repro.verify.fuzz.oracles import TOLERANCE_LADDER
 
 
 def _ladder(n=5):
@@ -128,6 +131,14 @@ class TestPermuteUnpermute:
         assert g.controls == (2,)
         assert g.targets == (0,)
 
+    def test_permute_keeps_explicit_matrix(self):
+        c = get_circuit("qvolume", 4)
+        p = permute_circuit(c, (3, 0, 2, 1))
+        for g, q in zip(c.gates, p.gates):
+            assert isinstance(q, UnitaryGate)
+            assert q.targets == tuple((3, 0, 2, 1)[t] for t in g.targets)
+            assert np.array_equal(q.matrix(), g.matrix())
+
     def test_unpermute_axes_identity(self):
         assert unpermute_axes((0, 1, 2)) == (0, 1, 2)
 
@@ -152,3 +163,45 @@ class TestPermuteUnpermute:
             unpermute_axes(order)
         ).reshape(1 << n)
         np.testing.assert_allclose(restored, canonical, atol=1e-12)
+
+
+class TestReorderedExplicitMatrixGates:
+    """A circuit of explicit-matrix gates (quantum volume's random SU(4)
+    blocks) under a reordered DD phase matches the natural order on the
+    tolerance ladder's tightest rung, in ``run()`` and in a sweep."""
+
+    TIGHT = dict(TOLERANCE_LADDER)["tight"]
+
+    @pytest.mark.parametrize("convert_at", [None, 4])
+    @pytest.mark.parametrize("mode", ["interaction", "sift"])
+    def test_run_matches_natural(self, mode, convert_at):
+        c = get_circuit("qvolume", 6)
+        natural, reordered = (
+            FlatDDSimulator(
+                threads=2, qubit_order=order, force_convert_at=convert_at
+            ).run(c)
+            for order in ("natural", mode)
+        )
+        assert reordered.metadata["reorder"]["applied"]
+        assert np.max(np.abs(reordered.state - natural.state)) <= self.TIGHT
+
+    @pytest.mark.parametrize("mode", ["interaction", "sift"])
+    def test_sweep_matches_natural(self, mode):
+        c = get_circuit("qvolume", 6)
+        for q in range(c.num_qubits):
+            c.ry(0.0, q)
+        rng = np.random.default_rng(3)
+        rows = [
+            tuple(rng.uniform(-np.pi, np.pi, c.num_param_slots))
+            for _ in range(3)
+        ]
+        natural, reordered = (
+            FlatDDSimulator(
+                threads=2, qubit_order=order, force_convert_at=8
+            ).simulate_sweep(c, rows)
+            for order in ("natural", mode)
+        )
+        assert reordered.metadata["reorder_applied"]
+        assert np.max(
+            np.abs(reordered.states - natural.states)
+        ) <= self.TIGHT
